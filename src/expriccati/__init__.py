@@ -119,5 +119,4 @@ __all__ = [
     "step_expeuler_general",
     "step_expeuler_lowrank",
     "step_msde_polynomial",
-    "integrate",
 ]

@@ -1,7 +1,9 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Everything operates on plain 2-D float64 ``numpy`` arrays.  Validation
-happens once at these entry points so the higher-level modules stay lean.
+Everything operates on plain 2-D float64 ``numpy`` arrays.  The public
+functions validate their raw input; values the package builds itself are
+handed to SciPy and NumPy directly instead of being re-checked on every
+internal call.
 """
 
 import numpy as np
@@ -21,13 +23,14 @@ __all__ = [
     "sylvester_kron_matrix",
     "operator_separation",
     "solve_sylvester",
+    "check_factor",
     "compress",
-    "KRON_SOLVE_LIMIT",
+    "KRON_LIMIT",
 ]
 
-# Largest M*N for which the vectorized MN x MN Sylvester system may be
-# formed explicitly.
-KRON_SOLVE_LIMIT = 4096
+# Largest M*N for which a vectorized MN x MN matrix of the Sylvester
+# operator (its solve or its phi functions) may be formed explicitly.
+KRON_LIMIT = 4096
 
 
 def as_matrix(a, name="matrix"):
@@ -72,10 +75,10 @@ def unvec(v, rows, cols):
 def expm(a):
     """Matrix exponential of a square real matrix.
 
-    Thin validation wrapper around SciPy's scaling-and-squaring
-    implementation with degree-13 diagonal Pade approximants.  Kept as the
-    single entry point so every exponential in the package goes through
-    the same input checks.
+    Validating wrapper around SciPy's scaling-and-squaring implementation
+    with degree-13 diagonal Pade approximants, for raw input.  Kernels that
+    exponentiate blocks they assembled from validated coefficients call
+    ``scipy.linalg.expm`` directly.
     """
     arr = require_square(as_matrix(a, "expm operand"), "expm operand")
     if arr.size == 0:
@@ -206,13 +209,32 @@ def solve_sylvester(a, d, rhs, method="auto"):
         return scipy.linalg.solve_sylvester(a, d, rhs)
     if method == "kron":
         size = a.shape[0] * d.shape[0]
-        if size > KRON_SOLVE_LIMIT:
+        if size > KRON_LIMIT:
             raise DomainError(
-                f"vectorized solve limited to M*N <= {KRON_SOLVE_LIMIT}, got {size}"
+                f"vectorized solve limited to M*N <= {KRON_LIMIT}, got {size}"
             )
         k = sylvester_kron_matrix(a, d)
         return unvec(np.linalg.solve(k, vec(rhs)), a.shape[0], d.shape[0])
     raise DomainError(f"unknown Sylvester method {method!r}")
+
+
+def check_factor(l, core):
+    """Validate the pair of a thin factor L and its symmetric core C.
+
+    Both must be finite, C square with as many rows as L has columns, and
+    symmetric to 1e-12 relative.  Returns the pair as float arrays.
+    """
+    l = as_matrix(l, "L")
+    core = require_square(as_matrix(core, "core"), "core")
+    if l.shape[1] != core.shape[0]:
+        raise DimensionError(
+            f"factor has {l.shape[1]} columns but core is {core.shape[0]} x {core.shape[1]}"
+        )
+    if core.size:
+        asym = float(np.abs(core - core.T).max())
+        if asym > 1e-12 * max(float(np.abs(core).max()), 1e-300):
+            raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
+    return l, core
 
 
 def compress(l, core, tol):
@@ -237,22 +259,13 @@ def compress(l, core, tol):
     -----
     Thin QR of L followed by a symmetric eigendecomposition of the
     projected core.  Eigenvalues are dropped from the small end while
-    both ``|lambda| <= tol * max|lambda|`` and the accumulated dropped
-    mass stays within the reconstruction budget; exact zero modes are
-    always dropped.
+    both ``|lambda| <= tol * max|lambda|`` and the norm of the dropped
+    tail stays within the reconstruction budget ``tol * ||lambda||``;
+    exact zero modes are always dropped.
     """
-    l = as_matrix(l, "L")
-    core = require_square(as_matrix(core, "core"), "core")
-    if l.shape[1] != core.shape[0]:
-        raise DimensionError(
-            f"factor has {l.shape[1]} columns but core is {core.shape[0]} x {core.shape[1]}"
-        )
+    l, core = check_factor(l, core)
     if tol < 0:
         raise DomainError("compression tolerance must be nonnegative")
-    if core.size:
-        asym = float(np.abs(core - core.T).max())
-        if asym > 1e-12 * max(float(np.abs(core).max()), 1e-300):
-            raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
     if l.shape[1] == 0:
         return l.copy(), core.copy()
 
@@ -264,18 +277,10 @@ def compress(l, core, tol):
     lam = lam[order]
     u = u[:, order]
 
-    amax = float(np.abs(lam[0])) if lam.size else 0.0
-    if amax == 0.0:
-        keep = 0
-    else:
-        total = float(np.linalg.norm(lam))
-        keep = lam.size
-        dropped_sq = 0.0
-        for i in range(lam.size - 1, -1, -1):
-            if abs(lam[i]) > tol * amax:
-                break
-            if np.sqrt(dropped_sq + lam[i] ** 2) > tol * total:
-                break
-            dropped_sq += lam[i] ** 2
-            keep = i
+    # |lam| decreases and the tail norm of the dropped modes shrinks along
+    # the index, so both conditions hold on a suffix, which is dropped.
+    mags = np.abs(lam)
+    tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
+    drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
+    keep = lam.size - int(np.count_nonzero(drop))
     return q @ u[:, :keep], np.diag(lam[:keep])

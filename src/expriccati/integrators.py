@@ -19,7 +19,7 @@ from math import ulp
 
 import numpy as np
 
-from .densecore import KRON_SOLVE_LIMIT, as_matrix, expm_actions, fro, solve_sylvester
+from .densecore import as_matrix, expm_actions, fro, solve_sylvester
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -52,8 +52,13 @@ __all__ = [
     "integrate",
 ]
 
-SCHEMES = ("GExpEuler", "BrExpEuler", "LrExpEuler", "Erow3Dense", "Erow3LowRank")
-_LOWRANK_SCHEMES = ("LrExpEuler", "Erow3LowRank")
+# Largest M*N for which Erow3Dense takes phi_3 through the augmented block
+# exponential of size M + 3N rather than the quadrature rule.  The
+# augmented route is exact but costs a dense (M + 3N)^2 exponential: on
+# fdm-nonsym:k=10 (M*N = 10000, a 400 x 400 exponential, one BLAS thread)
+# it took 27-33 ms per call against 10-15 ms for the 7-node quadrature,
+# which there is 12% off an 80-node rule at step 0.
+_EROW3_AUGMENTED_LIMIT = 4096
 
 
 def _consistent(actual, expected):
@@ -165,7 +170,6 @@ class IntegratorConfig:
     krylov_m: int = 30
     exp_action: str = "dense"
     store_every: int = 1
-    monitor: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -234,13 +238,13 @@ class Trajectory:
         return state.reconstruct() if isinstance(state, LdlFactor) else state
 
 
-def step_expeuler_general(problem, x, h):
+def step_expeuler_general(problem, x, h, cfg=None, details=None):
     """Rosenbrock-Euler step through the augmented block exponential."""
     lin = linearize(problem, x)
     return phi1_action_augmented(lin.operator, h, lin.remainder, x)
 
 
-def step_expeuler_backward(problem, x, h):
+def step_expeuler_backward(problem, x, h, cfg=None, details=None):
     """Rosenbrock-Euler step via one Sylvester solve.
 
     Solves S_n(W) = F(X_n) and returns exp(h S_n)(W) + X_n - W.  Raises
@@ -287,8 +291,6 @@ def step_expeuler_lowrank(problem, state, h, cfg, details=None):
     phi_1 quadrature images and concatenates them onto the state factor
     with a final compression.
     """
-    if not problem.has_lowrank_generators:
-        raise ConfigurationError("LrExpEuler needs a symmetric problem with C and B")
     tol = cfg.resolve_tol(state.dim)
     rhs = assemble_rhs(problem, state).compressed(tol)
     a_lin = _linearized_coefficient(problem, state)
@@ -306,8 +308,8 @@ def step_erow3(problem, x, h, cfg, details=None):
 
     Dispatches on the state kind.  Densely the correction is exact through
     the augmented block exponential up to M*N = 4096 and a quadrature
-    beyond; in low-rank form it reuses the factored remainder difference
-    and the k = 3 quadrature stack.
+    beyond (``cfg.rule``); in low-rank form it reuses the factored
+    remainder difference and the k = 3 quadrature stack.
     """
     if isinstance(x, LdlFactor):
         stage = step_expeuler_lowrank(problem, x, h, cfg, details)
@@ -329,7 +331,7 @@ def step_erow3(problem, x, h, cfg, details=None):
     xg = x @ problem.G
     sg = stage @ problem.G
     diff = xg @ stage + sg @ x - sg @ stage - xg @ x
-    if problem.M * problem.N <= KRON_SOLVE_LIMIT:
+    if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
         correction = phi_action_augmented(lin.operator, h, 3, diff)
     else:
         correction = phi_action_quadrature(3, lin.operator, h, diff, cfg.rule)
@@ -355,15 +357,17 @@ def step_msde_polynomial(operator, coeffs, t, recursion="forward"):
     raise ConfigurationError(f"unknown recursion {recursion!r}")
 
 
-_DENSE_STEPS = {
-    "GExpEuler": lambda p, x, h, cfg, det: step_expeuler_general(p, x, h),
-    "BrExpEuler": lambda p, x, h, cfg, det: step_expeuler_backward(p, x, h),
-    "Erow3Dense": lambda p, x, h, cfg, det: step_erow3(p, x, h, cfg, det),
+# Scheme name -> (stepper, whether the state is an LDL^T factor).  Every
+# stepper takes (problem, state, h, cfg, details); the dense Euler steps
+# ignore the last two.
+_SCHEME_STEPS = {
+    "GExpEuler": (step_expeuler_general, False),
+    "BrExpEuler": (step_expeuler_backward, False),
+    "LrExpEuler": (step_expeuler_lowrank, True),
+    "Erow3Dense": (step_erow3, False),
+    "Erow3LowRank": (step_erow3, True),
 }
-_LOWRANK_STEPS = {
-    "LrExpEuler": step_expeuler_lowrank,
-    "Erow3LowRank": step_erow3,
-}
+SCHEMES = tuple(_SCHEME_STEPS)
 
 
 def _monitor(state, diag):
@@ -387,14 +391,8 @@ def integrate(problem, cfg):
     step.  A failing step raises IntegrationError carrying the partial
     trajectory and the zero-based index of the step that failed.
     """
-    low_rank = cfg.scheme in _LOWRANK_SCHEMES
-    if low_rank:
-        state = problem.initial_factor()
-        stepper = _LOWRANK_STEPS[cfg.scheme]
-    else:
-        state = problem.X0.copy()
-        stepper = _DENSE_STEPS[cfg.scheme]
-    monitorable = problem.symmetric and cfg.monitor
+    stepper, factored = _SCHEME_STEPS[cfg.scheme]
+    state = problem.initial_factor() if factored else problem.X0.copy()
 
     steps = cfg.step_count
     times = [0.0]
@@ -434,7 +432,7 @@ def integrate(problem, cfg):
             dropped=details.get("dropped"),
             krylov_residual=details.get("krylov_residual"),
         )
-        if monitorable:
+        if problem.symmetric:
             _monitor(state, diag)
         diagnostics.append(diag)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm, expm_actions, require_square
+from .densecore import as_matrix, expm_actions, require_square
 from .errors import DomainError
 
 __all__ = ["BlockKrylovBasis", "build_basis", "exp_action_krylov", "exp_actions_krylov"]
@@ -162,16 +162,10 @@ def exp_action_krylov(basis, tau, V):
     Returns ``(value, estimate)`` where the value is
     basis exp(tau H) (basis^T V) and the estimate is the generalized
     residual ||H_{m+1,m}|| * ||trailing block of exp(tau H) basis^T V||_F.
-    The estimate is reported, never acted on.
+    The estimate is reported, never acted on.  This is the one-tau case
+    of :func:`exp_actions_krylov`.
     """
-    if not np.isfinite(tau):
-        raise DomainError("tau must be finite")
-    V = as_matrix(V, "V")
-    if V.shape[0] != basis.dim:
-        raise DomainError(f"V has {V.shape[0]} rows, basis expects {basis.dim}")
-    e1 = basis.basis.T @ V
-    core = expm(tau * basis.H) @ e1
-    return basis.basis @ core, _residual_estimate(basis, core)
+    return exp_actions_krylov(basis, [tau], V)[0]
 
 
 def exp_actions_krylov(basis, taus, V):

@@ -8,12 +8,13 @@ factor width bounded.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, compress, require_square
+from .densecore import check_factor, compress
 from .errors import ConfigurationError, DimensionError, DomainError
 
 __all__ = [
@@ -27,28 +28,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LdlFactor:
-    """Thin factorization X = L C L^T with a small symmetric core C."""
+    """Thin factorization X = L C L^T with a small symmetric core C.
+
+    The constructor validates its input; factors the package assembles
+    from validated ones are built by ``_trusted`` without the re-check.
+    """
 
     L: np.ndarray
     core: np.ndarray
 
     def __post_init__(self):
-        l = as_matrix(self.L, "L")
-        core = require_square(as_matrix(self.core, "core"), "core")
-        if l.shape[1] != core.shape[0]:
-            raise DimensionError(
-                f"factor has {l.shape[1]} columns but core is {core.shape[0]} square"
-            )
-        if core.size:
-            asym = float(np.abs(core - core.T).max())
-            if asym > 1e-12 * max(float(np.abs(core).max()), 1e-300):
-                raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
+        l, core = check_factor(self.L, self.core)
         object.__setattr__(self, "L", l)
         object.__setattr__(self, "core", core)
 
     @classmethod
+    def _trusted(cls, l, core):
+        factor = object.__new__(cls)
+        object.__setattr__(factor, "L", l)
+        object.__setattr__(factor, "core", core)
+        return factor
+
+    @classmethod
     def zero(cls, dim):
-        return cls(np.zeros((dim, 0)), np.zeros((0, 0)))
+        return cls._trusted(np.zeros((dim, 0)), np.zeros((0, 0)))
 
     @property
     def dim(self):
@@ -63,9 +66,11 @@ class LdlFactor:
         return self.L @ self.core @ self.L.T
 
     def compressed(self, tol):
-        return LdlFactor(*compress(self.L, self.core, tol))
+        return LdlFactor._trusted(*compress(self.L, self.core, tol))
 
+    @cached_property
     def _projected_eigenvalues(self):
+        """Nonzero spectrum of L C L^T, computed once per factor."""
         if self.rank == 0:
             return np.zeros(0)
         r = np.linalg.qr(self.L)[1]
@@ -74,11 +79,11 @@ class LdlFactor:
 
     def fnorm(self):
         """||L C L^T||_F without forming the dense product."""
-        return float(np.linalg.norm(self._projected_eigenvalues()))
+        return float(np.linalg.norm(self._projected_eigenvalues))
 
     def min_eigenvalue(self):
         """Smallest eigenvalue of the represented matrix."""
-        lam = self._projected_eigenvalues()
+        lam = self._projected_eigenvalues
         smallest = float(lam.min()) if lam.size else 0.0
         if self.rank < self.dim:
             smallest = min(smallest, 0.0)
@@ -123,7 +128,7 @@ def assemble_rhs(problem, state):
     core[nl:nl + r, nl + r:] = cx
     core[nl + r:, nl:nl + r] = cx
     core[nl + r:, nl + r:] = -k @ k.T
-    return LdlFactor(big, core)
+    return LdlFactor._trusted(big, core)
 
 
 def assemble_remainder_diff(problem, state, stage):
@@ -148,7 +153,7 @@ def assemble_remainder_diff(problem, state, stage):
     core[:rx, rx:] = kx @ ky.T
     core[rx:, :rx] = ky @ kx.T
     core[rx:, rx:] = -ky @ ky.T
-    return LdlFactor(np.hstack([state.L, stage.L]), core)
+    return LdlFactor._trusted(np.hstack([state.L, stage.L]), core)
 
 
 def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
@@ -178,7 +183,7 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     ]
     big = np.hstack(list(images))
     core = scipy.linalg.block_diag(*[g * factor.core for g in gammas])
-    return LdlFactor(big, core)
+    return LdlFactor._trusted(big, core)
 
 
 def concat_update(state, update, tol):
@@ -193,4 +198,4 @@ def concat_update(state, update, tol):
         return update.compressed(tol)
     big = np.hstack([state.L, update.L])
     core = scipy.linalg.block_diag(state.core, update.core)
-    return LdlFactor(*compress(big, core, tol))
+    return LdlFactor._trusted(*compress(big, core, tol))

@@ -16,12 +16,10 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm, sylvester_kron_matrix
+from .densecore import KRON_LIMIT, as_matrix, expm, sylvester_kron_matrix
 from .errors import DomainError, FiniteEscapeError
 
-__all__ = ["radon_solve", "radon_trajectory", "kronecker_phi", "KRON_PHI_LIMIT"]
-
-KRON_PHI_LIMIT = 4096
+__all__ = ["radon_solve", "radon_trajectory", "kronecker_phi"]
 
 # Keep ||dt H||_1 at most this large before even attempting a propagator;
 # avoids pointless exponentials that would overflow anyway.
@@ -165,8 +163,8 @@ def kronecker_phi(k, operator, h):
     if k < 0:
         raise DomainError("phi index must be >= 0")
     mn = operator.rows * operator.cols
-    if mn > KRON_PHI_LIMIT:
-        raise DomainError(f"vectorized phi limited to M*N <= {KRON_PHI_LIMIT}, got {mn}")
+    if mn > KRON_LIMIT:
+        raise DomainError(f"vectorized phi limited to M*N <= {KRON_LIMIT}, got {mn}")
     kmat = sylvester_kron_matrix(operator.A, operator.D)
     if k == 0:
         return expm(h * kmat)

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
+import scipy.linalg
 
 from .densecore import as_matrix, expm, require_square
 from .errors import DimensionError, DomainError
@@ -67,18 +68,21 @@ class SylvesterOperator:
 class Linearization:
     """Frechet linearization of the Riccati right-hand side at a state.
 
-    ``A`` and ``D`` are the shifted coefficients A - XG and D - GX;
-    ``remainder`` is the value of the nonlinear remainder at the
-    linearization point, Q + XGX.
+    ``operator`` holds the shifted coefficients A - XG and D - GX, also
+    readable as ``A`` and ``D``; ``remainder`` is the value of the
+    nonlinear remainder at the linearization point, Q + XGX.
     """
 
-    A: np.ndarray
-    D: np.ndarray
+    operator: SylvesterOperator
     remainder: np.ndarray
 
     @property
-    def operator(self):
-        return SylvesterOperator(self.A, self.D)
+    def A(self):
+        return self.operator.A
+
+    @property
+    def D(self):
+        return self.operator.D
 
 
 def linearize(problem, state):
@@ -91,8 +95,7 @@ def linearize(problem, state):
         )
     xg = x @ problem.G
     return Linearization(
-        A=problem.A - xg,
-        D=problem.D - problem.G @ x,
+        operator=SylvesterOperator(problem.A - xg, problem.D - problem.G @ x),
         remainder=problem.Q + xg @ x,
     )
 
@@ -104,13 +107,13 @@ def linearize(problem, state):
 _AUGMENTED_NORM_LIMIT = 4.0
 
 
-def _phi_integrals_base(operator, t, k, mat):
+def _phi_integrals_base(operator, t, k, mat, e_right):
     """[t^j phi_j(tS)(N) for j = 1..k] from one augmented exponential.
 
     The block matrix chains k copies of -tD coupled by identities above
-    the operand; block (1, j+1) of its exponential, times exp(tD), is
-    phi_j(tS)(N).  The operand is balanced to unit norm first (exact,
-    undone on extraction) so the exponential sees O(1) blocks.
+    the operand; block (1, j+1) of its exponential, times ``e_right`` =
+    exp(tD), is phi_j(tS)(N).  The operand is balanced to unit norm first
+    (exact, undone on extraction) so the exponential sees O(1) blocks.
     """
     m, n = operator.rows, operator.cols
     scale = max(float(np.linalg.norm(mat, 1)), 1e-300)
@@ -123,8 +126,7 @@ def _phi_integrals_base(operator, t, k, mat):
         block[r0:r0 + n, r0:r0 + n] = -t * operator.D
         if i + 1 < k:
             block[r0:r0 + n, r0 + n:r0 + 2 * n] = np.eye(n)
-    e = expm(block)
-    e_right = expm(t * operator.D)
+    e = scipy.linalg.expm(block)
     return [
         (scale * t ** j) * (e[:m, m + (j - 1) * n:m + j * n] @ e_right)
         for j in range(1, k + 1)
@@ -140,7 +142,9 @@ def _phi_integrals(operator, h, k, mat):
         I_j(2t) = exp(tS)(I_j(t)) + sum_i t^(j-1-i)/(j-1-i)! I_{i+1}(t),
 
     which only combines quantities at the scale of the result (no growing
-    intermediates, unlike the one-shot augmented exponential).
+    intermediates, unlike the one-shot augmented exponential).  The
+    coefficients and the operand were validated by the caller, so the
+    exponentials go to SciPy directly.
     """
     z = abs(h) * (
         float(np.linalg.norm(operator.A, 1)) + float(np.linalg.norm(operator.D, 1))
@@ -150,9 +154,9 @@ def _phi_integrals(operator, h, k, mat):
         else int(np.ceil(np.log2(z / _AUGMENTED_NORM_LIMIT)))
     )
     t = h / (1 << doublings)
-    integrals = _phi_integrals_base(operator, t, k, mat)
-    left = expm(t * operator.A)
-    right = expm(t * operator.D)
+    left = scipy.linalg.expm(t * operator.A)
+    right = scipy.linalg.expm(t * operator.D)
+    integrals = _phi_integrals_base(operator, t, k, mat, right)
     for _ in range(doublings):
         doubled = []
         for j in range(1, k + 1):
