@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels shared by the rest of the package.
 
-Everything operates on plain 2-D float64 ``numpy`` arrays.  The public
-functions validate their raw input; values the package builds itself are
-handed to SciPy and NumPy directly instead of being re-checked on every
-internal call.
+Everything operates on plain 2-D float64 ``numpy`` arrays, except that
+:func:`expm_actions` also takes a :class:`SparsePlusThin` operator.  The
+public functions validate their raw input; values the package builds
+itself are handed to SciPy and NumPy directly instead of being re-checked
+on every internal call.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
     "unvec",
     "expm",
     "expm_actions",
+    "SparsePlusThin",
     "sylvester_kron_matrix",
     "operator_separation",
     "solve_sylvester",
@@ -86,6 +88,53 @@ def expm(a):
     return scipy.linalg.expm(arr)
 
 
+class SparsePlusThin:
+    """The n x n operator A - U B^T: a sparse A plus a thin correction.
+
+    ``a`` is a SciPy sparse matrix, ``u`` and ``bt`` are n x p and p x n
+    arrays, and ``norm1`` bounds the 1-norm by ||A||_1 + ||U||_1 ||B^T||_1.
+    A product with an n x b block costs about b (nnz(A) + 2 n p) flops
+    instead of the b n^2 of the dense matrix.  Scaling by a number scales
+    A and U.  The package builds these from validated coefficients, so
+    nothing is checked here.
+    """
+
+    # NumPy scalars defer to __rmul__ instead of broadcasting over the object.
+    __array_ufunc__ = None
+
+    def __init__(self, a, u, bt, norm1):
+        self.a = a
+        self.u = u
+        self.bt = bt
+        self.norm1 = norm1
+
+    @property
+    def shape(self):
+        return self.a.shape
+
+    def __matmul__(self, block):
+        out = self.a @ block
+        out -= self.u @ (self.bt @ block)
+        return out
+
+    def __mul__(self, c):
+        return SparsePlusThin(self.a * c, self.u * c, self.bt, abs(c) * self.norm1)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (1.0 / c)
+
+    def toarray(self):
+        """The dense n x n matrix."""
+        return self.a.toarray() - self.u @ self.bt
+
+
+def _norm1(m):
+    """1-norm of a dense matrix, or the bound a SparsePlusThin carries."""
+    return m.norm1 if isinstance(m, SparsePlusThin) else np.linalg.norm(m, 1)
+
+
 # Scaled-Taylor application of exp(M) to a thin block: 22 terms leave a
 # remainder below 4e-23 once ||M/2^s||_1 <= 1.  Above the norm limit a
 # full exponential is cheaper than the repeated applications.
@@ -94,7 +143,7 @@ _TAYLOR_NORM_LIMIT = 16.0
 
 
 def _taylor_apply(m, b):
-    norm = np.linalg.norm(m, 1)
+    norm = _norm1(m)
     if norm == 0.0:
         return b.copy()
     s = max(0, int(np.ceil(np.log2(norm))))
@@ -113,15 +162,19 @@ def _taylor_apply(m, b):
 def expm_actions(m, taus, b):
     """[exp(tau M) B for tau in taus], sharing work across the tau values.
 
-    When every tau has the same sign and max|tau| ||M||_1 stays modest,
-    the products are evaluated along the chain exp(tau' M) B =
-    exp((tau' - tau) M) (exp(tau M) B) so each increment only costs a
-    short scaled-Taylor application to the thin block.  Outside that
-    regime (mixed signs, or norms where intermediate growth would erode
-    accuracy) every tau gets its own full exponential.  Results come back
-    in the order of ``taus``.
+    ``m`` is a square matrix or a package-built :class:`SparsePlusThin`;
+    the chain below only multiplies it with thin blocks and scales it, so
+    the structured operator is never formed densely there.  When every tau
+    has the same sign and max|tau| ||M||_1 stays modest, the products are
+    evaluated along the chain exp(tau' M) B = exp((tau' - tau) M)
+    (exp(tau M) B) so each increment only costs a short scaled-Taylor
+    application to the thin block.  Outside that regime (mixed signs, or
+    norms where intermediate growth would erode accuracy) every tau gets
+    its own full exponential, of the operator densified once.  Results
+    come back in the order of ``taus``.
     """
-    m = require_square(as_matrix(m, "matrix"), "matrix")
+    if not isinstance(m, SparsePlusThin):
+        m = require_square(as_matrix(m, "matrix"), "matrix")
     b = as_matrix(b, "block")
     if b.shape[0] != m.shape[0]:
         raise DimensionError(
@@ -130,11 +183,12 @@ def expm_actions(m, taus, b):
     taus = [float(t) for t in taus]
     if any(not np.isfinite(t) for t in taus):
         raise DomainError("tau values must be finite")
-    m_norm = np.linalg.norm(m, 1)
+    m_norm = _norm1(m)
     same_sign = all(t >= 0.0 for t in taus) or all(t <= 0.0 for t in taus)
     span = max((abs(t) for t in taus), default=0.0) * m_norm
     if not same_sign or span > _TAYLOR_NORM_LIMIT:
-        return [scipy.linalg.expm(t * m) @ b for t in taus]
+        dense = m.toarray() if isinstance(m, SparsePlusThin) else m
+        return [scipy.linalg.expm(t * dense) @ b for t in taus]
     results = [None] * len(taus)
     current = b
     prev = 0.0
@@ -152,14 +206,43 @@ def sylvester_kron_matrix(a, d):
     return np.kron(np.eye(d.shape[0]), a) + np.kron(d.T, np.eye(a.shape[0]))
 
 
+def _separation(la, mu):
+    """Smallest |lambda + mu| over two lists of eigenvalues."""
+    return float(np.abs(la[:, None] + mu[None, :]).min())
+
+
 def operator_separation(a, d):
     """Smallest |lambda_i(A) + mu_j(D)| over the two spectra.
 
     Zero separation means X -> AX + XD is singular.
     """
-    la = np.linalg.eigvals(a)
-    mu = np.linalg.eigvals(d)
-    return float(np.abs(la[:, None] + mu[None, :]).min())
+    return _separation(np.linalg.eigvals(a), np.linalg.eigvals(d))
+
+
+def _schur_eigenvalues(t):
+    """Eigenvalues of a real Schur form, read off its diagonal blocks.
+
+    LAPACK standardizes each 2 x 2 block to [[a, b], [c, a]] with b c < 0,
+    whose eigenvalues are a +- i sqrt(|b c|); the other diagonal entries
+    are real eigenvalues.
+    """
+    lam = np.diag(t).astype(complex)
+    first = np.flatnonzero(np.diagonal(t, -1))
+    im = np.sqrt(np.abs(t[first + 1, first] * t[first, first + 1]))
+    lam[first] += 1j * im
+    lam[first + 1] -= 1j * im
+    return lam
+
+
+def _check_separation(sep, a, d):
+    scale = max(fro(a) + fro(d), 1.0)
+    if sep <= 1e-12 * scale:
+        raise SolvabilityError(
+            f"Sylvester operator is numerically singular: spectral separation "
+            f"{sep:.3e} against coefficient scale {scale:.3e}",
+            separation=sep,
+            condition=scale / sep if sep > 0 else float("inf"),
+        )
 
 
 def solve_sylvester(a, d, rhs, method="auto"):
@@ -173,11 +256,13 @@ def solve_sylvester(a, d, rhs, method="auto"):
     rhs : array_like
         M x N right-hand side.
     method : {"auto", "schur", "kron"}
-        "schur" reduces both coefficients to real Schur form and
-        back-substitutes (Bartels-Stewart, via LAPACK).  "kron" assembles
-        and solves the vectorized MN x MN system directly; it is refused
-        above M*N = 4096 and doubles as an independent cross-check of the
-        Schur route.  "auto" selects "schur".
+        "schur" reduces A and D^T to real Schur form and back-substitutes
+        with LAPACK ``trsyl`` (Bartels-Stewart, the same steps as
+        ``scipy.linalg.solve_sylvester``); the separation check reads the
+        spectra off the two Schur forms.  "kron" assembles and solves the
+        vectorized MN x MN system directly; it is refused above
+        M*N = 4096 and doubles as an independent cross-check of the Schur
+        route.  "auto" selects "schur".
 
     Raises
     ------
@@ -192,30 +277,32 @@ def solve_sylvester(a, d, rhs, method="auto"):
         raise DimensionError(
             f"RHS shape {rhs.shape} does not match ({a.shape[0]}, {d.shape[0]})"
         )
-
-    sep = operator_separation(a, d)
-    scale = max(fro(a) + fro(d), 1.0)
-    if sep <= 1e-12 * scale:
-        raise SolvabilityError(
-            f"Sylvester operator is numerically singular: spectral separation "
-            f"{sep:.3e} against coefficient scale {scale:.3e}",
-            separation=sep,
-            condition=scale / sep if sep > 0 else float("inf"),
-        )
-
     if method == "auto":
         method = "schur"
+    if method not in ("schur", "kron"):
+        raise DomainError(f"unknown Sylvester method {method!r}")
+    if rhs.size == 0:
+        return np.zeros(rhs.shape)
+
     if method == "schur":
-        return scipy.linalg.solve_sylvester(a, d, rhs)
-    if method == "kron":
-        size = a.shape[0] * d.shape[0]
-        if size > KRON_LIMIT:
-            raise DomainError(
-                f"vectorized solve limited to M*N <= {KRON_LIMIT}, got {size}"
-            )
-        k = sylvester_kron_matrix(a, d)
-        return unvec(np.linalg.solve(k, vec(rhs)), a.shape[0], d.shape[0])
-    raise DomainError(f"unknown Sylvester method {method!r}")
+        r, u = scipy.linalg.schur(a, output="real")
+        s, v = scipy.linalg.schur(d.T, output="real")
+        _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
+        f = np.dot(np.dot(u.T, rhs), v)
+        trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
+        y, scale, info = trsyl(r, s, f, tranb="C")
+        if info < 0:
+            raise DomainError(f"trsyl rejected argument {-info}")
+        return np.dot(np.dot(u, scale * y), v.T)
+
+    _check_separation(operator_separation(a, d), a, d)
+    size = a.shape[0] * d.shape[0]
+    if size > KRON_LIMIT:
+        raise DomainError(
+            f"vectorized solve limited to M*N <= {KRON_LIMIT}, got {size}"
+        )
+    k = sylvester_kron_matrix(a, d)
+    return unvec(np.linalg.solve(k, vec(rhs)), a.shape[0], d.shape[0])
 
 
 def check_factor(l, core):

@@ -15,11 +15,13 @@ nonlinear-remainder difference and exists densely and in low-rank form.
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import ulp
 
 import numpy as np
+import scipy.sparse
 
-from .densecore import as_matrix, expm_actions, fro, solve_sylvester
+from .densecore import SparsePlusThin, as_matrix, expm_actions, fro, solve_sylvester
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -59,6 +61,18 @@ __all__ = [
 # it took 27-33 ms per call against 10-15 ms for the 7-node quadrature,
 # which there is 12% off an 80-node rule at step 0.
 _EROW3_AUGMENTED_LIMIT = 4096
+
+# The low-rank steps apply A_lin = A - (X B) B^T as a SparsePlusThin
+# operator (CSR A plus the thin correction) when
+# _STRUCTURED_COST_RATIO * (nnz(A) + 2 n p) <= n^2, p the width of B, and
+# as a dense n x n matrix otherwise: each sparse product carries a fixed
+# overhead that small dense products do not.  Medians over 20
+# LrExpEuler/krylov steps of fdm-sym with rank-2 generators, h = 1e-3,
+# three seeds, one BLAS thread (dense / structured): n = 64 92 / 136 ms,
+# n = 100 122 / 169 ms, n = 144 221 / 221 ms (195 / 216 ms in another
+# run), n = 196 422 / 320 ms, n = 256 1008 / 618 ms, n = 400 2672 /
+# 1388 ms.  The ratio 20 puts the crossover between n = 144 and 196.
+_STRUCTURED_COST_RATIO = 20
 
 
 def _consistent(actual, expected):
@@ -132,6 +146,23 @@ class RiccatiProblem:
     def N(self):
         return self.D.shape[0]
 
+    @cached_property
+    def _sparse_coefficient(self):
+        """(CSR copy of A, ||A||_1, ||B^T||_1) when the low-rank steps should
+        apply A_lin as a SparsePlusThin operator, else None.
+
+        Built on the first low-rank step, not on construction; A and B are
+        not expected to change afterwards.
+        """
+        n, p = self.B.shape
+        if _STRUCTURED_COST_RATIO * (np.count_nonzero(self.A) + 2 * n * p) > n * n:
+            return None
+        return (
+            scipy.sparse.csr_array(self.A),
+            float(np.linalg.norm(self.A, 1)),
+            float(np.linalg.norm(self.B, np.inf)),
+        )
+
     def rhs(self, x):
         """F(X) = A X + X D + Q - X G X."""
         x = as_matrix(x, "state")
@@ -156,10 +187,15 @@ class IntegratorConfig:
     """Scheme selection and step parameters for :func:`integrate`.
 
     ``compression_tol`` of None resolves to dim * machine epsilon at use
-    time; ``exp_action`` switches the low-rank quadrature images between
-    dense exponentials and block Krylov projections of dimension
-    ``krylov_m``.  The step grid must hit ``t_end`` exactly: t_end / h has
-    to be an integer to within half an ulp.
+    time.  ``exp_action`` selects how the low-rank steps take the
+    quadrature images exp(tau A_lin) V: "dense" applies A_lin directly
+    (chained Taylor steps, or one full exponential per node time when
+    max|tau| ||A_lin||_1 > 16); "krylov" projects onto a block Krylov
+    basis of ``krylov_m`` blocks, except when ``krylov_m`` times the block
+    width reaches the dimension, where such a basis would span the whole
+    space and the exact action of the "dense" route is taken instead.
+    The step grid must hit ``t_end`` exactly: t_end / h has to be an
+    integer to within half an ulp.
     """
 
     scheme: str
@@ -204,7 +240,14 @@ class IntegratorConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Per-step bookkeeping: cost, factor rank and symmetry/PSD monitors."""
+    """Per-step bookkeeping: cost, factor rank and symmetry/PSD monitors.
+
+    ``krylov_basis_cols`` lists, for each exponential-action call of a
+    step with ``exp_action="krylov"``, the column count of the block
+    Krylov basis it built, or 0 where it took the exact full-space action
+    without a basis; ``krylov_residual`` is the largest residual estimate
+    of those calls (0.0 for full-space actions).
+    """
 
     step: int
     t: float
@@ -215,6 +258,7 @@ class StepDiagnostics:
     min_eigenvalue: float = None
     symmetry_error: float = None
     krylov_residual: float = None
+    krylov_basis_cols: tuple = None
 
 
 @dataclass
@@ -257,9 +301,20 @@ def step_expeuler_backward(problem, x, h, cfg=None, details=None):
 
 
 def _linearized_coefficient(problem, state):
-    """A - X G for a factored symmetric state, using the thin generator of G."""
+    """A - X G for a factored symmetric state, using the thin generator of G.
+
+    A SparsePlusThin operator A - (X B) B^T where the problem's A is
+    sparse enough for that to pay off (``_STRUCTURED_COST_RATIO``), else
+    the dense matrix.
+    """
     xb = state.L @ (state.core @ (state.L.T @ problem.B))
-    return problem.A - xb @ problem.B.T
+    sparse = problem._sparse_coefficient
+    if sparse is None:
+        return problem.A - xb @ problem.B.T
+    a_csr, a_norm1, bt_norm1 = sparse
+    return SparsePlusThin(
+        a_csr, xb, problem.B.T, a_norm1 + float(np.linalg.norm(xb, 1)) * bt_norm1
+    )
 
 
 def _make_exp_actions(a_lin, cfg, details):
@@ -267,13 +322,22 @@ def _make_exp_actions(a_lin, cfg, details):
     if cfg.exp_action == "krylov":
 
         def actions(taus, block):
-            basis = build_basis(a_lin, block, cfg.krylov_m)
-            pairs = exp_actions_krylov(basis, taus, block)
+            n, width = block.shape
+            if cfg.krylov_m * width >= n:
+                # The basis would span the whole space: act exactly instead.
+                cols = 0
+                pairs = [(value, 0.0) for value in expm_actions(a_lin, taus, block)]
+            else:
+                dense = a_lin.toarray() if isinstance(a_lin, SparsePlusThin) else a_lin
+                basis = build_basis(dense, block, cfg.krylov_m)
+                cols = basis.size
+                pairs = exp_actions_krylov(basis, taus, block)
             worst = max((est for _, est in pairs), default=0.0)
             if details is not None:
                 details["krylov_residual"] = max(
                     details.get("krylov_residual", 0.0), worst
                 )
+                details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
             return [value for value, _ in pairs]
 
         return actions
@@ -431,6 +495,7 @@ def integrate(problem, cfg):
             rank=state.rank if isinstance(state, LdlFactor) else None,
             dropped=details.get("dropped"),
             krylov_residual=details.get("krylov_residual"),
+            krylov_basis_cols=details.get("krylov_basis_cols"),
         )
         if problem.symmetric:
             _monitor(state, diag)

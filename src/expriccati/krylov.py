@@ -69,10 +69,13 @@ def build_basis(A, V, m):
     """Block Arnoldi basis of K_m(A, V) with m blocks.
 
     Modified Gram-Schmidt with one reorthogonalization pass; blocks that
-    lose column rank are deflated at tolerance 1e-12 ||V||.  If m times
-    the block width exceeds the dimension, iteration simply continues
-    until the basis covers the full (reachable) space, where the
-    exponential actions become exact up to orthogonalization roundoff.
+    lose column rank are deflated at tolerance 1e-12 ||V||.  Iteration
+    stops after m blocks, at an invariant subspace, or once the basis
+    spans the whole space.  If m times the block width exceeds the
+    dimension, no iteration runs: the identity basis is returned with
+    H = A, so the exponential actions on it are exact (and cost as much
+    as on A itself).  The low-rank steppers do not call this in that
+    case; they apply the exact action without a basis.
     """
     A = require_square(as_matrix(A, "A"), "A")
     V = as_matrix(V, "V")

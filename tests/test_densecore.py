@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.linalg
 import pytest
 
 from expriccati.densecore import (
@@ -125,6 +126,28 @@ class TestSolveSylvester:
             solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
         assert info.value.separation <= 1e-12
         assert info.value.condition == np.inf
+
+    def test_same_steps_as_scipy(self):
+        rng = np.random.default_rng(16)
+        for m, n in ((1, 1), (5, 3), (12, 9)):
+            a = rng.standard_normal((m, m))
+            d = rng.standard_normal((n, n)) + 6.0 * np.eye(n)
+            f = rng.standard_normal((m, n))
+            assert np.array_equal(solve_sylvester(a, d, f), scipy.linalg.solve_sylvester(a, d, f))
+
+    def test_complex_pair_separation_from_schur_forms(self):
+        # A has eigenvalues 2 and 1 +- 2i, D has -1 +- 2i: two sums vanish,
+        # and the separation read off the 2 x 2 Schur blocks must see it.
+        a = np.array([[2.0, 0.3, 0.1], [0.0, 1.0, 2.0], [0.0, -2.0, 1.0]])
+        d = np.array([[-1.0, 4.0], [-1.0, -1.0]])
+        with pytest.raises(SolvabilityError) as info:
+            solve_sylvester(a, d, np.ones((3, 2)))
+        assert info.value.separation <= 1e-12
+        # -1 +- 3i: the real parts still cancel, the imaginary ones do not.
+        apart = np.array([[-1.0, 9.0], [-1.0, -1.0]])
+        w = solve_sylvester(a, apart, np.ones((3, 2)))
+        assert np.linalg.norm(a @ w + w @ apart - 1.0) <= 1e-12 * np.linalg.norm(w)
+        assert operator_separation(a, apart) == pytest.approx(1.0)
 
     def test_kron_size_cap(self):
         a = np.eye(70)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from expriccati.densecore import expm
+import expriccati.integrators as integrators
+from expriccati.densecore import SparsePlusThin, expm
 from expriccati.errors import ConfigurationError, DimensionError, IntegrationError
 from expriccati.integrators import (
     IntegratorConfig,
@@ -15,7 +16,14 @@ from expriccati.integrators import (
 )
 from expriccati.lowrank import LdlFactor
 from expriccati.oracle import radon_solve
-from expriccati.problems import build_symmetric_problem, fdm_sym, random_lowrank, scalar_tanh_problem
+from expriccati.krylov import build_basis
+from expriccati.problems import (
+    build_symmetric_problem,
+    fdm_sym,
+    problem_from_spec,
+    random_lowrank,
+    scalar_tanh_problem,
+)
 from expriccati.sylvop import SylvesterOperator, linearize, phi_action_augmented
 
 from helpers import random_stable, rel_err, rk4_matrix_ode
@@ -362,3 +370,70 @@ class TestIntegrate:
             assert diag.dropped is not None and diag.dropped >= 0
             assert diag.krylov_residual is not None
             assert diag.min_eigenvalue is not None
+
+
+class TestExponentialActionRoutes:
+    """fdm-sym:k=14 (n = 196, rank-2 generators) is above the threshold at
+    which the low-rank steps keep A_lin as sparse A plus a thin correction."""
+
+    SPEC = "fdm-sym:k=14"
+    STEPS = 10
+    H = 1e-3
+
+    def _config(self, scheme, exp_action, steps=STEPS):
+        return IntegratorConfig(scheme, self.H, steps * self.H, exp_action=exp_action)
+
+    def _run(self, scheme, exp_action):
+        problem = problem_from_spec(self.SPEC, seed=20240)
+        return problem, integrate(problem, self._config(scheme, exp_action))
+
+    @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_structured_and_dense_coefficients_agree(self, scheme, exp_action, monkeypatch):
+        problem, structured = self._run(scheme, exp_action)
+        coefficient = integrators._linearized_coefficient(problem, problem.initial_factor())
+        assert isinstance(coefficient, SparsePlusThin)
+        monkeypatch.setattr(integrators, "_STRUCTURED_COST_RATIO", float("inf"))
+        problem, dense = self._run(scheme, exp_action)
+        coefficient = integrators._linearized_coefficient(problem, problem.initial_factor())
+        assert isinstance(coefficient, np.ndarray)
+        assert rel_err(structured.final_dense(), dense.final_dense()) <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_krylov_step_matches_dense_step(self, scheme):
+        # Step 0 takes a real basis of 180 columns in R^196, which is only
+        # good to about 1e-3 there; from the state after it, the Euler
+        # stage is a full-space action and Erow3's width-2 correction a
+        # converged basis.
+        problem = problem_from_spec(self.SPEC, seed=20240)
+        state = integrate(problem, self._config(scheme, "dense", steps=1)).final
+        stepper = integrators._SCHEME_STEPS[scheme][0]
+        details = {}
+        krylov = stepper(problem, state, self.H, self._config(scheme, "krylov"), details)
+        dense = stepper(problem, state, self.H, self._config(scheme, "dense"))
+        assert details["krylov_basis_cols"][0] == 0
+        assert rel_err(krylov.reconstruct(), dense.reconstruct()) <= 1e-12
+
+    @pytest.mark.parametrize("scheme, actions", [("LrExpEuler", 1), ("Erow3LowRank", 2)])
+    def test_full_space_actions_build_no_basis(self, scheme, actions, monkeypatch):
+        widths = []
+
+        def spy(a, v, m):
+            widths.append(v.shape[1])
+            return build_basis(a, v, m)
+
+        monkeypatch.setattr(integrators, "build_basis", spy)
+        problem, traj = self._run(scheme, "krylov")
+        m, n = 30, problem.M
+        cols = [c for diag in traj.diagnostics for c in diag.krylov_basis_cols]
+
+        # One entry per exponential-action call; a basis only where m
+        # blocks fit in R^n, and 0 for the exact full-space action.
+        assert len(cols) == actions * self.STEPS
+        assert len(widths) == sum(1 for c in cols if c > 0) > 0
+        assert all(m * w < n for w in widths)
+        assert 0 in cols
+        full_space = [d for d in traj.diagnostics if not any(d.krylov_basis_cols)]
+        assert all(d.krylov_residual == 0.0 for d in full_space)
+        if scheme == "LrExpEuler":
+            assert len(full_space) == self.STEPS - 1
