@@ -27,6 +27,7 @@ import numpy as np
 from .densecore import fro
 from .errors import (
     ConfigurationError,
+    DimensionError,
     DomainError,
     FiniteEscapeError,
     IntegrationError,
@@ -315,7 +316,7 @@ def main(argv=None):
         runner, filename = _COMMANDS[args.command]
         _emit(runner(cfg), cfg, filename)
         return 0
-    except (UsageError, ConfigurationError, MatrixFormatError, DomainError) as exc:
+    except (UsageError, ConfigurationError, MatrixFormatError, DomainError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, SolvabilityError, FiniteEscapeError) as exc:

@@ -10,7 +10,7 @@ on every internal call.
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DomainError, SolvabilityError
+from .errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 
 __all__ = [
     "as_matrix",
@@ -350,7 +350,11 @@ def compress(l, core, tol):
     tail stays within the reconstruction budget ``tol * ||lambda||``;
     exact zero modes are always dropped.
     """
-    l, core = check_factor(l, core)
+    return _compress_trusted(*check_factor(l, core), tol)
+
+
+def _compress_trusted(l, core, tol):
+    """:func:`compress` for package-built factors, without ``check_factor``."""
     if tol < 0:
         raise DomainError("compression tolerance must be nonnegative")
     if l.shape[1] == 0:
@@ -360,6 +364,9 @@ def compress(l, core, tol):
     mid = r @ ((core + core.T) / 2.0) @ r.T
     mid = (mid + mid.T) / 2.0
     lam, u = np.linalg.eigh(mid)
+    if not np.all(np.isfinite(lam)):
+        # An overflow upstream (in a step: the exponential images) shows here.
+        raise FiniteEscapeError("compressed factor has non-finite eigenvalues")
     order = np.argsort(-np.abs(lam))
     lam = lam[order]
     u = u[:, order]

@@ -75,9 +75,12 @@ _EROW3_AUGMENTED_LIMIT = 4096
 _STRUCTURED_COST_RATIO = 20
 
 
-def _consistent(actual, expected):
-    scale = max(fro(expected), fro(actual), 1.0)
-    return fro(actual - expected) <= 1e-10 * scale
+def _require_match(actual, expected, claim):
+    """Raise unless two matrices agree to 1e-10 relative; ``claim`` says why."""
+    if actual.shape != expected.shape:
+        raise DimensionError(f"{claim}: shapes {actual.shape} and {expected.shape} differ")
+    if fro(actual - expected) > 1e-10 * max(fro(expected), fro(actual), 1.0):
+        raise ConfigurationError(claim)
 
 
 @dataclass
@@ -123,20 +126,21 @@ class RiccatiProblem:
             if val is not None:
                 setattr(self, name, as_matrix(val, name))
         if self.symmetric:
-            if m != n or not _consistent(self.D, self.A.T):
+            if m != n:
                 raise ConfigurationError("symmetric problems need D = A^T")
-            if not _consistent(self.Q, self.Q.T) or not _consistent(self.G, self.G.T):
-                raise ConfigurationError("symmetric problems need symmetric Q and G")
-            if not _consistent(self.X0, self.X0.T):
-                raise ConfigurationError("symmetric problems need symmetric X0")
-        if self.C is not None and not _consistent(self.Q, self.C.T @ self.C):
-            raise ConfigurationError("Q does not match C^T C")
-        if self.B is not None and not _consistent(self.G, self.B @ self.B.T):
-            raise ConfigurationError("G does not match B B^T")
+            _require_match(self.D, self.A.T, "symmetric problems need D = A^T")
+            _require_match(self.Q, self.Q.T, "symmetric problems need symmetric Q")
+            _require_match(self.G, self.G.T, "symmetric problems need symmetric G")
+            _require_match(self.X0, self.X0.T, "symmetric problems need symmetric X0")
+        if self.C is not None:
+            _require_match(self.Q, self.C.T @ self.C, "Q must equal C^T C")
+        if self.B is not None:
+            _require_match(self.G, self.B @ self.B.T, "G must equal B B^T")
         if self.L0 is not None:
             core = self.D0 if self.D0 is not None else np.eye(self.L0.shape[1])
-            if not _consistent(self.X0, self.L0 @ core @ self.L0.T):
-                raise ConfigurationError("X0 does not match L0 D0 L0^T")
+            if core.shape != (self.L0.shape[1],) * 2:
+                raise DimensionError(f"D0 is {core.shape}, L0 has {self.L0.shape[1]} columns")
+            _require_match(self.X0, self.L0 @ core @ self.L0.T, "X0 must equal L0 D0 L0^T")
 
     @property
     def M(self):
@@ -348,23 +352,35 @@ def _make_exp_actions(a_lin, cfg, details):
     return actions
 
 
+def _factored_phi_update(problem, state, h, cfg, details):
+    """update(base, operand, k, coeff) = base + coeff phi_k(h S_n)(operand)
+    in LDL^T form, S_n linearized once at ``state`` for every update.
+
+    Compresses the operand, stacks its quadrature-node images, concatenates
+    them onto ``base``, recompresses and adds the dropped columns to
+    ``details["dropped"]``.
+    """
+    tol = cfg.resolve_tol(state.dim)
+    actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, details)
+
+    def update(base, operand, k, coeff):
+        phi_sum = assemble_phi_sum(actions, h, k, operand.compressed(tol), cfg.rule, coeff=coeff)
+        out = concat_update(base, phi_sum, tol)
+        if details is not None:
+            details["dropped"] = details.get("dropped", 0) + base.rank + phi_sum.rank - out.rank
+        return out
+
+    return update
+
+
 def step_expeuler_lowrank(problem, state, h, cfg, details=None):
     """Low-rank Rosenbrock-Euler step on LDL^T factors.
 
-    Assembles the factored right-hand side, compresses it, applies the
-    phi_1 quadrature images and concatenates them onto the state factor
-    with a final compression.
+    Assembles the factored right-hand side and adds h phi_1(h S_n) of it
+    to the state through the factored phi-update.
     """
-    tol = cfg.resolve_tol(state.dim)
-    rhs = assemble_rhs(problem, state).compressed(tol)
-    a_lin = _linearized_coefficient(problem, state)
-    update = assemble_phi_sum(
-        _make_exp_actions(a_lin, cfg, details), h, 1, rhs, cfg.rule, coeff=h
-    )
-    out = concat_update(state, update, tol)
-    if details is not None:
-        details["dropped"] = state.rank + update.rank - out.rank
-    return out
+    update = _factored_phi_update(problem, state, h, cfg, details)
+    return update(state, assemble_rhs(problem, state), 1, h)
 
 
 def step_erow3(problem, x, h, cfg, details=None):
@@ -372,23 +388,14 @@ def step_erow3(problem, x, h, cfg, details=None):
 
     Dispatches on the state kind.  Densely the correction is exact through
     the augmented block exponential up to M*N = 4096 and a quadrature
-    beyond (``cfg.rule``); in low-rank form it reuses the factored
-    remainder difference and the k = 3 quadrature stack.
+    beyond (``cfg.rule``); in low-rank form both the stage and the
+    correction of the factored remainder difference go through one
+    factored phi-update, linearized once.
     """
     if isinstance(x, LdlFactor):
-        stage = step_expeuler_lowrank(problem, x, h, cfg, details)
-        tol = cfg.resolve_tol(x.dim)
-        diff = assemble_remainder_diff(problem, x, stage).compressed(tol)
-        a_lin = _linearized_coefficient(problem, x)
-        correction = assemble_phi_sum(
-            _make_exp_actions(a_lin, cfg, details), h, 3, diff, cfg.rule, coeff=2.0 * h
-        )
-        out = concat_update(stage, correction, tol)
-        if details is not None:
-            details["dropped"] = details.get("dropped", 0) + (
-                stage.rank + correction.rank - out.rank
-            )
-        return out
+        update = _factored_phi_update(problem, x, h, cfg, details)
+        stage = update(x, assemble_rhs(problem, x), 1, h)
+        return update(stage, assemble_remainder_diff(problem, x, stage), 3, 2.0 * h)
 
     lin = linearize(problem, x)
     stage = phi1_action_augmented(lin.operator, h, lin.remainder, x)

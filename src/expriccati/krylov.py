@@ -23,8 +23,8 @@ class BlockKrylovBasis:
     ``basis`` holds orthonormal columns spanning K_m(A, V); ``H`` is the
     block-Hessenberg projection basis^T A basis assembled from the
     orthogonalization coefficients.  ``coupling`` is the norm of the first
-    discarded subdiagonal block (zero when the space became invariant or
-    covers everything); together with the trailing rows of exp(tau H) it
+    discarded subdiagonal block (roundoff-small when the space became
+    invariant, 0.0 when it covers everything); together with the trailing rows of exp(tau H) it
     yields the a posteriori residual estimate.
     """
 
@@ -71,11 +71,11 @@ def build_basis(A, V, m):
     Modified Gram-Schmidt with one reorthogonalization pass; blocks that
     lose column rank are deflated at tolerance 1e-12 ||V||.  Iteration
     stops after m blocks, at an invariant subspace, or once the basis
-    spans the whole space.  If m times the block width exceeds the
-    dimension, no iteration runs: the identity basis is returned with
-    H = A, so the exponential actions on it are exact (and cost as much
-    as on A itself).  The low-rank steppers do not call this in that
-    case; they apply the exact action without a basis.
+    spans the whole space; ``coupling`` is 0.0 in the last case, where the
+    actions on the basis are exact.  A full-space basis costs more than
+    the exact action itself, so the low-rank steppers do not build one:
+    when m times the block width reaches the dimension they apply the
+    exact action without a basis.
     """
     A = require_square(as_matrix(A, "A"), "A")
     V = as_matrix(V, "V")
@@ -89,20 +89,6 @@ def build_basis(A, V, m):
         raise DomainError("V must be nonzero")
     if m < 1:
         raise DomainError("subspace step count must be positive")
-
-    if m * b > n:
-        # Requested space at least covers the dimension: clamp to the full
-        # space.  The identity basis spans it with H = A exactly, making
-        # the exponential actions exact and skipping the orthogonalization.
-        return BlockKrylovBasis(
-            basis=np.eye(n),
-            H=A.copy(),
-            block_width=b,
-            steps=1,
-            coupling=0.0,
-            last_width=n,
-        )
-    target_blocks = m
 
     q0, _, _, _ = _orthonormalize(V, None, tol)
     if q0.shape[1] == 0:
@@ -119,14 +105,12 @@ def build_basis(A, V, m):
         w = A @ blocks[j]
         q_new, r_new, resid, coeff = _orthonormalize(w, basis, tol)
         col_coeffs.append(coeff)
-        done = (
-            j + 1 >= target_blocks
-            or basis.shape[1] >= n
-            or q_new.shape[1] == 0
-        )
-        if done:
+        if basis.shape[1] >= n:
+            # Full span: nothing is left out of the basis.
+            break
+        if j + 1 >= m or q_new.shape[1] == 0:
             # Residual block left out of the basis; ~0 at an invariant
-            # subspace or full span.
+            # subspace.
             coupling = resid
             break
         blocks.append(q_new)

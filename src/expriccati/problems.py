@@ -170,6 +170,8 @@ def build_symmetric_problem(A, C, B, L0, D0=None):
         raise DimensionError(
             f"generator shapes {C.shape}, {B.shape}, {L0.shape} do not match dimension {n}"
         )
+    if core.shape != (L0.shape[1],) * 2:
+        raise DimensionError(f"D0 is {core.shape}, L0 has {L0.shape[1]} columns")
     return RiccatiProblem(
         A=A,
         D=A.T,

@@ -10,6 +10,8 @@ from expriccati.cli import (
     run_trajectory,
 )
 from expriccati.errors import UsageError
+from expriccati.matio import write_matrix_market
+from expriccati.problems import problem_from_spec, save_problem
 
 
 def _rows(lines):
@@ -207,3 +209,31 @@ class TestMain:
              "--repeat", "3"]
         )
         assert code == 0
+
+
+class TestMisSizedProblemFiles:
+    """A file: problem whose generators do not fit A is a usage error (exit 2)."""
+
+    @pytest.fixture
+    def problem_dir(self, tmp_path):
+        directory = tmp_path / "problem"
+        save_problem(str(directory), problem_from_spec("fdm-sym:k=2", seed=3))  # n = 4
+        return directory
+
+    def _table(self, directory):
+        return main(
+            ["table", "--problem", f"file:{directory}", "--scheme", "LrExpEuler", "--h", "0.1"]
+        )
+
+    def test_generators_as_saved_run(self, problem_dir, capsys):
+        assert self._table(problem_dir) == 0
+
+    def test_mis_sized_c_exit_code(self, problem_dir, capsys):
+        write_matrix_market(str(problem_dir / "C.mtx"), np.ones((2, 5)))
+        assert self._table(problem_dir) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_mis_sized_d0_exit_code(self, problem_dir, capsys):
+        write_matrix_market(str(problem_dir / "D0.mtx"), np.eye(3))
+        assert self._table(problem_dir) == 2
+        assert "D0" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from expriccati.densecore import (
     unvec,
     vec,
 )
-from expriccati.errors import DimensionError, DomainError, SolvabilityError
+from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 
 from helpers import kron_matrix, rel_err
 
@@ -232,6 +232,21 @@ class TestCompress:
     def test_negative_tol_rejected(self):
         with pytest.raises(DomainError):
             compress(np.eye(2), np.eye(2), tol=-1e-3)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_factor_rejected(self, bad):
+        l = np.eye(3)[:, :2].copy()
+        l[1, 0] = bad
+        with pytest.raises(DomainError):
+            compress(l, np.eye(2), tol=0.0)
+        with pytest.raises(DomainError):
+            compress(np.eye(3)[:, :2], np.diag([1.0, bad]), tol=0.0)
+
+    def test_overflowing_product_raises(self):
+        # The projected core overflows to inf; the drop rule must not turn
+        # that into an empty (zero) factor.
+        with pytest.raises(FiniteEscapeError), np.errstate(over="ignore"):
+            compress(np.array([[1e200]]), np.eye(1), tol=1e-14)
 
     def test_zero_width_passthrough(self):
         l2, c2 = compress(np.zeros((4, 0)), np.zeros((0, 0)), tol=0.1)

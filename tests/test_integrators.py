@@ -57,6 +57,25 @@ class TestProblemValidation:
             RiccatiProblem(A=a, D=a.T, Q=np.eye(n), G=np.eye(n),
                            X0=np.zeros((n, n)), C=2 * np.eye(n), symmetric=True)
 
+    @pytest.mark.parametrize(
+        "generator, value",
+        [("C", np.ones((1, 4))), ("B", np.ones((4, 1))), ("L0", np.ones((2, 1))),
+         ("D0", np.eye(2))],
+    )
+    def test_mis_shaped_generator_rejected(self, generator, value):
+        n = 3
+        generators = {"C": np.ones((1, n)), "B": np.ones((n, 1)), "L0": np.ones((n, 1)),
+                      "D0": np.eye(1)}
+        generators[generator] = value
+        with pytest.raises(DimensionError, match=generator):
+            RiccatiProblem(A=-np.eye(n), D=-np.eye(n), Q=np.ones((n, n)), G=np.ones((n, n)),
+                           X0=np.ones((n, n)), symmetric=True, **generators)
+
+    def test_mis_sized_d0_rejected_by_builder(self):
+        with pytest.raises(DimensionError, match="D0"):
+            build_symmetric_problem(-np.eye(3), np.ones((1, 3)), np.ones((3, 1)),
+                                    np.ones((3, 1)), D0=np.eye(2))
+
     def test_rhs_value(self, rng):
         p = RiccatiProblem(
             A=rng.standard_normal((2, 2)), D=rng.standard_normal((3, 3)),
@@ -356,6 +375,44 @@ class TestIntegrate:
         traj = integrate(p, IntegratorConfig("GExpEuler", 0.05, 1.0))
         for diag in traj.diagnostics:
             assert diag.symmetry_error <= 1e-12
+
+    # exp(20 a) overflows in the first step: at n = 6, a = 50 in the
+    # exponential images; at n = 1, a = 20 only in the projected core of
+    # the compression, whose drop rule used to discard the infinite mode
+    # and return the zero state.
+    @pytest.mark.parametrize("n, a", [(6, 50.0), (1, 20.0)])
+    @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_lowrank_overflow_names_failing_step(self, scheme, exp_action, n, a):
+        p = build_symmetric_problem(
+            a * np.eye(n), np.ones((1, n)), 1e-3 * np.ones((n, 1)), np.ones((n, 1))
+        )
+        cfg = IntegratorConfig(scheme, 20.0, 100.0, exp_action=exp_action)
+        with pytest.raises(IntegrationError) as info, np.errstate(all="ignore"):
+            integrate(p, cfg)
+        assert info.value.step_index == 0
+        assert len(info.value.trajectory.states) == 1
+
+    @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_one_linearization_per_lowrank_step(self, scheme, exp_action, rng, monkeypatch):
+        calls = []
+        original = integrators._linearized_coefficient
+
+        def spy(problem, state):
+            calls.append(state)
+            return original(problem, state)
+
+        monkeypatch.setattr(integrators, "_linearized_coefficient", spy)
+        n = 10
+        p = build_symmetric_problem(
+            random_stable(rng, n), rng.standard_normal((2, n)),
+            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        )
+        traj = integrate(p, IntegratorConfig(scheme, 0.125, 0.375, exp_action=exp_action))
+        # One call per step, linearized at the state the step starts from.
+        assert len(calls) == len(traj.diagnostics) == 3
+        assert all(call is state for call, state in zip(calls, traj.states))
 
     def test_lowrank_diagnostics_populated(self, rng):
         n = 10

@@ -9,7 +9,8 @@ loop over the eigenvalues, which must keep the same number of columns.
 The exponential actions on a sparse-plus-thin operator are checked
 against a full exponential of its dense matrix, on the Taylor chain, its
 full-exponential fallback and mixed-sign times, and through the
-semigroup identity.
+semigroup identity.  Without the quadratic term (G = 0) one step of each
+dense scheme must reproduce the exact flow of the vectorized operator.
 """
 
 import numpy as np
@@ -18,9 +19,14 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expriccati.densecore import SparsePlusThin, compress, expm_actions
+from expriccati.densecore import SparsePlusThin, compress, expm_actions, unvec, vec
+from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs
+from expriccati.oracle import kronecker_phi
 from expriccati.problems import build_symmetric_problem
+from expriccati.sylvop import SylvesterOperator
+
+from helpers import random_stable
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -239,3 +245,24 @@ def test_exponential_actions_compose(n, band, p, cols, seed, span, split, struct
     whole = expm_actions(m, [s + t], v)[0]
     composed = expm_actions(m, [s], expm_actions(m, [t], v)[0])[0]
     assert _fro(whole - composed) <= 1e-12 * _fro(whole)
+
+
+@PROPERTY_SETTINGS
+@given(
+    m=st.integers(min_value=1, max_value=5), n=st.integers(min_value=1, max_value=5),
+    seed=seeds, h=st.floats(min_value=0.01, max_value=2.0),
+)
+def test_dense_steps_are_exact_without_quadratic_term(m, n, seed, h):
+    """For G = 0 one step is exp(hS)(X0) + h phi_1(hS)(Q), S(X) = AX + XD."""
+    rng = np.random.default_rng(seed)
+    a, d = random_stable(rng, m), random_stable(rng, n)
+    q, x0 = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+    problem = RiccatiProblem(A=a, D=d, Q=q, G=np.zeros((n, m)), X0=x0)
+    operator = SylvesterOperator(a, d)
+    flow = unvec(kronecker_phi(0, operator, h) @ vec(x0), m, n)
+    source = h * unvec(kronecker_phi(1, operator, h) @ vec(q), m, n)
+
+    for scheme in ("GExpEuler", "BrExpEuler", "Erow3Dense"):
+        stepper = _SCHEME_STEPS[scheme][0]
+        got = stepper(problem, x0, h, IntegratorConfig(scheme, h, h))
+        assert _fro(got - flow - source) <= 1e-12 * (_fro(flow) + _fro(source)), scheme
