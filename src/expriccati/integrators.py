@@ -16,7 +16,7 @@ nonlinear-remainder difference and exists densely and in low-rank form.
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from math import ulp
+from math import inf, ulp
 
 import numpy as np
 import scipy.sparse
@@ -216,10 +216,14 @@ class IntegratorConfig:
             raise ConfigurationError(
                 f"unknown scheme {self.scheme!r}; valid: {', '.join(SCHEMES)}"
             )
-        if not self.h > 0:
-            raise ConfigurationError("step size must be positive")
-        if self.t_end < 0:
-            raise ConfigurationError("final time must be nonnegative")
+        if not 0 < self.h < inf:
+            raise ConfigurationError("step size must be positive and finite")
+        if not 0 <= self.t_end < inf:
+            raise ConfigurationError("final time must be nonnegative and finite")
+        if self.compression_tol is not None and not 0 <= self.compression_tol < inf:
+            raise ConfigurationError("compression tolerance must be nonnegative and finite")
+        if self.krylov_m < 1:
+            raise ConfigurationError("krylov_m must be >= 1")
         if self.exp_action not in ("dense", "krylov"):
             raise ConfigurationError("exp_action must be 'dense' or 'krylov'")
         if self.store_every < 1:

@@ -30,8 +30,6 @@ class BlockKrylovBasis:
 
     basis: np.ndarray
     H: np.ndarray
-    block_width: int
-    steps: int
     coupling: float
     last_width: int
 
@@ -129,8 +127,6 @@ def build_basis(A, V, m):
     return BlockKrylovBasis(
         basis=basis,
         H=H,
-        block_width=b,
-        steps=len(blocks),
         coupling=float(coupling),
         last_width=blocks[-1].shape[1],
     )

@@ -1,214 +1,55 @@
-"""Matrix file I/O: MatrixMarket (real array/coordinate) and raw CSV.
+"""Matrix file I/O: real MatrixMarket files through ``scipy.io``.
 
-The MatrixMarket support covers what the benchmark data needs: real
-matrices in ``array`` or ``coordinate`` format with ``general`` or
-``symmetric`` symmetry.  Values are written with 17 significant digits so
-a write/read round trip reproduces float64 entries bitwise.
+Reads ``array`` and ``coordinate`` files with ``general`` or
+``symmetric`` symmetry into dense arrays.  The writer emits the shortest
+decimal that reproduces each float64, so a write/read round trip is
+bitwise.
 """
 
-import os
+import re
 
 import numpy as np
+import scipy.io
+import scipy.sparse
 
 from .densecore import as_matrix
 from .errors import MatrixFormatError
 
-__all__ = [
-    "read_matrix",
-    "write_matrix",
-    "read_matrix_market",
-    "write_matrix_market",
-    "read_csv_matrix",
-    "write_csv_matrix",
-]
+__all__ = ["read_matrix_market", "write_matrix_market"]
 
-_HEADER_PREFIX = "%%MatrixMarket"
+_SYMMETRIES = ("general", "symmetric")
 
 
-def read_matrix(path):
-    """Read a matrix, dispatching on content (MatrixMarket header) or extension."""
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline()
-    if first.startswith(_HEADER_PREFIX):
-        return read_matrix_market(path)
-    if str(path).lower().endswith(".csv"):
-        return read_csv_matrix(path)
-    raise MatrixFormatError("unrecognized matrix file format", path=str(path), line=1)
-
-
-def write_matrix(path, a):
-    """Write a matrix in the format implied by the extension (.mtx or .csv)."""
-    if str(path).lower().endswith(".csv"):
-        write_csv_matrix(path, a)
-    else:
-        write_matrix_market(path, a)
-
-
-def _parse_float(token, path, lineno):
+def _scipy_read(reader, path):
+    """Call ``reader(path)``, turning its ``Line <n>: `` errors into MatrixFormatError."""
     try:
-        return float(token)
-    except ValueError:
-        raise MatrixFormatError(
-            f"expected a real number, got {token!r}", path=path, line=lineno
-        ) from None
-
-
-def _parse_int(token, path, lineno):
-    try:
-        return int(token)
-    except ValueError:
-        raise MatrixFormatError(
-            f"expected an integer, got {token!r}", path=path, line=lineno
-        ) from None
+        return reader(path)
+    except ValueError as exc:
+        found = re.match(r"Line (\d+): (.*)", str(exc), re.DOTALL)
+        line, message = (int(found[1]), found[2]) if found else (0, str(exc))
+        raise MatrixFormatError(message, path=path, line=line) from None
 
 
 def read_matrix_market(path):
     """Read a real MatrixMarket file (array/coordinate, general/symmetric)."""
     path = str(path)
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith(_HEADER_PREFIX):
-        raise MatrixFormatError("missing MatrixMarket header", path=path, line=1)
-    fields = lines[0].split()
-    if len(fields) != 5 or fields[1].lower() != "matrix":
-        raise MatrixFormatError("malformed MatrixMarket header", path=path, line=1)
-    layout, field, symmetry = (f.lower() for f in fields[2:5])
-    if layout not in ("array", "coordinate"):
-        raise MatrixFormatError(f"unsupported layout {layout!r}", path=path, line=1)
-    if field != "real":
-        raise MatrixFormatError(f"unsupported field {field!r}", path=path, line=1)
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixFormatError(f"unsupported symmetry {symmetry!r}", path=path, line=1)
-
-    # Skip comments; find the size line.
-    idx = 1
-    while idx < len(lines) and (lines[idx].startswith("%") or not lines[idx].strip()):
-        idx += 1
-    if idx >= len(lines):
-        raise MatrixFormatError("missing size line", path=path, line=len(lines))
-    size_tokens = lines[idx].split()
-    size_line = idx + 1
-
-    if layout == "array":
-        if len(size_tokens) != 2:
-            raise MatrixFormatError("array size line needs 2 integers", path=path, line=size_line)
-        rows = _parse_int(size_tokens[0], path, size_line)
-        cols = _parse_int(size_tokens[1], path, size_line)
-        out = np.zeros((rows, cols))
-        # Array data is listed column-major; symmetric files carry the
-        # lower triangle only.
-        coords = (
-            [(i, j) for j in range(cols) for i in range(rows)]
-            if symmetry == "general"
-            else [(i, j) for j in range(cols) for i in range(j, rows)]
-        )
-        pos = 0
-        for lineno in range(size_line + 1, len(lines) + 1):
-            text = lines[lineno - 1].strip()
-            if not text or text.startswith("%"):
-                continue
-            for token in text.split():
-                if pos >= len(coords):
-                    raise MatrixFormatError("more values than expected", path=path, line=lineno)
-                i, j = coords[pos]
-                out[i, j] = _parse_float(token, path, lineno)
-                if symmetry == "symmetric":
-                    out[j, i] = out[i, j]
-                pos += 1
-        if pos != len(coords):
-            raise MatrixFormatError(
-                f"expected {len(coords)} values, found {pos}", path=path, line=len(lines)
-            )
-        return out
-
-    if len(size_tokens) != 3:
-        raise MatrixFormatError("coordinate size line needs 3 integers", path=path, line=size_line)
-    rows = _parse_int(size_tokens[0], path, size_line)
-    cols = _parse_int(size_tokens[1], path, size_line)
-    nnz = _parse_int(size_tokens[2], path, size_line)
-    out = np.zeros((rows, cols))
-    seen = 0
-    for lineno in range(size_line + 1, len(lines) + 1):
-        text = lines[lineno - 1].strip()
-        if not text or text.startswith("%"):
-            continue
-        tokens = text.split()
-        if len(tokens) != 3:
-            raise MatrixFormatError("coordinate entry needs 'i j value'", path=path, line=lineno)
-        i = _parse_int(tokens[0], path, lineno)
-        j = _parse_int(tokens[1], path, lineno)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixFormatError(f"index ({i}, {j}) out of bounds", path=path, line=lineno)
-        val = _parse_float(tokens[2], path, lineno)
-        out[i - 1, j - 1] = val
-        if symmetry == "symmetric":
-            out[j - 1, i - 1] = val
-        seen += 1
-    if seen != nnz:
-        raise MatrixFormatError(f"expected {nnz} entries, found {seen}", path=path, line=len(lines))
-    return out
+    rows, cols, _, layout, field, symmetry = _scipy_read(scipy.io.mminfo, path)
+    if field != "real" or symmetry not in _SYMMETRIES:
+        raise MatrixFormatError(f"unsupported field/symmetry {field} {symmetry}", path=path, line=1)
+    # SciPy's fast_matrix_market reader (seen in 1.17) ends the process
+    # on two shapes: a non-square symmetric file corrupts its heap, an
+    # array file without rows divides by zero.
+    if symmetry == "symmetric" and rows != cols:
+        raise MatrixFormatError(f"symmetric matrix of shape ({rows}, {cols})", path=path, line=1)
+    if layout == "array" and rows == 0:
+        return np.zeros((0, cols))
+    data = _scipy_read(scipy.io.mmread, path)
+    return data.toarray() if layout == "coordinate" else data
 
 
 def write_matrix_market(path, a, layout="array", symmetry="general"):
-    """Write a real matrix in MatrixMarket format."""
+    """Write a real matrix in MatrixMarket ``array`` or ``coordinate`` layout."""
+    if layout not in ("array", "coordinate") or symmetry not in _SYMMETRIES:
+        raise MatrixFormatError(f"unsupported layout/symmetry {layout} {symmetry}", path=str(path))
     a = as_matrix(a, "matrix")
-    if layout not in ("array", "coordinate"):
-        raise MatrixFormatError(f"unsupported layout {layout!r}", path=str(path))
-    if symmetry not in ("general", "symmetric"):
-        raise MatrixFormatError(f"unsupported symmetry {symmetry!r}", path=str(path))
-    rows, cols = a.shape
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{_HEADER_PREFIX} matrix {layout} real {symmetry}\n")
-        if layout == "array":
-            fh.write(f"{rows} {cols}\n")
-            cells = (
-                ((i, j) for j in range(cols) for i in range(rows))
-                if symmetry == "general"
-                else ((i, j) for j in range(cols) for i in range(j, rows))
-            )
-            for i, j in cells:
-                fh.write(f"{a[i, j]:.17g}\n")
-        else:
-            idx = np.argwhere(a != 0.0)
-            if symmetry == "symmetric":
-                idx = idx[idx[:, 0] >= idx[:, 1]]
-            fh.write(f"{rows} {cols} {len(idx)}\n")
-            for i, j in idx:
-                fh.write(f"{i + 1} {j + 1} {a[i, j]:.17g}\n")
-
-
-def read_csv_matrix(path):
-    """Read rows of comma-separated decimals."""
-    path = str(path)
-    rows = []
-    width = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            values = [_parse_float(tok.strip(), path, lineno) for tok in text.split(",")]
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise MatrixFormatError(
-                    f"row has {len(values)} entries, expected {width}", path=path, line=lineno
-                )
-            rows.append(values)
-    if not rows:
-        raise MatrixFormatError("no data rows", path=path, line=1)
-    return np.array(rows)
-
-
-def write_csv_matrix(path, a):
-    """Write rows of comma-separated decimals at full precision."""
-    a = as_matrix(a, "matrix")
-    with open(path, "w", encoding="ascii") as fh:
-        for row in a:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def problem_file(directory, name):
-    """Path of a matrix file inside a problem directory, if present."""
-    candidate = os.path.join(directory, name)
-    return candidate if os.path.exists(candidate) else None
+    scipy.io.mmwrite(path, a if layout == "array" else scipy.sparse.coo_array(a), symmetry=symmetry)

@@ -70,9 +70,10 @@ class QuadratureRule:
             raise DimensionError("nodes and weights must be 1-D of equal length")
         if nodes.size == 0:
             raise DomainError("rule needs at least one node")
-        if nodes.min() < 0.0 or nodes.max() > 1.0:
+        # Negated comparisons, so NaN nodes or weights fail them too.
+        if not (nodes.min() >= 0.0 and nodes.max() <= 1.0):
             raise DomainError("nodes must lie in [0, 1]")
-        if abs(weights.sum() - 1.0) > 1e-14:
+        if not abs(weights.sum() - 1.0) <= 1e-14:
             raise DomainError(f"weights sum to {weights.sum()!r}, expected 1")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -133,24 +134,13 @@ def phi_action_quadrature(k, operator, h, mat, rule):
     return acc / factorial(k - 1)
 
 
-def _phi_head(k, operator, h, mat, method, rule):
-    if method == "augmented":
-        return phi_action_augmented(operator, h, k, mat)
-    if method == "quadrature":
-        if rule is None:
-            raise DomainError("quadrature method needs a rule")
-        return phi_action_quadrature(k, operator, h, mat, rule)
-    raise DomainError(f"unknown phi evaluation method {method!r}")
-
-
-def eval_forward(comb, method="augmented", rule=None):
+def eval_forward(comb):
     """Evaluate sum_j phi_j(hS)(N_j) by the forward recursion.
 
     Builds W_0 = N_0, W_j = hS(W_{j-1}) + N_j and returns
     phi_k(hS)(W_k) + sum_{j<k} W_j / j!, so only the single trailing
-    phi_k action remains.  That action is exact through the augmented
-    block exponential by default, or approximated by quadrature when
-    ``method="quadrature"`` and a rule is supplied.
+    phi_k action remains, taken exactly through the augmented block
+    exponential.
     """
     op = comb.operator
     k = comb.order
@@ -161,7 +151,7 @@ def eval_forward(comb, method="augmented", rule=None):
     for j in range(1, k + 1):
         low = low + w / factorial(j - 1)
         w = comb.h * op.apply(w) + comb.operands[j]
-    return _phi_head(k, op, comb.h, w, method, rule) + low
+    return phi_action_augmented(op, comb.h, k, w) + low
 
 
 def eval_backward(comb):

@@ -250,14 +250,12 @@ def load_problem(directory):
     L0 gives X0 = 0.
     """
     def _read(name, required=False):
-        path = matio.problem_file(directory, name)
-        if path is None:
-            if required:
-                raise MatrixFormatError(
-                    f"missing required file {name}", path=os.path.join(directory, name)
-                )
-            return None
-        return matio.read_matrix(path)
+        path = os.path.join(directory, name)
+        if os.path.exists(path):
+            return matio.read_matrix_market(path)
+        if required:
+            raise MatrixFormatError(f"missing required file {name}", path=path)
+        return None
 
     a = _read("A.mtx", required=True)
     b = _read("B.mtx", required=True)

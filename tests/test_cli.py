@@ -169,6 +169,12 @@ class TestMain:
         assert code == 2
         assert "NotAScheme" in capsys.readouterr().err
 
+    def test_nan_tolerance_exit_code(self, capsys):
+        code = main(["table", "--problem", "tanh", "--scheme", "LrExpEuler", "--h", "0.1",
+                     "--tol", "nan"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_problem_exit_code(self, capsys):
         code = main(["table", "--problem", "marsh:k=2", "--scheme", "GExpEuler", "--h", "0.1"])
         assert code == 2
@@ -237,3 +243,16 @@ class TestMisSizedProblemFiles:
         write_matrix_market(str(problem_dir / "D0.mtx"), np.eye(3))
         assert self._table(problem_dir) == 2
         assert "D0" in capsys.readouterr().err
+
+    def test_negative_size_line_exit_code(self, problem_dir, capsys):
+        (problem_dir / "C.mtx").write_text("%%MatrixMarket matrix array real general\n-1 2\n")
+        assert self._table(problem_dir) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_non_ascii_value_exit_code(self, problem_dir, capsys):
+        path = problem_dir / "C.mtx"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[-1] = b"\xff\n"
+        path.write_bytes(b"".join(lines))
+        assert self._table(problem_dir) == 2
+        assert "error:" in capsys.readouterr().err

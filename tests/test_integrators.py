@@ -107,6 +107,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             IntegratorConfig("GExpEuler", 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("compression_tol", float("nan")), ("compression_tol", -1.0), ("krylov_m", 0),
+         ("t_end", float("nan")), ("t_end", float("inf")), ("h", float("inf"))],
+    )
+    def test_bad_value_rejected_at_construction(self, field, value):
+        settings = {"h": 0.1, "t_end": 0.2, field: value}
+        with pytest.raises(ConfigurationError):
+            IntegratorConfig("LrExpEuler", **settings)
+
     def test_default_tolerance_scales_with_dimension(self):
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
         assert cfg.resolve_tol(64) == pytest.approx(64 * np.finfo(float).eps)
@@ -260,6 +270,26 @@ class TestErow3:
         lr = integrate(p, IntegratorConfig("Erow3LowRank", 0.02, 0.2))
         dense = integrate(p, IntegratorConfig("Erow3Dense", 0.02, 0.2))
         assert rel_err(lr.final_dense(), dense.final_dense()) <= 1e-7
+
+    def test_dense_quadrature_branch(self, monkeypatch):
+        # M * N = 6561 > _EROW3_AUGMENTED_LIMIT: the phi_3 correction
+        # goes through the 7-node quadrature, not the augmented exponential.
+        calls = []
+        original = integrators.phi_action_quadrature
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        def refuse(*args):
+            raise AssertionError("augmented phi_3 called on the quadrature branch")
+
+        monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
+        monkeypatch.setattr(integrators, "phi_action_augmented", refuse)
+        p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
+        traj = integrate(p, IntegratorConfig("Erow3Dense", 0.01, 0.1))
+        assert len(calls) == 10
+        assert rel_err(traj.final_dense(), radon_solve(p, 0.1)) <= 1e-7
 
 
 class TestConvergenceOrders:

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 from expriccati.errors import MatrixFormatError
-from expriccati.matio import (
-    read_csv_matrix,
-    read_matrix,
-    read_matrix_market,
-    write_csv_matrix,
-    write_matrix,
-    write_matrix_market,
-)
+from expriccati.matio import read_matrix_market, write_matrix_market
 
 
 @pytest.fixture
@@ -39,21 +32,6 @@ def test_symmetric_layouts_roundtrip(tmp_path, rng):
         path = tmp_path / f"s_{layout}.mtx"
         write_matrix_market(path, a, layout=layout, symmetry="symmetric")
         assert np.array_equal(read_matrix_market(path), a)
-
-
-def test_csv_roundtrip_bitwise(tmp_path, rng):
-    a = rng.standard_normal((4, 7)) / 3.0
-    path = tmp_path / "m.csv"
-    write_csv_matrix(path, a)
-    assert np.array_equal(read_csv_matrix(path), a)
-
-
-def test_read_matrix_dispatch(tmp_path, rng):
-    a = rng.standard_normal((3, 2))
-    write_matrix(tmp_path / "x.mtx", a)
-    write_matrix(tmp_path / "x.csv", a)
-    assert np.array_equal(read_matrix(tmp_path / "x.mtx"), a)
-    assert np.array_equal(read_matrix(tmp_path / "x.csv"), a)
 
 
 def test_header_only_file_is_parse_error(tmp_path):
@@ -95,16 +73,23 @@ def test_unsupported_field_rejected(tmp_path):
         read_matrix_market(path)
 
 
-def test_ragged_csv_reports_line(tmp_path):
-    path = tmp_path / "ragged.csv"
-    path.write_text("1.0,2.0\n3.0\n")
+def test_missing_banner_reports_line_one(tmp_path):
+    path = tmp_path / "plain.mtx"
+    path.write_text("2 1\n1.0\n2.0\n")
     with pytest.raises(MatrixFormatError) as info:
-        read_csv_matrix(path)
-    assert info.value.line == 2
+        read_matrix_market(path)
+    assert info.value.line == 1
 
 
-def test_unknown_format_rejected(tmp_path):
-    path = tmp_path / "junk.dat"
-    path.write_text("hello\n")
-    with pytest.raises(MatrixFormatError):
-        read_matrix(path)
+def test_empty_array_roundtrip(tmp_path):
+    path = tmp_path / "empty.mtx"
+    write_matrix_market(path, np.zeros((0, 3)))
+    assert read_matrix_market(path).shape == (0, 3)
+
+
+def test_non_square_symmetric_rejected(tmp_path):
+    path = tmp_path / "sym.mtx"
+    path.write_text("%%MatrixMarket matrix array real symmetric\n2 3\n1\n2\n3\n4\n5\n6\n")
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix_market(path)
+    assert info.value.line == 1

@@ -87,6 +87,13 @@ class TestQuadratureRule:
         with pytest.raises(DomainError):
             QuadratureRule.gauss_legendre(0)
 
+    @pytest.mark.parametrize(
+        "nodes, weights", [([float("nan"), 0.5], [0.5, 0.5]), ([0.2, 0.8], [float("nan"), 0.5])]
+    )
+    def test_nan_rule_rejected(self, nodes, weights):
+        with pytest.raises(DomainError):
+            QuadratureRule(nodes=nodes, weights=weights)
+
 
 def _random_operator(rng, m, n, scale=1.0):
     return SylvesterOperator(
@@ -158,12 +165,6 @@ class TestEvalForward:
         for j, nj in enumerate(operands):
             expected += unvec(kronecker_phi(j, op, h) @ vec(nj), 4, 4)
         assert rel_err(eval_forward(comb), expected) <= 1e-11
-
-    def test_quadrature_method_needs_rule(self):
-        op = SylvesterOperator([[0.0]], [[0.0]])
-        comb = PhiCombination(([[1.0]], [[1.0]]), op, 0.5)
-        with pytest.raises(DomainError):
-            eval_forward(comb, method="quadrature")
 
     def test_shape_mismatch_rejected(self):
         op = SylvesterOperator(np.zeros((2, 2)), np.zeros((2, 2)))
