@@ -83,22 +83,36 @@ def _require_match(actual, expected, claim):
         raise ConfigurationError(claim)
 
 
+# Coefficient -> (its generator, the rule that builds it, the rule's form).
+# D = A^T holds for symmetric problems only, the others wherever the
+# generator is attached.
+_COEFFICIENT_RULES = {
+    "D": ("A", lambda p: p.A.T, "A^T"),
+    "Q": ("C", lambda p: p.C.T @ p.C, "C^T C"),
+    "G": ("B", lambda p: p.B @ p.B.T, "B B^T"),
+    "X0": ("L0", lambda p: p.L0 @ p.D0 @ p.L0.T, "L0 D0 L0^T"),
+}
+
+
 @dataclass
 class RiccatiProblem:
     """Coefficients of X' = A X + X D + Q - X G X, X(0) = X0.
 
     For symmetric problems (D = A^T, with Q, G, X0 symmetric) the
-    generators C (Q = C^T C), B (G = B B^T) and L0, D0 (X0 = L0 D0 L0^T)
-    may be attached; the low-rank integrators require them.  All shapes
-    are validated on construction, as is the consistency of generators
-    with the dense coefficients when both are given.
+    generators C (Q = C^T C), B (G = B B^T) and L0, D0 (X0 = L0 D0 L0^T,
+    D0 defaulting to the identity) may be attached; the low-rank
+    integrators require them.  A symmetric problem builds each of D, Q, G
+    and X0 that is left out from its generator, once and without a
+    re-check; a non-symmetric one needs all four.  What is given is
+    validated on construction: shapes, symmetry, and the consistency of
+    each given coefficient with its generator.
     """
 
     A: np.ndarray
-    D: np.ndarray
-    Q: np.ndarray
-    G: np.ndarray
-    X0: np.ndarray
+    D: np.ndarray = None
+    Q: np.ndarray = None
+    G: np.ndarray = None
+    X0: np.ndarray = None
     C: np.ndarray = None
     B: np.ndarray = None
     L0: np.ndarray = None
@@ -107,40 +121,37 @@ class RiccatiProblem:
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A")
-        self.D = as_matrix(self.D, "D")
-        self.Q = as_matrix(self.Q, "Q")
-        self.G = as_matrix(self.G, "G")
-        self.X0 = as_matrix(self.X0, "X0")
+        for name in (*_COEFFICIENT_RULES, "C", "B", "L0", "D0"):
+            if getattr(self, name) is not None:
+                setattr(self, name, as_matrix(getattr(self, name), name))
+        if self.L0 is not None and self.D0 is None:
+            self.D0 = np.eye(self.L0.shape[1])
         m = self.A.shape[0]
-        n = self.D.shape[0]
-        if self.A.shape != (m, m) or self.D.shape != (n, n):
-            raise DimensionError("A and D must be square")
-        if self.Q.shape != (m, n):
-            raise DimensionError(f"Q must be {m} x {n}, got {self.Q.shape}")
-        if self.G.shape != (n, m):
-            raise DimensionError(f"G must be {n} x {m}, got {self.G.shape}")
-        if self.X0.shape != (m, n):
-            raise DimensionError(f"X0 must be {m} x {n}, got {self.X0.shape}")
-        for name in ("C", "B", "L0", "D0"):
-            val = getattr(self, name)
-            if val is not None:
-                setattr(self, name, as_matrix(val, name))
-        if self.symmetric:
-            if m != n:
-                raise ConfigurationError("symmetric problems need D = A^T")
-            _require_match(self.D, self.A.T, "symmetric problems need D = A^T")
-            _require_match(self.Q, self.Q.T, "symmetric problems need symmetric Q")
-            _require_match(self.G, self.G.T, "symmetric problems need symmetric G")
-            _require_match(self.X0, self.X0.T, "symmetric problems need symmetric X0")
-        if self.C is not None:
-            _require_match(self.Q, self.C.T @ self.C, "Q must equal C^T C")
-        if self.B is not None:
-            _require_match(self.G, self.B @ self.B.T, "G must equal B B^T")
-        if self.L0 is not None:
-            core = self.D0 if self.D0 is not None else np.eye(self.L0.shape[1])
-            if core.shape != (self.L0.shape[1],) * 2:
-                raise DimensionError(f"D0 is {core.shape}, L0 has {self.L0.shape[1]} columns")
-            _require_match(self.X0, self.L0 @ core @ self.L0.T, "X0 must equal L0 D0 L0^T")
+        n = m if self.D is None else self.D.shape[0]
+        r = None if self.L0 is None else self.L0.shape[1]
+        # Expected shapes; None leaves a dimension free.
+        shapes = {"A": (m, m), "D": (n, n), "Q": (m, n), "G": (n, m), "X0": (m, n),
+                  "C": (None, m), "B": (m, None), "L0": (m, None), "D0": (r, r)}
+        for name, shape in shapes.items():
+            value = getattr(self, name)
+            if value is not None and any(s not in (None, v) for s, v in zip(shape, value.shape)):
+                raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
+        if self.symmetric and m != n:
+            raise ConfigurationError("symmetric problems need D = A^T")
+        for name, (generator, rule, form) in _COEFFICIENT_RULES.items():
+            value = getattr(self, name)
+            applies = getattr(self, generator) is not None and (self.symmetric or name != "D")
+            if value is not None:
+                if self.symmetric and name != "D":
+                    _require_match(value, value.T, f"symmetric problems need symmetric {name}")
+                if applies:
+                    _require_match(value, rule(self), f"{name} must equal {form}")
+            elif self.symmetric and applies:
+                setattr(self, name, rule(self))
+            else:
+                raise ConfigurationError(
+                    f"{name} is missing; only a symmetric problem builds it from {generator}"
+                )
 
     @property
     def M(self):
@@ -177,13 +188,12 @@ class RiccatiProblem:
         return self.symmetric and self.C is not None and self.B is not None
 
     def initial_factor(self):
-        """X0 as an LDL^T factor (needs L0; D0 defaults to the identity)."""
+        """X0 as the LDL^T factor L0 D0 L0^T (needs L0)."""
         if not self.has_lowrank_generators or self.L0 is None:
             raise ConfigurationError(
                 "low-rank integration needs a symmetric problem with C, B and L0"
             )
-        core = self.D0 if self.D0 is not None else np.eye(self.L0.shape[1])
-        return LdlFactor(self.L0, core)
+        return LdlFactor(self.L0, self.D0)
 
 
 @dataclass
@@ -403,9 +413,9 @@ def step_erow3(problem, x, h, cfg, details=None):
 
     lin = linearize(problem, x)
     stage = phi1_action_augmented(lin.operator, h, lin.remainder, x)
-    xg = x @ problem.G
-    sg = stage @ problem.G
-    diff = xg @ stage + sg @ x - sg @ stage - xg @ x
+    # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage.
+    e = x - stage
+    diff = -(e @ problem.G) @ e
     if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
         correction = phi_action_augmented(lin.operator, h, 3, diff)
     else:

@@ -139,25 +139,20 @@ def assemble_remainder_diff(problem, state, stage):
     """Factored nonlinear-remainder difference between a state and a stage.
 
     With the linearization taken at ``state``, the remainder difference at
-    ``stage`` equals  X G Y + Y G X - Y G Y - X G X  (X the state, Y the
-    stage) and collapses, for G = B B^T, to [L_x, L_y] times the 2 x 2
-    block core with diagonal -K_x K_x^T, -K_y K_y^T and off-diagonal
-    +K_x K_y^T, where K = C L^T B for each factor.
+    ``stage`` equals  X G Y + Y G X - Y G Y - X G X = -(X - Y) G (X - Y)
+    (X the state, Y the stage), which for G = B B^T is W (-I) W^T with
+    W = (X - Y) B = L_x (C_x L_x^T B) - L_y (C_y L_y^T B), one column per
+    column of B.  Subtracting the factors before any product keeps the
+    cancellation between X and Y out of the core.
     """
     _require_generators(problem)
     if state.dim != stage.dim:
         raise DimensionError(
             f"factor dimensions differ: {state.dim} versus {stage.dim}"
         )
-    kx = state.core @ (state.L.T @ problem.B)
-    ky = stage.core @ (stage.L.T @ problem.B)
-    rx = state.rank
-    core = np.zeros((rx + stage.rank, rx + stage.rank))
-    core[:rx, :rx] = -kx @ kx.T
-    core[:rx, rx:] = kx @ ky.T
-    core[rx:, :rx] = ky @ kx.T
-    core[rx:, rx:] = -ky @ ky.T
-    return LdlFactor._trusted(np.hstack([state.L, stage.L]), core)
+    xb = state.L @ (state.core @ (state.L.T @ problem.B))
+    yb = stage.L @ (stage.core @ (stage.L.T @ problem.B))
+    return LdlFactor._trusted(xb - yb, -np.eye(problem.B.shape[1]))
 
 
 def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):

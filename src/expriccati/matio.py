@@ -1,9 +1,9 @@
 """Matrix file I/O: real MatrixMarket files through ``scipy.io``.
 
 Reads ``array`` and ``coordinate`` files with ``general`` or
-``symmetric`` symmetry into dense arrays.  The writer emits the shortest
-decimal that reproduces each float64, so a write/read round trip is
-bitwise.
+``symmetric`` symmetry into dense arrays.  The writer emits ``general``
+files with the shortest decimal that reproduces each float64, so a
+write/read round trip is bitwise.
 """
 
 import re
@@ -16,8 +16,6 @@ from .densecore import as_matrix
 from .errors import MatrixFormatError
 
 __all__ = ["read_matrix_market", "write_matrix_market"]
-
-_SYMMETRIES = ("general", "symmetric")
 
 
 def _scipy_read(reader, path):
@@ -34,7 +32,7 @@ def read_matrix_market(path):
     """Read a real MatrixMarket file (array/coordinate, general/symmetric)."""
     path = str(path)
     rows, cols, _, layout, field, symmetry = _scipy_read(scipy.io.mminfo, path)
-    if field != "real" or symmetry not in _SYMMETRIES:
+    if field != "real" or symmetry not in ("general", "symmetric"):
         raise MatrixFormatError(f"unsupported field/symmetry {field} {symmetry}", path=path, line=1)
     # SciPy's fast_matrix_market reader (seen in 1.17) ends the process
     # on two shapes: a non-square symmetric file corrupts its heap, an
@@ -47,9 +45,9 @@ def read_matrix_market(path):
     return data.toarray() if layout == "coordinate" else data
 
 
-def write_matrix_market(path, a, layout="array", symmetry="general"):
-    """Write a real matrix in MatrixMarket ``array`` or ``coordinate`` layout."""
-    if layout not in ("array", "coordinate") or symmetry not in _SYMMETRIES:
-        raise MatrixFormatError(f"unsupported layout/symmetry {layout} {symmetry}", path=str(path))
+def write_matrix_market(path, a, layout="array"):
+    """Write a real ``general`` matrix in MatrixMarket ``array`` or ``coordinate`` layout."""
+    if layout not in ("array", "coordinate"):
+        raise MatrixFormatError(f"unsupported layout {layout}", path=str(path))
     a = as_matrix(a, "matrix")
-    scipy.io.mmwrite(path, a if layout == "array" else scipy.sparse.coo_array(a), symmetry=symmetry)
+    scipy.io.mmwrite(path, a if layout == "array" else scipy.sparse.coo_array(a), symmetry="general")

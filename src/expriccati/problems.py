@@ -20,8 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import matio
-from .densecore import as_matrix
-from .errors import DimensionError, DomainError, MatrixFormatError, UsageError
+from .errors import DomainError, MatrixFormatError, UsageError
 from .integrators import RiccatiProblem
 
 __all__ = [
@@ -158,32 +157,10 @@ def build_symmetric_problem(A, C, B, L0, D0=None):
     """Symmetric Riccati problem from its thin generators.
 
     D = A^T, Q = C^T C, G = B B^T and X0 = L0 D0 L0^T with D0 defaulting
-    to the identity.  A zero-width L0 gives X0 = 0.
+    to the identity, built by :class:`RiccatiProblem`.  A zero-width L0
+    gives X0 = 0.
     """
-    A = as_matrix(A, "A")
-    C = as_matrix(C, "C")
-    B = as_matrix(B, "B")
-    L0 = as_matrix(L0, "L0")
-    core = np.eye(L0.shape[1]) if D0 is None else as_matrix(D0, "D0")
-    n = A.shape[0]
-    if C.shape[1] != n or B.shape[0] != n or L0.shape[0] != n:
-        raise DimensionError(
-            f"generator shapes {C.shape}, {B.shape}, {L0.shape} do not match dimension {n}"
-        )
-    if core.shape != (L0.shape[1],) * 2:
-        raise DimensionError(f"D0 is {core.shape}, L0 has {L0.shape[1]} columns")
-    return RiccatiProblem(
-        A=A,
-        D=A.T,
-        Q=C.T @ C,
-        G=B @ B.T,
-        X0=L0 @ core @ L0.T,
-        C=C,
-        B=B,
-        L0=L0,
-        D0=core,
-        symmetric=True,
-    )
+    return RiccatiProblem(A=A, C=C, B=B, L0=L0, D0=D0, symmetric=True)
 
 
 def scalar_tanh_problem():
@@ -278,5 +255,4 @@ def save_problem(directory, problem):
     matio.write_matrix_market(os.path.join(directory, "C.mtx"), problem.C)
     if problem.L0 is not None and problem.L0.shape[1]:
         matio.write_matrix_market(os.path.join(directory, "L0.mtx"), problem.L0)
-        if problem.D0 is not None:
-            matio.write_matrix_market(os.path.join(directory, "D0.mtx"), problem.D0)
+        matio.write_matrix_market(os.path.join(directory, "D0.mtx"), problem.D0)

@@ -175,6 +175,12 @@ class TestMain:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_nan_oracle_condition_exit_code(self, capsys):
+        code = main(["table", "--problem", "tanh", "--scheme", "GExpEuler", "--h", "0.1",
+                     "--oracle-cond", "nan"])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_problem_exit_code(self, capsys):
         code = main(["table", "--problem", "marsh:k=2", "--scheme", "GExpEuler", "--h", "0.1"])
         assert code == 2

@@ -87,6 +87,59 @@ class TestProblemValidation:
         assert rel_err(p.rhs(x), expected) <= 1e-15
 
 
+class TestGeneratedCoefficients:
+    """A symmetric problem builds the coefficients it is not given from its
+    generators, once, and does not check them against themselves."""
+
+    @staticmethod
+    def _generators(rng, n=6):
+        return {"A": random_stable(rng, n), "C": rng.standard_normal((2, n)),
+                "B": rng.standard_normal((n, 3)), "L0": rng.standard_normal((n, 2))}
+
+    def test_generated_problem_makes_no_consistency_check(self, monkeypatch):
+        calls = []
+        original = integrators._require_match
+
+        def spy(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(integrators, "_require_match", spy)
+        problem_from_spec("fdm-sym:k=5")
+        assert calls == []
+
+    def test_built_coefficients_are_the_generator_products(self, rng):
+        g = self._generators(rng)
+        p = RiccatiProblem(symmetric=True, **g)
+        assert np.array_equal(p.D0, np.eye(2))
+        assert np.array_equal(p.D, p.A.T)
+        assert np.array_equal(p.Q, p.C.T @ p.C)
+        assert np.array_equal(p.G, p.B @ p.B.T)
+        assert np.array_equal(p.X0, p.L0 @ p.D0 @ p.L0.T)
+
+    def test_given_coefficient_is_still_checked(self, rng):
+        g = self._generators(rng)
+        with pytest.raises(ConfigurationError, match="C\\^T C"):
+            RiccatiProblem(symmetric=True, Q=2.0 * g["C"].T @ g["C"], **g)
+
+    def test_nonsymmetric_problem_needs_every_coefficient(self, rng):
+        n = 3
+        with pytest.raises(ConfigurationError, match="Q"):
+            RiccatiProblem(A=rng.standard_normal((n, n)), D=rng.standard_normal((n, n)),
+                           G=np.eye(n), X0=np.zeros((n, n)), C=np.ones((1, n)))
+
+    @pytest.mark.parametrize("scheme", ["GExpEuler", "LrExpEuler", "Erow3LowRank"])
+    def test_generated_problem_integrates_like_a_given_one(self, rng, scheme):
+        g = self._generators(rng)
+        a, c, b, l0 = g["A"], g["C"], g["B"], g["L0"]
+        given = RiccatiProblem(A=a, D=a.T, Q=c.T @ c, G=b @ b.T, X0=l0 @ l0.T,
+                               C=c, B=b, L0=l0, D0=np.eye(2), symmetric=True)
+        generated = RiccatiProblem(symmetric=True, **g)
+        cfg = IntegratorConfig(scheme, 0.05, 0.2)
+        assert np.array_equal(integrate(generated, cfg).final_dense(),
+                              integrate(given, cfg).final_dense())
+
+
 class TestConfigValidation:
     def test_unknown_scheme_lists_names(self):
         with pytest.raises(ConfigurationError, match="GExpEuler"):

@@ -128,6 +128,14 @@ class TestAssembleRemainderDiff:
         target = x @ p.G @ y + y @ p.G @ x - y @ p.G @ y - x @ p.G @ x
         assert rel_err(assemble_remainder_diff(p, state, stage).reconstruct(), target) <= 1e-12
 
+    def test_width_is_that_of_the_quadratic_generator(self, rng):
+        # -(X - Y) B B^T (X - Y) needs one column per column of B, whatever
+        # the ranks of the two factors.
+        p = _symmetric_problem(rng, 20)
+        out = assemble_remainder_diff(p, _random_state(rng, 20, 3), _random_state(rng, 20, 4))
+        assert out.rank == p.B.shape[1]
+        assert np.array_equal(out.core, -np.eye(p.B.shape[1]))
+
 
 class TestAssemblePhiSum:
     @staticmethod

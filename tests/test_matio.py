@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 from expriccati.errors import MatrixFormatError
 from expriccati.matio import read_matrix_market, write_matrix_market
@@ -26,11 +28,14 @@ def test_coordinate_roundtrip_bitwise(tmp_path, rng):
 
 
 def test_symmetric_layouts_roundtrip(tmp_path, rng):
+    # The package writes only general files; scipy writes the symmetric
+    # fixtures, one per layout, that the reader must expand.
     a = rng.standard_normal((5, 5))
     a = a + a.T
-    for layout in ("array", "coordinate"):
+    for layout, data in (("array", a), ("coordinate", scipy.sparse.coo_array(a))):
         path = tmp_path / f"s_{layout}.mtx"
-        write_matrix_market(path, a, layout=layout, symmetry="symmetric")
+        scipy.io.mmwrite(path, data, symmetry="symmetric")
+        assert scipy.io.mminfo(path)[3:] == (layout, "real", "symmetric")
         assert np.array_equal(read_matrix_market(path), a)
 
 

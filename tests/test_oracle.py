@@ -84,6 +84,13 @@ class TestRadonSolve:
         with pytest.raises(FiniteEscapeError):
             radon_solve(p, 1.0, cond_max=0.99, max_halvings=12)
 
+    @pytest.mark.parametrize("solver", [radon_solve, radon_trajectory])
+    def test_nan_condition_bound_rejected(self, solver):
+        # Every comparison with NaN is False, so the guard would accept
+        # any extraction.
+        with pytest.raises(DomainError, match="cond_max"):
+            solver(problem_from_spec("tanh"), 1.0, cond_max=float("nan"))
+
     def test_pole_crossing_is_a_continuation(self):
         # x' = 1 + x^2 has a pole at t = pi/2; the linearized flow itself
         # stays regular there and extracting after the pole returns the

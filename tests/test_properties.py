@@ -16,7 +16,7 @@ dense scheme must reproduce the exact flow of the vectorized operator.
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expriccati.densecore import SparsePlusThin, compress, expm_actions, unvec, vec
@@ -163,6 +163,9 @@ def test_assemble_rhs_reconstructs_dense_formula(n, r, seed, spread):
 
 @PROPERTY_SETTINGS
 @given(n=dims, r_state=ranks, r_stage=ranks, seed=seeds, spread=spreads)
+# Expanding the four products into one block core left this draw 4.3e-12
+# of the term scale off an exact rational reference.
+@example(n=1, r_state=1, r_stage=12, seed=5696, spread=17.5)
 def test_assemble_remainder_diff_reconstructs_dense_formula(n, r_state, r_stage, seed, spread):
     rng = np.random.default_rng(seed)
     problem = _symmetric_problem(rng, n)
