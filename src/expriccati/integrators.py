@@ -102,10 +102,10 @@ class RiccatiProblem:
     generators C (Q = C^T C), B (G = B B^T) and L0, D0 (X0 = L0 D0 L0^T,
     D0 defaulting to the identity) may be attached; the low-rank
     integrators require them.  A symmetric problem builds each of D, Q, G
-    and X0 that is left out from its generator, once and without a
-    re-check; a non-symmetric one needs all four.  What is given is
-    validated on construction: shapes, symmetry, and the consistency of
-    each given coefficient with its generator.
+    and X0 that is left out from its generator, once, checking only that
+    the product is finite; a non-symmetric one needs all four.  What is
+    given is validated on construction: shapes, symmetry (of D0 too), and
+    the consistency of each given coefficient with its generator.
     """
 
     A: np.ndarray
@@ -124,8 +124,6 @@ class RiccatiProblem:
         for name in (*_COEFFICIENT_RULES, "C", "B", "L0", "D0"):
             if getattr(self, name) is not None:
                 setattr(self, name, as_matrix(getattr(self, name), name))
-        if self.L0 is not None and self.D0 is None:
-            self.D0 = np.eye(self.L0.shape[1])
         m = self.A.shape[0]
         n = m if self.D is None else self.D.shape[0]
         r = None if self.L0 is None else self.L0.shape[1]
@@ -138,6 +136,11 @@ class RiccatiProblem:
                 raise DimensionError(f"{name} has shape {value.shape}, expected {shape}")
         if self.symmetric and m != n:
             raise ConfigurationError("symmetric problems need D = A^T")
+        if self.L0 is not None:
+            if self.D0 is None:
+                self.D0 = np.eye(r)
+            elif self.symmetric:
+                _require_match(self.D0, self.D0.T, "symmetric problems need symmetric D0")
         for name, (generator, rule, form) in _COEFFICIENT_RULES.items():
             value = getattr(self, name)
             applies = getattr(self, generator) is not None and (self.symmetric or name != "D")
@@ -147,7 +150,8 @@ class RiccatiProblem:
                 if applies:
                     _require_match(value, rule(self), f"{name} must equal {form}")
             elif self.symmetric and applies:
-                setattr(self, name, rule(self))
+                # Finite generators can still overflow in the product.
+                setattr(self, name, as_matrix(rule(self), name))
             else:
                 raise ConfigurationError(
                     f"{name} is missing; only a symmetric problem builds it from {generator}"

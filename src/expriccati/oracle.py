@@ -70,6 +70,8 @@ class _FlowPropagator:
     """
 
     def __init__(self, problem, cond_max, max_halvings):
+        if np.isnan(cond_max):  # NaN fails every comparison: no guard at all
+            raise DomainError("cond_max must not be NaN")
         self.h_matrix = _flow_matrix(problem)
         self.h_norm = np.linalg.norm(self.h_matrix, 1)
         self.cond_max = cond_max
@@ -122,11 +124,9 @@ def radon_solve(problem, t, cond_max=1e4, max_halvings=40):
 
     ``cond_max`` trades substep count for accuracy: the extraction loses
     roughly eps * cond(U) per substep.  The default keeps the reference
-    around 1e-11 relative accuracy on stable problems.  NaN is refused,
-    since it would switch the guard off.
+    around 1e-11 relative accuracy on stable problems.  NaN is refused
+    whenever t != 0, since it would switch the guard off.
     """
-    if np.isnan(cond_max):  # NaN fails every comparison: no guard at all
-        raise DomainError("cond_max must not be NaN")
     x = as_matrix(problem.X0, "X0").copy()
     if t == 0.0:
         return x
@@ -140,8 +140,6 @@ def radon_trajectory(problem, times, cond_max=1e4, max_halvings=40):
     One flow propagator is shared across the whole sweep so equal spacing
     reuses a single cached exponential.
     """
-    if np.isnan(cond_max):
-        raise DomainError("cond_max must not be NaN")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size and np.any(np.diff(times) < 0):
         raise DomainError("times must be nondecreasing")

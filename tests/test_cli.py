@@ -250,6 +250,14 @@ class TestMisSizedProblemFiles:
         assert self._table(problem_dir) == 2
         assert "D0" in capsys.readouterr().err
 
+    def test_nonsymmetric_d0_exit_code(self, problem_dir, capsys):
+        # A dense scheme never factors X0, so the check must come at load.
+        write_matrix_market(str(problem_dir / "D0.mtx"), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        code = main(["table", "--problem", f"file:{problem_dir}", "--scheme", "GExpEuler",
+                     "--h", "0.1"])
+        assert code == 2
+        assert "D0" in capsys.readouterr().err
+
     def test_negative_size_line_exit_code(self, problem_dir, capsys):
         (problem_dir / "C.mtx").write_text("%%MatrixMarket matrix array real general\n-1 2\n")
         assert self._table(problem_dir) == 2

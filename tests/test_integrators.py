@@ -3,7 +3,7 @@ import pytest
 
 import expriccati.integrators as integrators
 from expriccati.densecore import SparsePlusThin, expm
-from expriccati.errors import ConfigurationError, DimensionError, IntegrationError
+from expriccati.errors import ConfigurationError, DimensionError, DomainError, IntegrationError
 from expriccati.integrators import (
     IntegratorConfig,
     RiccatiProblem,
@@ -121,6 +121,18 @@ class TestGeneratedCoefficients:
         g = self._generators(rng)
         with pytest.raises(ConfigurationError, match="C\\^T C"):
             RiccatiProblem(symmetric=True, Q=2.0 * g["C"].T @ g["C"], **g)
+
+    def test_nonsymmetric_initial_core_rejected(self, rng):
+        g = self._generators(rng)
+        with pytest.raises(ConfigurationError, match="symmetric D0"):
+            build_symmetric_problem(g["A"], g["C"], g["B"], g["L0"], D0=[[1.0, 1.0], [0.0, 1.0]])
+
+    def test_overflowing_product_rejected(self, rng):
+        # Finite generators whose product is not: C^T C overflows.
+        g = self._generators(rng)
+        g["C"][0, 0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="Q contains non-finite"):
+            RiccatiProblem(symmetric=True, **g)
 
     def test_nonsymmetric_problem_needs_every_coefficient(self, rng):
         n = 3
