@@ -94,13 +94,9 @@ class SparsePlusThin:
     ``a`` is a SciPy sparse matrix, ``u`` and ``bt`` are n x p and p x n
     arrays, and ``norm1`` bounds the 1-norm by ||A||_1 + ||U||_1 ||B^T||_1.
     A product with an n x b block costs about b (nnz(A) + 2 n p) flops
-    instead of the b n^2 of the dense matrix.  Scaling by a number scales
-    A and U.  The package builds these from validated coefficients, so
-    nothing is checked here.
+    instead of the b n^2 of the dense matrix.  The package builds these
+    from validated coefficients, so nothing is checked here.
     """
-
-    # NumPy scalars defer to __rmul__ instead of broadcasting over the object.
-    __array_ufunc__ = None
 
     def __init__(self, a, u, bt, norm1):
         self.a = a
@@ -117,61 +113,68 @@ class SparsePlusThin:
         out -= self.u @ (self.bt @ block)
         return out
 
-    def __mul__(self, c):
-        return SparsePlusThin(self.a * c, self.u * c, self.bt, abs(c) * self.norm1)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c):
-        return self * (1.0 / c)
-
-    def toarray(self):
-        """The dense n x n matrix."""
-        return self.a.toarray() - self.u @ self.bt
-
 
 def _norm1(m):
     """1-norm of a dense matrix, or the bound a SparsePlusThin carries."""
     return m.norm1 if isinstance(m, SparsePlusThin) else np.linalg.norm(m, 1)
 
 
-# Scaled-Taylor application of exp(M) to a thin block: 22 terms leave a
-# remainder below 4e-23 once ||M/2^s||_1 <= 1.  Above the norm limit a
-# full exponential is cheaper than the repeated applications.
-_TAYLOR_TERMS = 22
+# theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), Table
+# 3.1, for double precision: the degree-m truncated Taylor series of
+# exp(M) has relative backward error below 2^-53 once ||M||_1 <= theta_m.
+# The table stops at m = 24, not 55: on a direction that decays like
+# e^-theta the series sums terms of size up to e^theta, so one step loses
+# about e^(2 theta) ulps to cancellation, 85 at theta_24 = 2.22 but 4e8 at
+# theta_55 = 9.9, where exp(-9) came out 1.3e-9 off.
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22,
+}
+# Above this max|tau| ||M||_1 a dense matrix gets one full exponential
+# per tau, which is cheaper there than the repeated products.
 _TAYLOR_NORM_LIMIT = 16.0
 
 
-def _taylor_apply(m, b):
-    norm = _norm1(m)
+def _taylor_parameters(norm):
+    """Degree m and scaling s minimizing m s subject to norm / s <= theta_m."""
     if norm == 0.0:
-        return b.copy()
-    s = max(0, int(np.ceil(np.log2(norm))))
-    sub = m / (1 << s) if s else m
-    out = b
-    for _ in range(1 << s):
+        return 0, 0
+    steps = {m: int(np.ceil(norm / theta)) for m, theta in _THETA.items()}
+    degree = min(steps, key=lambda m: m * steps[m])
+    return degree, steps[degree]
+
+
+def _taylor_apply(m, tau, norm, b):
+    """exp(tau M) B as s steps of the degree-m truncated Taylor series of
+    exp(tau M / s), (m, s) from ``_taylor_parameters(|tau| norm)`` with
+    ``norm`` >= ||M||_1."""
+    degree, s = _taylor_parameters(abs(tau) * norm)
+    out = b.copy()
+    for _ in range(s):
         term = out
-        acc = out.copy()
-        for k in range(1, _TAYLOR_TERMS + 1):
-            term = sub @ term / k
-            acc += term
-        out = acc
+        for k in range(1, degree + 1):
+            term = m @ term
+            term *= tau / (s * k)
+            out += term
     return out
 
 
 def expm_actions(m, taus, b):
     """[exp(tau M) B for tau in taus], sharing work across the tau values.
 
-    ``m`` is a square matrix or a package-built :class:`SparsePlusThin`;
-    the chain below only multiplies it with thin blocks and scales it, so
-    the structured operator is never formed densely there.  When every tau
-    has the same sign and max|tau| ||M||_1 stays modest, the products are
-    evaluated along the chain exp(tau' M) B = exp((tau' - tau) M)
-    (exp(tau M) B) so each increment only costs a short scaled-Taylor
-    application to the thin block.  Outside that regime (mixed signs, or
-    norms where intermediate growth would erode accuracy) every tau gets
-    its own full exponential, of the operator densified once.  Results
-    come back in the order of ``taus``.
+    ``m`` is a square matrix or a package-built :class:`SparsePlusThin`,
+    which is only multiplied with thin blocks and never formed densely.
+    The products are evaluated along the chain exp(tau' M) B =
+    exp((tau' - tau) M) (exp(tau M) B), in increasing |tau|, one chain
+    over the tau >= 0 and one over the tau < 0.  Each increment is a
+    truncated Taylor series applied to the thin block, with the degree and
+    scaling of Al-Mohy & Higham (2011) for its 1-norm (for a
+    SparsePlusThin, the bound it carries).  Only a dense matrix with
+    max|tau| ||M||_1 > 16 takes one full ``scipy.linalg.expm`` per tau
+    instead.  Results come back in the order of ``taus``.
     """
     if not isinstance(m, SparsePlusThin):
         m = require_square(as_matrix(m, "matrix"), "matrix")
@@ -184,18 +187,18 @@ def expm_actions(m, taus, b):
     if any(not np.isfinite(t) for t in taus):
         raise DomainError("tau values must be finite")
     m_norm = _norm1(m)
-    same_sign = all(t >= 0.0 for t in taus) or all(t <= 0.0 for t in taus)
     span = max((abs(t) for t in taus), default=0.0) * m_norm
-    if not same_sign or span > _TAYLOR_NORM_LIMIT:
-        dense = m.toarray() if isinstance(m, SparsePlusThin) else m
-        return [scipy.linalg.expm(t * dense) @ b for t in taus]
+    if not isinstance(m, SparsePlusThin) and span > _TAYLOR_NORM_LIMIT:
+        return [scipy.linalg.expm(t * m) @ b for t in taus]
     results = [None] * len(taus)
-    current = b
-    prev = 0.0
-    for idx in np.argsort(np.abs(taus)):
-        current = _taylor_apply((taus[idx] - prev) * m, current)
-        prev = taus[idx]
-        results[idx] = current
+    order = sorted(range(len(taus)), key=lambda i: abs(taus[i]))
+    for chain in ([i for i in order if taus[i] >= 0.0], [i for i in order if taus[i] < 0.0]):
+        current = b
+        prev = 0.0
+        for idx in chain:
+            current = _taylor_apply(m, taus[idx] - prev, m_norm, current)
+            prev = taus[idx]
+            results[idx] = current
     return results
 
 

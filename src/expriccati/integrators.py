@@ -207,9 +207,10 @@ class IntegratorConfig:
     ``compression_tol`` of None resolves to dim * machine epsilon at use
     time.  ``exp_action`` selects how the low-rank steps take the
     quadrature images exp(tau A_lin) V: "dense" applies A_lin directly
-    (chained Taylor steps, or one full exponential per node time when
-    max|tau| ||A_lin||_1 > 16); "krylov" projects onto a block Krylov
-    basis of ``krylov_m`` blocks, except when ``krylov_m`` times the block
+    (chained truncated Taylor series; only a dense A_lin with
+    max|tau| ||A_lin||_1 > 16 gets one full exponential per node time);
+    "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
+    built on A_lin in the same form, except when ``krylov_m`` times the block
     width reaches the dimension, where such a basis would span the whole
     space and the exact action of the "dense" route is taken instead.
     The step grid must hit ``t_end`` exactly: t_end / h has to be an
@@ -350,8 +351,7 @@ def _make_exp_actions(a_lin, cfg, details):
                 cols = 0
                 pairs = [(value, 0.0) for value in expm_actions(a_lin, taus, block)]
             else:
-                dense = a_lin.toarray() if isinstance(a_lin, SparsePlusThin) else a_lin
-                basis = build_basis(dense, block, cfg.krylov_m)
+                basis = build_basis(a_lin, block, cfg.krylov_m)
                 cols = basis.size
                 pairs = exp_actions_krylov(basis, taus, block)
             worst = max((est for _, est in pairs), default=0.0)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm_actions, require_square
+from .densecore import SparsePlusThin, as_matrix, expm_actions, require_square
 from .errors import DomainError
 
 __all__ = ["BlockKrylovBasis", "build_basis", "exp_action_krylov", "exp_actions_krylov"]
@@ -43,10 +43,15 @@ class BlockKrylovBasis:
 
 
 def _orthonormalize(w, basis, tol):
-    """Two-pass block MGS against ``basis``, then rank-revealing QR of the rest.
+    """Two-pass block CGS against ``basis``, then rank-revealing QR of the rest.
 
-    Returns the kept orthonormal columns, the (rank x w) coefficient block
-    in original column order, and the norm of the full residual block.
+    A kept column whose diagonal in R is small against the block's norm is
+    mostly the roundoff of the projections, so the kept columns pass once
+    more against ``basis`` and are re-orthonormalized; without that pass
+    the basis of a stiff operator lost orthogonality to 5e-4.  Returns the
+    kept orthonormal columns, the (rank x w) coefficient block in original
+    column order, the norm of the full residual block and the coefficients
+    on ``basis``.
     """
     coeff = None
     for _ in range(2):
@@ -60,13 +65,22 @@ def _orthonormalize(w, basis, tol):
     rank = int(np.sum(diag > tol))
     r_unpermuted = np.zeros_like(r)
     r_unpermuted[:, piv] = r
-    return q[:, :rank], r_unpermuted[:rank, :], resid_norm, coeff
+    q, r_kept = q[:, :rank], r_unpermuted[:rank, :]
+    if coeff is not None and rank:
+        proj = basis.T @ q
+        q, r_again = np.linalg.qr(q - basis @ proj)
+        coeff = coeff + proj @ r_kept
+        r_kept = r_again @ r_kept
+    return q, r_kept, resid_norm, coeff
 
 
 def build_basis(A, V, m):
     """Block Arnoldi basis of K_m(A, V) with m blocks.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; blocks that
+    ``A`` is a square matrix or a package-built :class:`SparsePlusThin`,
+    which is only multiplied with the blocks and never formed densely.
+    Block Gram-Schmidt with one reorthogonalization pass and a third pass
+    over the kept columns (see ``_orthonormalize``); blocks that
     lose column rank are deflated at tolerance 1e-12 ||V||.  Iteration
     stops after m blocks, at an invariant subspace, or once the basis
     spans the whole space; ``coupling`` is 0.0 in the last case, where the
@@ -75,7 +89,8 @@ def build_basis(A, V, m):
     when m times the block width reaches the dimension they apply the
     exact action without a basis.
     """
-    A = require_square(as_matrix(A, "A"), "A")
+    if not isinstance(A, SparsePlusThin):
+        A = require_square(as_matrix(A, "A"), "A")
     V = as_matrix(V, "V")
     n, b = V.shape
     if A.shape[0] != n:

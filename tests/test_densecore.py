@@ -1,8 +1,10 @@
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import pytest
 
 from expriccati.densecore import (
+    SparsePlusThin,
     compress,
     expm,
     expm_actions,
@@ -75,9 +77,66 @@ class TestExpmActions:
             for got, tau in zip(expm_actions(m, taus, b), taus):
                 assert rel_err(got, expm(tau * m) @ b) <= 1e-12
 
+    def test_decaying_scalar_keeps_full_accuracy(self):
+        # The chain's series steps must not lose the result to cancellation
+        # when it decays (a degree-55 step left exp(-9) 1.3e-9 off).
+        for x in np.linspace(0.5, 16.0, 32):
+            got = expm_actions([[-x]], [1.0], [[1.0]])[0][0, 0]
+            assert abs(got - np.exp(-x)) <= 1e-14 * np.exp(-x)
+
     def test_non_finite_tau_rejected(self):
         with pytest.raises(DomainError):
             expm_actions(np.eye(2), [0.1, np.inf], np.eye(2))
+
+
+class TestExpmActionRoutes:
+    """Which operators reach a full ``scipy.linalg.expm`` in expm_actions."""
+
+    N = 30
+
+    @pytest.fixture
+    def full_exponentials(self, monkeypatch):
+        sizes = []
+        original = scipy.linalg.expm
+
+        def spy(a):
+            sizes.append(a.shape[0])
+            return original(a)
+
+        monkeypatch.setattr(scipy.linalg, "expm", spy)
+        return sizes
+
+    def _operator(self, rng):
+        """Dissipative tridiagonal A minus a rank-2 U B^T."""
+        n = self.N
+        a = scipy.sparse.diags(
+            [np.ones(n - 1), -4.0 - rng.uniform(0.0, 1.0, n), np.ones(n - 1)], [-1, 0, 1]
+        )
+        u, b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+        norm1 = np.linalg.norm(a.toarray(), 1) + np.linalg.norm(u, 1) * np.linalg.norm(b.T, 1)
+        return SparsePlusThin(scipy.sparse.csr_array(a), u, b.T, norm1)
+
+    @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)])
+    def test_structured_operator_takes_no_full_exponential(self, signs, full_exponentials):
+        rng = np.random.default_rng(16)
+        op = self._operator(rng)
+        taus = np.array(signs) * np.array([0.3, 0.7, 1.0]) * 60.0 / op.norm1
+        v = rng.standard_normal((self.N, 3))
+        got = expm_actions(op, taus, v)
+        assert full_exponentials == []
+        dense = op.a.toarray() - op.u @ op.bt
+        for value, tau in zip(got, taus):
+            if tau > 0:
+                assert rel_err(value, scipy.linalg.expm(tau * dense) @ v) <= 1e-12
+
+    def test_dense_matrix_above_limit_takes_one_per_tau(self, full_exponentials):
+        rng = np.random.default_rng(17)
+        op = self._operator(rng)
+        dense = op.a.toarray() - op.u @ op.bt
+        taus = [0.1, 0.5, 1.0]
+        span = 20.0 / np.linalg.norm(dense, 1)
+        expm_actions(dense, [span * t for t in taus], rng.standard_normal((self.N, 2)))
+        assert full_exponentials == [self.N] * len(taus)
 
 
 class TestSolveSylvester:

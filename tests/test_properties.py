@@ -6,15 +6,15 @@ sizes, the seed, the spread of the core spectrum and the tolerance, and
 shrinks failures towards small dimensions and ranks (rank 0 included).
 The vectorized drop rule of ``compress`` is also checked against a plain
 loop over the eigenvalues, which must keep the same number of columns.
-The exponential actions on a sparse-plus-thin operator are checked
-against a full exponential of its dense matrix, on the Taylor chain, its
-full-exponential fallback and mixed-sign times, and through the
-semigroup identity.  Without the quadratic term (G = 0) one step of each
-dense scheme must reproduce the exact flow of the vectorized operator.
+The exponential actions on a sparse-plus-thin operator, which always take
+the Taylor chain, are checked against a long-double exponential of its
+dense matrix, at spans on both sides of the dense full-exponential limit
+and at mixed-sign times, and through the semigroup identity.  Without the
+quadratic term (G = 0) one step of each dense scheme must reproduce the
+exact flow of the vectorized operator.
 """
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -195,13 +195,28 @@ def _sparse_plus_thin(rng, n, band, p):
     return SparsePlusThin(scipy.sparse.csr_array(a), u, b.T, norm1)
 
 
-# From n = 3: scipy's closed-form 2 x 2 exponential, the reference here,
-# is itself up to 6e-13 off on these operators.
+def _expm_longdouble(a):
+    """exp(a) in long double: a 30-term Taylor series of a / 2^s,
+    ||a / 2^s||_1 <= 1/2, squared s times, rounded to float64."""
+    a = np.asarray(a, dtype=np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm else 0
+    sub = a / np.longdouble(2) ** s
+    term = out = np.eye(a.shape[0], dtype=np.longdouble)
+    for k in range(1, 31):
+        term = sub @ term / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out.astype(float)
+
+
 op_dims = st.integers(min_value=3, max_value=40)
 bands = st.integers(min_value=0, max_value=3)
 widths = st.integers(min_value=1, max_value=3)
-# max|tau| ||M||_1: the Taylor chain runs up to 16, a full exponential per
-# tau above.
+# max|tau| ||M||_1, on both sides of the limit of 16 above which a dense
+# matrix gets a full exponential per tau; the structured operator always
+# takes the chain.
 spans = st.one_of(
     st.floats(min_value=0.0, max_value=16.0), st.floats(min_value=16.5, max_value=40.0)
 )
@@ -212,13 +227,23 @@ spans = st.one_of(
     n=op_dims, band=bands, p=widths, cols=widths, seed=seeds, span=spans,
     count=st.integers(min_value=1, max_value=7), signs=st.sampled_from(["+", "-", "mixed"]),
 )
+# scipy.linalg.expm is 1.2e-12 off a 50-digit value on this draw, too far
+# to serve as the reference (exp(tau M) grows for tau < 0); the chain is
+# 2.8e-16 off.
+@example(n=3, band=0, p=1, cols=1, seed=0, span=17.0, count=1, signs="mixed")
+# One dominant decaying direction: with the series degree up to 55 the
+# chain was 6.3e-12 off here, from cancellation.
+@example(n=3, band=0, p=1, cols=1, seed=7248, span=9.0, count=1, signs="+")
 def test_structured_actions_match_full_exponentials(n, band, p, cols, seed, span, count, signs):
+    # A long double that is only a double would make the reference no
+    # better than the route under test.
+    assert np.finfo(np.longdouble).eps < 1e-18
     rng = np.random.default_rng(seed)
     op = _sparse_plus_thin(rng, n, band, p)
     if signs == "-":
         # Negative times on the negated operator keep tau M dissipative:
         # backwards in time the growth e^span would swamp 1e-12.
-        op = -1.0 * op
+        op = SparsePlusThin(-op.a, -op.u, op.bt, op.norm1)
     dense = op.a.toarray() - op.u @ op.bt
     v = rng.standard_normal((n, cols))
     fractions = np.append(rng.uniform(0.0, 1.0, count - 1), 1.0)
@@ -226,7 +251,7 @@ def test_structured_actions_match_full_exponentials(n, band, p, cols, seed, span
     taus = sign * fractions * span / op.norm1
 
     for got, tau in zip(expm_actions(op, taus, v), taus):
-        exact = scipy.linalg.expm(tau * dense) @ v
+        exact = _expm_longdouble(tau * dense) @ v
         assert _fro(got - exact) <= 1e-12 * _fro(exact)
 
 
