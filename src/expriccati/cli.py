@@ -4,8 +4,8 @@ Subcommands produce CSV: ``table`` (one row per problem/scheme/step-size
 cell with final relative error, wall time and final rank), ``trajectory``
 (F-norm history of one run against the reference) and ``order``
 (convergence study with fitted slopes).  ``show-config`` prints the
-resolved configuration.  Exit codes: 0 success, 2 usage error, 1
-numerical failure.
+resolved configuration in the config-file format.  Exit codes: 0
+success, 2 usage error, 1 numerical failure.
 
 Configuration comes from an optional flat key=value file plus flag
 overrides, so a run is reproducible from a single small text file:
@@ -18,9 +18,11 @@ overrides, so a run is reproducible from a single small text file:
 """
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import wraps
 
 import numpy as np
 
@@ -35,9 +37,9 @@ from .errors import (
     SolvabilityError,
     UsageError,
 )
-from .integrators import SCHEMES, IntegratorConfig, integrate
+from .integrators import EXP_ACTIONS, SCHEMES, IntegratorConfig, integrate
 from .oracle import radon_solve, radon_trajectory
-from .phifun import QuadratureRule
+from .phifun import GAUSS_NODES, QuadratureRule
 from .problems import problem_from_spec
 
 __all__ = ["ExperimentConfig", "run_table", "run_trajectory", "run_order_study", "main"]
@@ -47,22 +49,57 @@ TRAJECTORY_SCHEMA = "trajectory/v1"
 ORDER_SCHEMA = "order/v1"
 
 
+def _optional(parse):
+    """``parse``, except that "none" (any case) reads as None."""
+
+    @wraps(parse)  # argparse names the parser in its error message
+    def optional(raw):
+        return None if raw.strip().lower() == "none" else parse(raw)
+
+    return optional
+
+
+def _listed(parse):
+    """Comma-separated items, each read by ``parse``; blank items dropped."""
+
+    @wraps(parse)
+    def listed(raw):
+        return [parse(s.strip()) for s in raw.split(",") if s.strip()]
+
+    return listed
+
+
+def _setting(default, parse, flag=None, **argparse_kwargs):
+    """A CLI setting: its default, the parser of its text (the same for the
+    config file and the flag), its flag (``--name`` unless given) and the
+    flag's other ``add_argument`` keywords."""
+    metadata = {"parse": parse, "flag": flag, "argparse": argparse_kwargs}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a CLI run needs, with reproducible defaults."""
+    """Everything a CLI run needs, with reproducible defaults.
 
-    problem: str = "fdm-sym:k=8"
-    schemes: list = field(default_factory=lambda: ["GExpEuler"])
-    h: list = field(default_factory=lambda: [0.01])
-    t_end: float = 1.0
-    nodes: int = 7
-    tol: float = None
-    krylov_m: int = 30
-    exp_action: str = "dense"
-    seed: int = 20240
-    oracle_cond: float = 1e4
-    repeat: int = 1
-    out: str = None
+    Each field is one setting of the config file and of the flags.
+    """
+
+    problem: str = _setting("fdm-sym:k=8", str, help="problem spec, e.g. fdm-sym:k=8 or tanh")
+    schemes: list = _setting(["GExpEuler"], _listed(str), flag="--scheme", metavar="NAME",
+                             help="scheme name (repeatable or comma-separated)")
+    h: list = _setting([0.01], _listed(float), metavar="H",
+                       help="step size (repeatable or comma-separated)")
+    t_end: float = _setting(1.0, float)
+    nodes: int = _setting(GAUSS_NODES, int, help="quadrature node count")
+    tol: float = _setting(None, _optional(float), help="compression tolerance")
+    krylov_m: int = _setting(IntegratorConfig.krylov_m, int)
+    exp_action: str = _setting(IntegratorConfig.exp_action, str, choices=EXP_ACTIONS)
+    seed: int = _setting(20240, int)
+    oracle_cond: float = _setting(1e4, float)
+    repeat: int = _setting(1, int, help="timing repetitions (median reported)")
+    out: str = _setting(None, _optional(str), help="output directory (default: stdout)")
 
     def integrator_config(self, scheme, h):
         return IntegratorConfig(
@@ -76,26 +113,10 @@ class ExperimentConfig:
         )
 
 
-_LIST_KEYS = {"schemes", "h"}
-_FLOAT_KEYS = {"t_end", "tol", "oracle_cond"}
-_INT_KEYS = {"nodes", "krylov_m", "seed", "repeat"}
-
-
-def _coerce(key, raw):
-    if key in _LIST_KEYS:
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        return [float(s) for s in items] if key == "h" else items
-    if key in _FLOAT_KEYS:
-        return None if raw.lower() == "none" else float(raw)
-    if key in _INT_KEYS:
-        return int(raw)
-    return raw
-
-
 def load_config_file(path):
     """Parse a flat key=value experiment file (``#`` starts a comment)."""
     values = {}
-    valid = {f.name for f in fields(ExperimentConfig)}
+    parsers = {f.name: f.metadata["parse"] for f in fields(ExperimentConfig)}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -104,10 +125,10 @@ def load_config_file(path):
             if "=" not in text:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in valid:
+            if key not in parsers:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = _coerce(key, raw)
+                values[key] = parsers[key](raw)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}") from None
     return values
@@ -255,47 +276,25 @@ def _build_parser():
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key=value experiment file")
-        p.add_argument("--problem", help="problem spec, e.g. fdm-sym:k=8 or tanh")
-        p.add_argument("--scheme", action="append", dest="schemes", metavar="NAME",
-                       help="scheme name (repeatable or comma-separated)")
-        p.add_argument("--h", action="append", dest="h", metavar="H",
-                       help="step size (repeatable or comma-separated)")
-        p.add_argument("--t-end", type=float, dest="t_end")
-        p.add_argument("--nodes", type=int, help="quadrature node count")
-        p.add_argument("--tol", type=float, help="compression tolerance")
-        p.add_argument("--krylov-m", type=int, dest="krylov_m")
-        p.add_argument("--exp-action", choices=("dense", "krylov"), dest="exp_action")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--oracle-cond", type=float, dest="oracle_cond")
-        p.add_argument("--repeat", type=int, help="timing repetitions (median reported)")
-        p.add_argument("--out", help="output directory (default: stdout)")
+        for f in fields(ExperimentConfig):
+            meta = f.metadata
+            p.add_argument(meta["flag"] or "--" + f.name.replace("_", "-"), dest=f.name,
+                           type=meta["parse"], action="extend" if f.type is list else "store",
+                           **meta["argparse"])
     return parser
 
 
 def _config_from_args(args):
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in ("problem", "t_end", "nodes", "tol", "krylov_m", "exp_action",
-                "seed", "oracle_cond", "repeat", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            values[key] = val
-    if args.schemes:
-        values["schemes"] = [s for part in args.schemes for s in part.split(",") if s]
-    if args.h:
-        try:
-            values["h"] = [float(s) for part in args.h for s in part.split(",") if s]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    values = load_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     return replace(ExperimentConfig(), **values)
 
 
 def _emit(lines, cfg, filename):
     text = "\n".join(lines) + "\n"
     if cfg.out:
-        import os
-
         os.makedirs(cfg.out, exist_ok=True)
         path = os.path.join(cfg.out, filename)
         with open(path, "w", encoding="utf-8") as fh:

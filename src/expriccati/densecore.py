@@ -136,6 +136,18 @@ _THETA = {
 # Above this max|tau| ||M||_1 a dense matrix gets one full exponential
 # per tau, which is cheaper there than the repeated products.
 _TAYLOR_NORM_LIMIT = 16.0
+# A SparsePlusThin is formed densely, and then takes the route of a dense
+# matrix, when its chain would cost more: m s products, (m, s) for
+# max|tau| ||M||_1, with the b columns of the block at nnz(A) + 2 n p
+# flops a column, against len(taus) n^3.  The chain grows linearly with
+# the norm, a full exponential only with its logarithm.  Seven taus of
+# h = 1e-3 on fdm-sym:k=14 and k=20 (n = 196, 400) with the thin part
+# scaled up, one BLAS thread, broke even at a ratio of 0.65-1.45 (b = 10
+# to 40); the low-rank runs at n = 400 and 1600 stay below 0.06 and 0.16.
+# Chains under _CHAIN_FLOOR flops (milliseconds) always run, so small
+# operators keep the chain at any ratio.
+_DENSE_ROUTE_RATIO = 1.0
+_CHAIN_FLOOR = 1e7
 
 
 def _taylor_parameters(norm):
@@ -166,15 +178,16 @@ def expm_actions(m, taus, b):
     """[exp(tau M) B for tau in taus], sharing work across the tau values.
 
     ``m`` is a square matrix or a package-built :class:`SparsePlusThin`,
-    which is only multiplied with thin blocks and never formed densely.
-    The products are evaluated along the chain exp(tau' M) B =
+    which the chain only multiplies with thin blocks.  The products are
+    evaluated along the chain exp(tau' M) B =
     exp((tau' - tau) M) (exp(tau M) B), in increasing |tau|, one chain
     over the tau >= 0 and one over the tau < 0.  Each increment is a
     truncated Taylor series applied to the thin block, with the degree and
     scaling of Al-Mohy & Higham (2011) for its 1-norm (for a
-    SparsePlusThin, the bound it carries).  Only a dense matrix with
+    SparsePlusThin, the bound it carries).  A dense matrix with
     max|tau| ||M||_1 > 16 takes one full ``scipy.linalg.expm`` per tau
-    instead.  Results come back in the order of ``taus``.
+    instead, and so does a SparsePlusThin, formed densely, whose chain
+    would cost more than that.  Results come back in the order of ``taus``.
     """
     if not isinstance(m, SparsePlusThin):
         m = require_square(as_matrix(m, "matrix"), "matrix")
@@ -188,6 +201,11 @@ def expm_actions(m, taus, b):
         raise DomainError("tau values must be finite")
     m_norm = _norm1(m)
     span = max((abs(t) for t in taus), default=0.0) * m_norm
+    if isinstance(m, SparsePlusThin):
+        degree, s = _taylor_parameters(span)
+        flops = degree * s * b.shape[1] * (m.a.nnz + 2 * m.u.size)
+        if flops > max(_DENSE_ROUTE_RATIO * len(taus) * m.shape[0] ** 3, _CHAIN_FLOOR):
+            m = m.a.toarray() - m.u @ m.bt
     if not isinstance(m, SparsePlusThin) and span > _TAYLOR_NORM_LIMIT:
         return [scipy.linalg.expm(t * m) @ b for t in taus]
     results = [None] * len(taus)
@@ -248,7 +266,7 @@ def _check_separation(sep, a, d):
         )
 
 
-def solve_sylvester(a, d, rhs, method="auto"):
+def solve_sylvester(a, d, rhs, method="schur"):
     """Solve the Sylvester equation ``A W + W D = RHS``.
 
     Parameters
@@ -258,14 +276,14 @@ def solve_sylvester(a, d, rhs, method="auto"):
         must be disjoint for unique solvability.
     rhs : array_like
         M x N right-hand side.
-    method : {"auto", "schur", "kron"}
+    method : {"schur", "kron"}
         "schur" reduces A and D^T to real Schur form and back-substitutes
         with LAPACK ``trsyl`` (Bartels-Stewart, the same steps as
         ``scipy.linalg.solve_sylvester``); the separation check reads the
         spectra off the two Schur forms.  "kron" assembles and solves the
         vectorized MN x MN system directly; it is refused above
         M*N = 4096 and doubles as an independent cross-check of the Schur
-        route.  "auto" selects "schur".
+        route.
 
     Raises
     ------
@@ -280,8 +298,6 @@ def solve_sylvester(a, d, rhs, method="auto"):
         raise DimensionError(
             f"RHS shape {rhs.shape} does not match ({a.shape[0]}, {d.shape[0]})"
         )
-    if method == "auto":
-        method = "schur"
     if method not in ("schur", "kron"):
         raise DomainError(f"unknown Sylvester method {method!r}")
     if rhs.size == 0:

@@ -74,6 +74,9 @@ _EROW3_AUGMENTED_LIMIT = 4096
 # 1388 ms.  The ratio 20 puts the crossover between n = 144 and 196.
 _STRUCTURED_COST_RATIO = 20
 
+# Routes of the low-rank steps' exponential actions (IntegratorConfig.exp_action).
+EXP_ACTIONS = ("dense", "krylov")
+
 
 def _require_match(actual, expected, claim):
     """Raise unless two matrices agree to 1e-10 relative; ``claim`` says why."""
@@ -239,12 +242,12 @@ class IntegratorConfig:
             raise ConfigurationError("compression tolerance must be nonnegative and finite")
         if self.krylov_m < 1:
             raise ConfigurationError("krylov_m must be >= 1")
-        if self.exp_action not in ("dense", "krylov"):
+        if self.exp_action not in EXP_ACTIONS:
             raise ConfigurationError("exp_action must be 'dense' or 'krylov'")
         if self.store_every < 1:
             raise ConfigurationError("store_every must be >= 1")
         if self.rule is None:
-            self.rule = QuadratureRule.gauss_legendre(7)
+            self.rule = QuadratureRule.gauss_legendre()
         quotient = self.t_end / self.h
         if abs(quotient - round(quotient)) > 0.5 * ulp(max(quotient, 1.0)):
             raise ConfigurationError(

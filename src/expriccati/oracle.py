@@ -24,6 +24,9 @@ __all__ = ["radon_solve", "radon_trajectory", "kronecker_phi"]
 # Keep ||dt H||_1 at most this large before even attempting a propagator;
 # avoids pointless exponentials that would overflow anyway.
 _NORM_GUARD = 24.0
+# Most times an interval's substep count is doubled before the extraction
+# is declared a finite escape.
+_MAX_HALVINGS = 40
 
 
 def _flow_matrix(problem):
@@ -69,13 +72,12 @@ class _FlowPropagator:
     repeated intervals of the same length cost matrix products only.
     """
 
-    def __init__(self, problem, cond_max, max_halvings):
+    def __init__(self, problem, cond_max):
         if np.isnan(cond_max):  # NaN fails every comparison: no guard at all
             raise DomainError("cond_max must not be NaN")
         self.h_matrix = _flow_matrix(problem)
         self.h_norm = np.linalg.norm(self.h_matrix, 1)
         self.cond_max = cond_max
-        self.max_halvings = max_halvings
         self.depth = 0
         self._cache = {}
 
@@ -88,7 +90,7 @@ class _FlowPropagator:
     def advance(self, x, span):
         if span == 0.0:
             return x
-        while self.depth < self.max_halvings and (
+        while self.depth < _MAX_HALVINGS and (
             abs(span) * self.h_norm / (1 << self.depth) > _NORM_GUARD
         ):
             self.depth += 1
@@ -97,10 +99,10 @@ class _FlowPropagator:
         while steps_left > 0:
             nxt = _propagate(self._propagator(dt), x, self.cond_max)
             if nxt is None:
-                if self.depth >= self.max_halvings:
+                if self.depth >= _MAX_HALVINGS:
                     raise FiniteEscapeError(
                         f"flow extraction stayed ill-conditioned after "
-                        f"{self.max_halvings} halvings (finite escape time?)"
+                        f"{_MAX_HALVINGS} halvings (finite escape time?)"
                     )
                 self.depth += 1
                 steps_left *= 2
@@ -111,16 +113,15 @@ class _FlowPropagator:
         return x
 
 
-def radon_solve(problem, t, cond_max=1e4, max_halvings=40):
+def radon_solve(problem, t, cond_max=1e4):
     """Reference solution of the Riccati flow at time ``t``.
 
     Propagates the linear block system from [I; X0] and extracts
     X = V U^{-1}; the interval is split into 2^d equal substeps with d
     raised until the extraction stays well-conditioned (1-norm condition
     of U below ``cond_max``) and finite, restarting from the propagated
-    state after every substep.  Raises FiniteEscapeError when
-    ``max_halvings`` refinements are not enough, the numerical signature
-    of a Riccati blow-up.
+    state after every substep.  Raises FiniteEscapeError when 40 halvings
+    are not enough, the numerical signature of a Riccati blow-up.
 
     ``cond_max`` trades substep count for accuracy: the extraction loses
     roughly eps * cond(U) per substep.  The default keeps the reference
@@ -130,11 +131,11 @@ def radon_solve(problem, t, cond_max=1e4, max_halvings=40):
     x = as_matrix(problem.X0, "X0").copy()
     if t == 0.0:
         return x
-    flow = _FlowPropagator(problem, cond_max, max_halvings)
+    flow = _FlowPropagator(problem, cond_max)
     return flow.advance(x, t)
 
 
-def radon_trajectory(problem, times, cond_max=1e4, max_halvings=40):
+def radon_trajectory(problem, times, cond_max=1e4):
     """Reference states at an increasing sequence of times (starting anywhere).
 
     One flow propagator is shared across the whole sweep so equal spacing
@@ -143,7 +144,7 @@ def radon_trajectory(problem, times, cond_max=1e4, max_halvings=40):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size and np.any(np.diff(times) < 0):
         raise DomainError("times must be nondecreasing")
-    flow = _FlowPropagator(problem, cond_max, max_halvings)
+    flow = _FlowPropagator(problem, cond_max)
     out = []
     x = as_matrix(problem.X0, "X0").copy()
     current = 0.0

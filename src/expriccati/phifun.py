@@ -33,6 +33,9 @@ __all__ = [
 SERIES_CUTOFF = 0.1
 SERIES_TERMS = 25
 
+# Node count of the default Gauss-Legendre rule of the quadrature path.
+GAUSS_NODES = 7
+
 
 def phi_scalar(j, z):
     """phi_j at a scalar (real or complex) argument."""
@@ -82,7 +85,7 @@ class QuadratureRule:
         return self.nodes.size
 
     @classmethod
-    def gauss_legendre(cls, count=7):
+    def gauss_legendre(cls, count=GAUSS_NODES):
         """Gauss-Legendre rule mapped from [-1, 1] to [0, 1]."""
         if count < 1:
             raise DomainError("node count must be positive")

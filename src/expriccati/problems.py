@@ -2,7 +2,7 @@
 
 The convection-diffusion family discretizes
 
-    Laplace(u) - fx(x, y) u_x - fy(x, y) u_y - freact(x, y) u
+    Laplace(u) - fx(x, y) u_x - fy(x, y) u_y
 
 with the standard 5-point stencil on the unit square (homogeneous
 Dirichlet boundary).  ``fdm-sym`` is the pure Laplacian (symmetric
@@ -11,7 +11,6 @@ negative definite); ``fdm-nonsym`` adds the convection fields 10x and
 every platform reproduces them bit for bit.
 """
 
-import math
 import os
 import re
 from dataclasses import dataclass
@@ -42,15 +41,13 @@ __all__ = [
 class Fdm2dSpec:
     """Five-point discretization with k interior grid points per side.
 
-    The convection coefficients ``fx``, ``fy`` and the reaction ``freact``
-    are callables of the grid coordinates (None means zero); the matrix
-    size is n = k^2.
+    The convection coefficients ``fx`` and ``fy`` are callables of the
+    grid coordinates (None means zero); the matrix size is n = k^2.
     """
 
     k: int
     fx: Optional[Callable[[float, float], float]] = None
     fy: Optional[Callable[[float, float], float]] = None
-    freact: Optional[Callable[[float, float], float]] = None
 
 
 def fdm2d_matrix(spec):
@@ -68,7 +65,6 @@ def fdm2d_matrix(spec):
     n = k * k
     fx = spec.fx or (lambda x, y: 0.0)
     fy = spec.fy or (lambda x, y: 0.0)
-    freact = spec.freact or (lambda x, y: 0.0)
     inv_h2 = 1.0 / spacing ** 2
     inv_2h = 1.0 / (2.0 * spacing)
 
@@ -78,7 +74,7 @@ def fdm2d_matrix(spec):
         for i in range(k):
             x = (i + 1) * spacing
             p = j * k + i
-            a[p, p] = -4.0 * inv_h2 - freact(x, y)
+            a[p, p] = -4.0 * inv_h2
             cx = fx(x, y) * inv_2h
             cy = fy(x, y) * inv_2h
             if i + 1 < k:
@@ -118,38 +114,20 @@ def _splitmix64(seed):
         yield z ^ (z >> 31)
 
 
-def _uniform01(words):
-    # 53 high bits, offset by half an ulp so Box-Muller never sees 0.
-    return ((next(words) >> 11) + 0.5) * 2.0 ** -53
+def random_lowrank(n, r, seed):
+    """Deterministic n x r random matrix, uniform on (0, 1).
 
-
-def random_lowrank(n, r, seed, distribution="uniform01"):
-    """Deterministic n x r random matrix.
-
-    SplitMix64 stream seeded with ``seed``, filled column-major.
-    "uniform01" draws from (0, 1); "normal01" applies the Box-Muller
-    transform to consecutive uniform pairs.  The generator is fixed by
-    this package, not the platform, so fixtures reproduce everywhere.
+    SplitMix64 stream seeded with ``seed``, filled column-major; each
+    entry is the top 53 bits of a word, offset by half an ulp.  The
+    generator is fixed by this package, not the platform, so fixtures
+    reproduce everywhere.
     """
     if r > n:
         raise DomainError(f"cannot draw {r} columns in dimension {n}")
     if r < 0 or n < 0:
         raise DomainError("dimensions must be nonnegative")
     words = _splitmix64(seed)
-    count = n * r
-    if distribution == "uniform01":
-        vals = [_uniform01(words) for _ in range(count)]
-    elif distribution == "normal01":
-        vals = []
-        while len(vals) < count:
-            u1 = _uniform01(words)
-            u2 = _uniform01(words)
-            radius = math.sqrt(-2.0 * math.log(u1))
-            vals.append(radius * math.cos(2.0 * math.pi * u2))
-            vals.append(radius * math.sin(2.0 * math.pi * u2))
-        vals = vals[:count]
-    else:
-        raise DomainError(f"unknown distribution {distribution!r}")
+    vals = [((next(words) >> 11) + 0.5) * 2.0 ** -53 for _ in range(n * r)]
     return np.array(vals).reshape((n, r), order="F")
 
 

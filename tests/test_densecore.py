@@ -3,6 +3,7 @@ import scipy.linalg
 import scipy.sparse
 import pytest
 
+from expriccati import densecore
 from expriccati.densecore import (
     SparsePlusThin,
     compress,
@@ -137,6 +138,24 @@ class TestExpmActionRoutes:
         span = 20.0 / np.linalg.norm(dense, 1)
         expm_actions(dense, [span * t for t in taus], rng.standard_normal((self.N, 2)))
         assert full_exponentials == [self.N] * len(taus)
+
+    def test_long_structured_chain_is_formed_densely(self, full_exponentials, monkeypatch):
+        # At max|tau| ||M||_1 = 1e5 the chain would take about 1e6 products
+        # with the block, three 30 x 30 exponentials far less.
+        def no_chain(*args):
+            raise AssertionError("the Taylor chain ran")
+
+        monkeypatch.setattr(densecore, "_taylor_apply", no_chain)
+        rng = np.random.default_rng(18)
+        op = self._operator(rng)
+        stiff = SparsePlusThin(1e4 * op.a, op.u, op.bt, 1e4 * op.norm1)
+        taus = np.array([0.3, 0.7, 1.0]) * 1e5 / stiff.norm1
+        v = rng.standard_normal((self.N, 3))
+        got = expm_actions(stiff, taus, v)
+        assert full_exponentials == [self.N] * len(taus)
+        dense = stiff.a.toarray() - stiff.u @ stiff.bt
+        for value, tau in zip(got, taus):
+            assert rel_err(value, scipy.linalg.expm(tau * dense) @ v) <= 1e-12
 
 
 class TestSolveSylvester:

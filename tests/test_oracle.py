@@ -82,7 +82,7 @@ class TestRadonSolve:
         # every extraction fail and the halving budget run out.
         p = problem_from_spec("tanh")
         with pytest.raises(FiniteEscapeError):
-            radon_solve(p, 1.0, cond_max=0.99, max_halvings=12)
+            radon_solve(p, 1.0, cond_max=0.99)
 
     @pytest.mark.parametrize("solver", [radon_solve, radon_trajectory])
     def test_nan_condition_bound_rejected(self, solver):
