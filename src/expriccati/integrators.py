@@ -272,13 +272,17 @@ class StepDiagnostics:
     step with ``exp_action="krylov"``, the column count of the block
     Krylov basis it built, or 0 where it took the exact full-space action
     without a basis; ``krylov_residual`` is the largest residual estimate
-    of those calls (0.0 for full-space actions).
+    of those calls (0.0 for full-space actions).  ``cols_in`` counts the
+    columns (base plus quadrature stack) that entered a low-rank step's
+    recompressions, summed over its updates; ``dropped`` of them did not
+    survive, so ``cols_in - dropped`` is the summed width of the results.
     """
 
     step: int
     t: float
     wall_time: float
     rank: int = None
+    cols_in: int = None
     dropped: int = None
     fnorm: float = None
     min_eigenvalue: float = None
@@ -378,8 +382,9 @@ def _factored_phi_update(problem, state, h, cfg, details):
     in LDL^T form, S_n linearized once at ``state`` for every update.
 
     Compresses the operand, stacks its quadrature-node images, concatenates
-    them onto ``base``, recompresses and adds the dropped columns to
-    ``details["dropped"]``.
+    them onto ``base`` and recompresses.  The columns that entered the
+    concatenation go to ``details["cols_in"]``, those it dropped (whether
+    before or in the recompression) to ``details["dropped"]``.
     """
     tol = cfg.resolve_tol(state.dim)
     actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, details)
@@ -388,7 +393,9 @@ def _factored_phi_update(problem, state, h, cfg, details):
         phi_sum = assemble_phi_sum(actions, h, k, operand.compressed(tol), cfg.rule, coeff=coeff)
         out = concat_update(base, phi_sum, tol)
         if details is not None:
-            details["dropped"] = details.get("dropped", 0) + base.rank + phi_sum.rank - out.rank
+            cols_in = base.rank + phi_sum.rank
+            details["cols_in"] = details.get("cols_in", 0) + cols_in
+            details["dropped"] = details.get("dropped", 0) + cols_in - out.rank
         return out
 
     return update
@@ -521,6 +528,7 @@ def integrate(problem, cfg):
             t=t_next,
             wall_time=elapsed,
             rank=state.rank if isinstance(state, LdlFactor) else None,
+            cols_in=details.get("cols_in"),
             dropped=details.get("dropped"),
             krylov_residual=details.get("krylov_residual"),
             krylov_basis_cols=details.get("krylov_basis_cols"),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import expriccati.integrators as integrators
+import expriccati.lowrank as lowrank
 from expriccati.densecore import SparsePlusThin, expm
 from expriccati.errors import ConfigurationError, DimensionError, DomainError, IntegrationError
 from expriccati.integrators import (
@@ -519,9 +520,42 @@ class TestIntegrate:
         traj = integrate(p, cfg)
         for diag in traj.diagnostics:
             assert diag.rank is not None and diag.rank <= n
-            assert diag.dropped is not None and diag.dropped >= 0
+            assert diag.dropped is not None and 0 <= diag.dropped <= diag.cols_in
             assert diag.krylov_residual is not None
             assert diag.min_eigenvalue is not None
+
+    @pytest.mark.parametrize("scheme, updates", [("LrExpEuler", 1), ("Erow3LowRank", 2)])
+    def test_lowrank_column_counts_add_up(self, rng, monkeypatch, scheme, updates):
+        # Per update: (columns in, columns the compression saw, columns out).
+        calls, seen = [], []
+        concat, compress = integrators.concat_update, lowrank.compress
+
+        def compress_spy(l, core, tol):
+            if seen:
+                seen[-1] = l.shape[1]
+            return compress(l, core, tol)
+
+        def concat_spy(state, update, tol):
+            seen.append(0)
+            out = concat(state, update, tol)
+            calls.append((state.rank + update.rank, seen.pop(), out.rank))
+            return out
+
+        monkeypatch.setattr(lowrank, "compress", compress_spy)
+        monkeypatch.setattr(integrators, "concat_update", concat_spy)
+        n = 10
+        p = build_symmetric_problem(
+            random_stable(rng, n), rng.standard_normal((2, n)),
+            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        )
+        traj = integrate(p, IntegratorConfig(scheme, 0.1, 0.5, compression_tol=1e-6))
+        assert len(calls) == updates * len(traj.diagnostics)
+        for i, diag in enumerate(traj.diagnostics):
+            step = calls[updates * i:updates * (i + 1)]
+            assert diag.cols_in == sum(c_in for c_in, _, _ in step)
+            assert diag.dropped == sum(c_in - c_out for c_in, _, c_out in step)
+        # The pre-pass dropped columns, and ``dropped`` counts them.
+        assert sum(c_seen for _, c_seen, _ in calls) < sum(c_in for c_in, _, _ in calls)
 
 
 class TestExponentialActionRoutes:

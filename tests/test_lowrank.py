@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from expriccati.densecore import expm
-from expriccati.errors import ConfigurationError, DimensionError, DomainError
+import expriccati.lowrank as lowrank
+from expriccati.densecore import compress, expm
+from expriccati.errors import ConfigurationError, DimensionError, DomainError, FiniteEscapeError
 from expriccati.lowrank import (
     LdlFactor,
     assemble_phi_sum,
@@ -57,13 +58,19 @@ class TestLdlFactor:
         with pytest.raises(DimensionError):
             LdlFactor(np.eye(3)[:, :2], np.eye(3))
 
-    def test_fnorm_and_min_eigenvalue_match_dense(self, rng):
+    def test_fnorm_and_min_eigenvalue_match_dense(self, rng, monkeypatch):
         state = _random_state(rng, 10, 4)
-        x = state.reconstruct()
-        assert state.fnorm() == pytest.approx(np.linalg.norm(x), rel=1e-12)
-        assert state.min_eigenvalue() == pytest.approx(
-            float(np.linalg.eigvalsh(x).min()), abs=1e-10
-        )
+        compressed = state.compressed(1e-12)
+        concatenated = concat_update(state, _random_state(rng, 10, 3), tol=1e-12)
+        factors = (state, compressed, concatenated)
+        dense = [f.reconstruct() for f in factors]
+        smallest = [float(np.linalg.eigvalsh(x).min()) for x in dense]
+        for factor, x, lam_min in zip(factors, dense, smallest):
+            assert factor.fnorm() == pytest.approx(np.linalg.norm(x), rel=1e-12)
+            assert factor.min_eigenvalue() == pytest.approx(lam_min, abs=1e-10)
+            # Compression results carry their spectrum: no QR, no eigvalsh.
+            monkeypatch.setattr(np.linalg, "qr", None)
+            monkeypatch.setattr(np.linalg, "eigvalsh", None)
 
 
 class TestAssembleRhs:
@@ -214,3 +221,53 @@ class TestConcatUpdate:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):
             concat_update(_random_state(rng, 5, 2), _random_state(rng, 6, 2), tol=0.0)
+
+    def test_negligible_columns_skip_the_compression(self, rng, monkeypatch):
+        widths = []
+
+        def spy(l, core, tol):
+            widths.append(l.shape[1])
+            return compress(l, core, tol)
+
+        monkeypatch.setattr(lowrank, "compress", spy)
+        state = _random_state(rng, 12, 3)
+        update_l = rng.standard_normal((12, 5))
+        # Columns 1 and 3 weigh about 1e-24 of the state; 0 is exactly zero.
+        update_l[:, [1, 3]] *= 1e-12
+        update_l[:, 0] = 0.0
+        update = LdlFactor(update_l, np.diag([1.0, 2.0, -1.0, 1.0, 0.5]))
+        out = concat_update(state, update, tol=1e-13)
+        assert widths == [3 + 2]
+        target = state.reconstruct() + update.reconstruct()
+        assert np.linalg.norm(out.reconstruct() - target) <= 1e-13 * np.linalg.norm(target)
+        # At tol = 0 only the exact zero column goes.
+        concat_update(state, update, tol=0.0)
+        assert widths == [3 + 2, 3 + 4]
+
+    # Worst cases of the pre-pass at tol = 1e-2 with the budget b = share tol:
+    # the base diag(1, a) sits near the compression's drop threshold and the
+    # update lies along that mode.  Dropping a diagonal update of weight
+    # 0.8 b must tighten the tolerance of the rest, or the mode a goes too.
+    # Under the core [[0, 1], [1, 0]] each column weighs 0.9 b but carries
+    # both cross terms, 1.8 b: over the budget, so neither may be dropped.
+    @pytest.mark.parametrize("general", [False, True], ids=["diagonal-core", "general-core"])
+    def test_pre_pass_keeps_the_bound_at_the_threshold(self, general):
+        tol = 1e-2
+        b = lowrank._PREDROP_SHARE * tol
+        if general:
+            a, weight, cols, core = tol - 1.35 * b, 0.9 * b, [1, 1], [[0.0, 1.0], [1.0, 0.0]]
+        else:
+            a, weight, cols, core = tol - 0.4 * b, 0.8 * b, [1], [[1.0]]
+        base = LdlFactor(np.eye(4)[:, :2], np.diag([1.0, a]))
+        update = LdlFactor(np.sqrt(weight) * np.eye(4)[:, cols], core)
+        out = concat_update(base, update, tol)
+        target = base.reconstruct() + update.reconstruct()
+        assert np.linalg.norm(out.reconstruct() - target) <= tol * np.linalg.norm(target)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_update_reaches_the_compression(self, rng, bad):
+        # The overflowing column is not pre-dropped: the compression fails.
+        update = _random_state(rng, 6, 3)
+        update.L[0, 1] = bad
+        with pytest.raises((FiniteEscapeError, np.linalg.LinAlgError)):
+            concat_update(_random_state(rng, 6, 2), update, tol=1e-1)

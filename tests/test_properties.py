@@ -5,7 +5,9 @@ Instances are drawn from a seeded NumPy generator: hypothesis picks the
 sizes, the seed, the spread of the core spectrum and the tolerance, and
 shrinks failures towards small dimensions and ranks (rank 0 included).
 The vectorized drop rule of ``compress`` is also checked against a plain
-loop over the eigenvalues, which must keep the same number of columns.
+loop over the eigenvalues, which must keep the same number of columns, and
+``concat_update``, which drops negligible update columns before it
+compresses, must meet the same bound on the sum of its two factors.
 The exponential actions on a sparse-plus-thin operator, which always take
 the Taylor chain, are checked against a long-double exponential of its
 dense matrix, at spans on both sides of the dense full-exponential limit
@@ -15,13 +17,14 @@ exact flow of the vectorized operator.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expriccati.densecore import SparsePlusThin, compress, expm_actions, unvec, vec
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
-from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs
+from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
 from expriccati.oracle import kronecker_phi
 from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import SylvesterOperator
@@ -145,6 +148,67 @@ def test_compress_keeps_as_many_columns_as_the_loop_rule(n, r, seed, spread, tol
     lam = np.linalg.eigh((mid + mid.T) / 2.0)[0]
     lam = lam[np.argsort(-np.abs(lam))]
     assert compress(factor.L, factor.core, tol)[1].shape[0] == _loop_keep(lam, tol)
+
+
+def _graded_update(rng, n, r, decades, diagonal):
+    """Update whose column weights ||l_i||^2 |C_ii| spread over about
+    ``decades`` decades, as the quadrature-node images of a step do; with
+    a diagonal or a general symmetric core."""
+    l = rng.standard_normal((n, r)) * 10.0 ** -rng.uniform(0.0, decades / 4.0, r)
+    if diagonal:
+        core = np.diag(rng.choice([-1.0, 1.0], r) * 10.0 ** -rng.uniform(0.0, decades / 2.0, r))
+    else:
+        core = _indefinite_core(rng, r, decades / 2.0)
+    return LdlFactor(l, core)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=dims, r_base=ranks, r_update=ranks, seed=seeds, spread=spreads, tol=tols,
+    decades=st.floats(min_value=0.0, max_value=20.0),
+    base_kind=st.sampled_from(["general", "compressed", "zero"]),
+    update_kind=st.sampled_from(["diagonal", "general", "cancelling"]),
+)
+# A non-orthonormal base with a non-identity core, as at step 0; an update
+# that cancels it up to a graded remainder; a zero base under a general core.
+@example(n=12, r_base=4, r_update=10, seed=1, spread=3.0, tol=1e-2, decades=20.0,
+         base_kind="general", update_kind="diagonal")
+@example(n=12, r_base=4, r_update=10, seed=2, spread=3.0, tol=1e-1, decades=20.0,
+         base_kind="general", update_kind="cancelling")
+@example(n=12, r_base=0, r_update=10, seed=3, spread=0.0, tol=1e-1, decades=20.0,
+         base_kind="zero", update_kind="general")
+def test_concat_update_meets_its_bound(
+    n, r_base, r_update, seed, spread, tol, decades, base_kind, update_kind
+):
+    rng = np.random.default_rng(seed)
+    if base_kind == "zero":
+        base = LdlFactor.zero(n)
+    else:
+        base = _factor(rng, n, r_base, spread)
+        if base_kind == "compressed":
+            base = base.compressed(0.0)
+    update = _graded_update(rng, n, r_update, decades, update_kind != "general")
+    if update_kind == "cancelling":
+        # X_u = -X_b + a graded remainder 1e-6 its size: ||X_b|| - sum w_i < 0.
+        scale = 1e-6 * max(base.fnorm(), 1.0)
+        update = LdlFactor(
+            np.hstack([base.L, update.L]),
+            scipy.linalg.block_diag(-base.core, scale * update.core),
+        )
+    out = concat_update(base, update, tol)
+
+    assert out.rank <= base.rank + update.rank
+    if update.rank:
+        # A compression result (an empty update returns the base as it is).
+        assert np.array_equal(out.core, np.diag(np.diag(out.core)))
+        gram = out.L.T @ out.L
+        assert _fro(gram - np.eye(out.rank)) <= 1e-12 * max(1, out.rank)
+
+    dense = base.reconstruct() + update.reconstruct()
+    big = np.hstack([base.L, update.L])
+    core = scipy.linalg.block_diag(base.core, update.core)
+    roundoff = 1e-13 * (big.shape[1] + 1) * _fro(big) ** 2 * _fro(core)
+    assert _fro(dense - out.reconstruct()) <= tol * _fro(dense) + roundoff
 
 
 @PROPERTY_SETTINGS
