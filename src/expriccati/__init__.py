@@ -25,7 +25,7 @@ from .integrators import (
     step_expeuler_lowrank,
     step_msde_polynomial,
 )
-from .krylov import BlockKrylovBasis, build_basis, exp_action_krylov, exp_actions_krylov
+from .krylov import BlockKrylovBasis, build_basis, exp_actions_krylov
 from .lowrank import (
     LdlFactor,
     assemble_phi_sum,
@@ -93,7 +93,6 @@ __all__ = [
     "concat_update",
     "eval_backward",
     "eval_forward",
-    "exp_action_krylov",
     "exp_actions_krylov",
     "expm",
     "fdm2d_matrix",

@@ -16,7 +16,6 @@ __all__ = [
     "as_matrix",
     "require_square",
     "fro",
-    "rel_error",
     "vec",
     "unvec",
     "expm",
@@ -54,14 +53,6 @@ def require_square(a, name="matrix"):
 def fro(a):
     """Frobenius norm."""
     return float(np.linalg.norm(a, "fro"))
-
-
-def rel_error(approx, exact):
-    """Frobenius-norm error of ``approx`` relative to ``exact``."""
-    exact = np.asarray(exact, dtype=float)
-    scale = fro(exact)
-    diff = fro(np.asarray(approx, dtype=float) - exact)
-    return diff if scale == 0.0 else diff / scale
 
 
 def vec(x):

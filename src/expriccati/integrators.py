@@ -349,30 +349,24 @@ def _linearized_coefficient(problem, state):
 
 def _make_exp_actions(a_lin, cfg, details):
     """Provider mapping (taus, block) -> exponential images of the block."""
-    if cfg.exp_action == "krylov":
-
-        def actions(taus, block):
-            n, width = block.shape
-            if cfg.krylov_m * width >= n:
-                # The basis would span the whole space: act exactly instead.
-                cols = 0
-                pairs = [(value, 0.0) for value in expm_actions(a_lin, taus, block)]
-            else:
-                basis = build_basis(a_lin, block, cfg.krylov_m)
-                cols = basis.size
-                pairs = exp_actions_krylov(basis, taus, block)
-            worst = max((est for _, est in pairs), default=0.0)
-            if details is not None:
-                details["krylov_residual"] = max(
-                    details.get("krylov_residual", 0.0), worst
-                )
-                details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
-            return [value for value, _ in pairs]
-
-        return actions
 
     def actions(taus, block):
-        return expm_actions(a_lin, taus, block)
+        if cfg.exp_action == "dense":
+            return expm_actions(a_lin, taus, block)
+        n, width = block.shape
+        if cfg.krylov_m * width >= n:
+            # The basis would span the whole space: act exactly instead.
+            cols, worst = 0, 0.0
+            values = expm_actions(a_lin, taus, block)
+        else:
+            basis = build_basis(a_lin, block, cfg.krylov_m)
+            pairs = exp_actions_krylov(basis, taus, block)
+            cols, worst = basis.size, max((est for _, est in pairs), default=0.0)
+            values = [value for value, _ in pairs]
+        if details is not None:
+            details["krylov_residual"] = max(details.get("krylov_residual", 0.0), worst)
+            details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
+        return values
 
     return actions
 
@@ -471,7 +465,6 @@ SCHEMES = tuple(_SCHEME_STEPS)
 
 def _monitor(state, diag):
     if isinstance(state, LdlFactor):
-        diag.rank = state.rank
         diag.fnorm = state.fnorm()
         diag.symmetry_error = 0.0
         diag.min_eigenvalue = state.min_eigenvalue()

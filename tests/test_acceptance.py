@@ -13,7 +13,7 @@ import pytest
 from expriccati.densecore import expm
 from expriccati.errors import DomainError
 from expriccati.integrators import IntegratorConfig, RiccatiProblem, integrate
-from expriccati.krylov import build_basis, exp_action_krylov
+from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import (
     LdlFactor,
     assemble_phi_sum,
@@ -312,7 +312,7 @@ class TestCriterion7:
         worst = 0.0
         for s in rule.nodes:
             tau = (1.0 - s) * h
-            value, _ = exp_action_krylov(basis, tau, v)
+            value, _ = exp_actions_krylov(basis, [tau], v)[0]
             oracle = expm(tau * a) @ v
             worst = max(worst, rel_err(value, oracle))
         elapsed = time.perf_counter() - started

@@ -10,7 +10,6 @@ from expriccati.densecore import (
     expm,
     expm_actions,
     operator_separation,
-    rel_error,
     solve_sylvester,
     sylvester_kron_matrix,
     unvec,
@@ -329,7 +328,3 @@ class TestCompress:
     def test_zero_width_passthrough(self):
         l2, c2 = compress(np.zeros((4, 0)), np.zeros((0, 0)), tol=0.1)
         assert l2.shape == (4, 0) and c2.shape == (0, 0)
-
-
-def test_rel_error_zero_reference():
-    assert rel_error(np.zeros((2, 2)), np.zeros((2, 2))) == 0.0

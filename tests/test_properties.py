@@ -11,7 +11,10 @@ compresses, must meet the same bound on the sum of its two factors.
 The exponential actions on a sparse-plus-thin operator, which always take
 the Taylor chain, are checked against a long-double exponential of its
 dense matrix, at spans on both sides of the dense full-exponential limit
-and at mixed-sign times, and through the semigroup identity.  Without the
+and at mixed-sign times, and through the semigroup identity.  A block
+Krylov basis of either operator kind must be orthonormal and carry the
+projection of its operator, and act exactly once it spans the space.
+Without the
 quadratic term (G = 0) one step of each dense scheme must reproduce the
 exact flow of the vectorized operator.
 """
@@ -24,6 +27,7 @@ from hypothesis import strategies as st
 
 from expriccati.densecore import SparsePlusThin, compress, expm_actions, unvec, vec
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
+from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
 from expriccati.oracle import kronecker_phi
 from expriccati.problems import build_symmetric_problem
@@ -337,6 +341,40 @@ def test_exponential_actions_compose(n, band, p, cols, seed, span, split, struct
     whole = expm_actions(m, [s + t], v)[0]
     composed = expm_actions(m, [s], expm_actions(m, [t], v)[0])[0]
     assert _fro(whole - composed) <= 1e-12 * _fro(whole)
+
+
+@PROPERTY_SETTINGS
+@given(
+    n=st.integers(min_value=1, max_value=12), band=bands, p=widths, cols=widths, seed=seeds,
+    deficient=st.booleans(), m=st.integers(min_value=1, max_value=6), structured=st.booleans(),
+    span=st.floats(min_value=0.0, max_value=16.0),
+)
+# The three exits: after m blocks, after a rank-deficient seed deflates,
+# and at full span.
+@example(n=12, band=1, p=1, cols=1, seed=1, deficient=False, m=2, structured=True, span=4.0)
+@example(n=9, band=2, p=2, cols=3, seed=2, deficient=True, m=3, structured=False, span=4.0)
+@example(n=6, band=1, p=1, cols=2, seed=3, deficient=False, m=6, structured=True, span=4.0)
+def test_krylov_basis_carries_its_projection(n, band, p, cols, seed, deficient, m, structured, span):
+    rng = np.random.default_rng(seed)
+    op = _sparse_plus_thin(rng, n, band, p)
+    dense = op.a.toarray() - op.u @ op.bt
+    v = rng.standard_normal((n, cols))
+    if deficient and cols > 1:
+        v[:, -1] = v[:, :-1] @ rng.standard_normal(cols - 1)
+
+    basis = build_basis(op if structured else dense, v, m)
+    q = basis.basis
+    assert _fro(q.T @ q - np.eye(basis.size)) <= 1e-12
+    h_ref = q.T @ (dense @ q)
+    assert _fro(basis.H - h_ref) <= 1e-12 * _fro(h_ref)
+    if basis.size < n:
+        return
+    assert basis.coupling == 0.0
+    taus = rng.uniform(0.0, 1.0, 3) * span / op.norm1
+    for tau, (value, estimate) in zip(taus, exp_actions_krylov(basis, taus, v)):
+        exact = scipy.linalg.expm(tau * dense) @ v
+        assert _fro(value - exact) <= 1e-10 * _fro(exact)
+        assert estimate == 0.0
 
 
 @PROPERTY_SETTINGS
