@@ -271,10 +271,10 @@ def solve_sylvester(a, d, rhs, method="schur"):
         "schur" reduces A and D^T to real Schur form and back-substitutes
         with LAPACK ``trsyl`` (Bartels-Stewart, the same steps as
         ``scipy.linalg.solve_sylvester``); the separation check reads the
-        spectra off the two Schur forms.  "kron" assembles and solves the
-        vectorized MN x MN system directly; it is refused above
-        M*N = 4096 and doubles as an independent cross-check of the Schur
-        route.
+        spectra off the two Schur forms, one form when D^T equals A.
+        "kron" assembles and solves the vectorized MN x MN system
+        directly; it is refused above M*N = 4096 and doubles as an
+        independent cross-check of the Schur route.
 
     Raises
     ------
@@ -296,7 +296,7 @@ def solve_sylvester(a, d, rhs, method="schur"):
 
     if method == "schur":
         r, u = scipy.linalg.schur(a, output="real")
-        s, v = scipy.linalg.schur(d.T, output="real")
+        s, v = (r, u) if np.array_equal(d.T, a) else scipy.linalg.schur(d.T, output="real")
         _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
         f = np.dot(np.dot(u.T, rhs), v)
         trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))

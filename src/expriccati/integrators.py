@@ -58,8 +58,9 @@ __all__ = [
 # exponential of size M + 3N rather than the quadrature rule.  The
 # augmented route is exact but costs a dense (M + 3N)^2 exponential: on
 # fdm-nonsym:k=10 (M*N = 10000, a 400 x 400 exponential, one BLAS thread)
-# it took 27-33 ms per call against 10-15 ms for the 7-node quadrature,
-# which there is 12% off an 80-node rule at step 0.
+# it took 31-41 ms per call against 6-9 ms for the 7-node quadrature (one
+# 100 x 100 exponential per node, D = A^T), which there is 12% off an
+# 80-node rule at step 0.
 _EROW3_AUGMENTED_LIMIT = 4096
 
 # The low-rank steps apply A_lin = A - (X B) B^T as a SparsePlusThin

@@ -42,15 +42,18 @@ class BlockKrylovBasis:
         return self.basis.shape[1]
 
 
-def _orthonormalize(w, basis, tol):
+def _orthonormalize(w, basis):
     """Two-pass block CGS against ``basis``, then rank-revealing QR of the rest.
 
-    A kept column whose diagonal in R is small against the block's norm is
-    mostly the roundoff of the projections, so the kept columns pass once
-    more against ``basis`` and are re-orthonormalized; without that pass
-    the basis of a stiff operator lost orthogonality to 5e-4.  Returns the
+    Columns are deflated at 1e-12 times the 2-norm of ``w`` itself, the
+    scale at which the projections leave their roundoff.  A kept column
+    whose diagonal in R is small against the block's norm is mostly the
+    roundoff of the projections, so the kept columns pass once more
+    against ``basis`` and are re-orthonormalized; without that pass the
+    basis of a stiff operator lost orthogonality to 5e-4.  Returns the
     kept orthonormal columns and the norm of the full residual block.
     """
+    tol = 1e-12 * float(np.linalg.norm(w, 2))
     if basis is not None:
         for _ in range(2):
             w = w - basis @ (basis.T @ w)
@@ -69,10 +72,11 @@ def build_basis(A, V, m):
     ``A`` is a square matrix or a package-built :class:`SparsePlusThin`,
     which is only multiplied with the blocks and never formed densely.
     Block Gram-Schmidt with one reorthogonalization pass and a third pass
-    over the kept columns (see ``_orthonormalize``); blocks that
-    lose column rank are deflated at tolerance 1e-12 ||V||.  Iteration
-    stops after m blocks, at an invariant subspace, or once the basis
-    spans the whole space; ``coupling`` is 0.0 in the last case, where the
+    over the kept columns (see ``_orthonormalize``); each block is
+    deflated at 1e-12 times the 2-norm of the seed or product it comes
+    from, and the basis never exceeds the dimension.  Iteration stops
+    after m blocks, at an invariant subspace, or once the basis spans
+    the whole space; ``coupling`` is 0.0 in the last case, where the
     actions on the basis are exact.  ``H`` is basis^T times the products
     of A with the basis blocks, each taken once while the basis grew.  A
     full-space basis costs more than the exact action itself, so the
@@ -87,13 +91,10 @@ def build_basis(A, V, m):
         raise DomainError(f"A is {A.shape[0]} x {A.shape[0]} but V has {n} rows")
     if b == 0:
         raise DomainError("V must have at least one column")
-    tol = 1e-12 * float(np.linalg.norm(V, 2))
-    if tol == 0.0:
-        raise DomainError("V must be nonzero")
     if m < 1:
         raise DomainError("subspace step count must be positive")
 
-    basis = block = _orthonormalize(V, None, tol)[0]
+    basis = block = _orthonormalize(V, None)[0]
     if basis.shape[1] == 0:
         raise DomainError("V must be nonzero")
     products = []
@@ -103,7 +104,8 @@ def build_basis(A, V, m):
             # Full span: nothing is left out of the basis.
             coupling = 0.0
             break
-        block, coupling = _orthonormalize(products[-1], basis, tol)
+        block, coupling = _orthonormalize(products[-1], basis)
+        block = block[:, :n - basis.shape[1]]
         if len(products) >= m or block.shape[1] == 0:
             # The residual block is left out of the basis; ~0 at an
             # invariant subspace.

@@ -124,16 +124,17 @@ def phi_action_quadrature(k, operator, h, mat, rule):
     """Quadrature approximation of phi_k(hS)(N) for k >= 1.
 
     Evaluates (1/(k-1)!) sum_j w_j s_j^(k-1) exp((1-s_j) hS)(N) with the
-    node exponentials applied exactly as two-sided products.  Nodes are
-    summed in ascending index order so results are reproducible.  k = 0 is
-    refused; plain operator exponentials are always computed exactly.
+    node exponentials applied exactly as two-sided products (one expm per
+    node when D = A^T) to the operand, validated once.  Nodes are summed in
+    ascending index order so results are reproducible.  k = 0 is refused.
     """
     if k < 1:
         raise DomainError("quadrature path needs k >= 1; use exp_action for k = 0")
     mat = operator._check_operand(mat, "operand")
     acc = np.zeros_like(mat)
     for s, w in zip(rule.nodes, rule.weights):
-        acc = acc + (w * s ** (k - 1)) * operator.exp_action((1.0 - s) * h, mat)
+        left, right = operator._exponentials((1.0 - s) * h)
+        acc = acc + (w * s ** (k - 1)) * (left @ mat @ right)
     return acc / factorial(k - 1)
 
 

@@ -6,13 +6,13 @@ exponential integrators for matrix-valued stiff problems practical: no
 vectorized MN x MN exponential is ever needed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import factorial
 
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm, require_square
+from .densecore import as_matrix, require_square
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -26,14 +26,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SylvesterOperator:
-    """Pair of square coefficients acting on M x N matrices as AX + XD."""
+    """Pair of square coefficients acting on M x N matrices as AX + XD.
+
+    A pair with D = A^T (``transposed``, checked once) shares one expm.
+    """
 
     A: np.ndarray
     D: np.ndarray
+    transposed: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", require_square(as_matrix(self.A, "A"), "A"))
         object.__setattr__(self, "D", require_square(as_matrix(self.D, "D"), "D"))
+        object.__setattr__(self, "transposed", np.array_equal(self.D, self.A.T))
 
     @property
     def rows(self):
@@ -56,21 +61,27 @@ class SylvesterOperator:
         x = self._check_operand(x)
         return self.A @ x + x @ self.D
 
+    def _exponentials(self, t):
+        """(exp(tA), exp(tD)) of the validated coefficients, straight from SciPy."""
+        left = scipy.linalg.expm(t * self.A)
+        return left, left.T if self.transposed else scipy.linalg.expm(t * self.D)
+
     def exp_action(self, t, x):
         """exp(tA) X exp(tD), the exact operator exponential applied to X."""
         x = self._check_operand(x)
         if t == 0.0:
             return x.copy()
-        return expm(t * self.A) @ x @ expm(t * self.D)
+        left, right = self._exponentials(t)
+        return left @ x @ right
 
 
 @dataclass(frozen=True)
 class Linearization:
     """Frechet linearization of the Riccati right-hand side at a state.
 
-    ``operator`` holds the shifted coefficients A - XG and D - GX, also
-    readable as ``A`` and ``D``; ``remainder`` is the value of the
-    nonlinear remainder at the linearization point, Q + XGX.
+    ``operator`` holds A - XG and D - GX, or (A - XG)^T for a symmetric
+    problem, also readable as ``A`` and ``D``; ``remainder`` is the value
+    of the nonlinear remainder at the linearization point, Q + XGX.
     """
 
     operator: SylvesterOperator
@@ -86,7 +97,11 @@ class Linearization:
 
 
 def linearize(problem, state):
-    """Linearize X' = AX + XD + Q - XGX at ``state``."""
+    """Linearize X' = AX + XD + Q - XGX at ``state``.
+
+    A symmetric problem gets D_lin = A_lin^T (exact at a symmetric state),
+    a pair that shares one exponential and one Schur form.
+    """
     x = as_matrix(state, "state")
     if x.shape != (problem.A.shape[0], problem.D.shape[0]):
         raise DimensionError(
@@ -94,9 +109,10 @@ def linearize(problem, state):
             f"({problem.A.shape[0]}, {problem.D.shape[0]})"
         )
     xg = x @ problem.G
+    a_lin = problem.A - xg
+    d_lin = a_lin.T if problem.symmetric else problem.D - problem.G @ x
     return Linearization(
-        operator=SylvesterOperator(problem.A - xg, problem.D - problem.G @ x),
-        remainder=problem.Q + xg @ x,
+        operator=SylvesterOperator(a_lin, d_lin), remainder=problem.Q + xg @ x
     )
 
 
@@ -154,8 +170,7 @@ def _phi_integrals(operator, h, k, mat):
         else int(np.ceil(np.log2(z / _AUGMENTED_NORM_LIMIT)))
     )
     t = h / (1 << doublings)
-    left = scipy.linalg.expm(t * operator.A)
-    right = scipy.linalg.expm(t * operator.D)
+    left, right = operator._exponentials(t)
     integrals = _phi_integrals_base(operator, t, k, mat, right)
     for _ in range(doublings):
         doubled = []
@@ -166,7 +181,7 @@ def _phi_integrals(operator, h, k, mat):
             doubled.append(value)
         integrals = doubled
         left = left @ left
-        right = right @ right
+        right = left.T if operator.transposed else right @ right
         t *= 2.0
     return integrals, left, right
 

@@ -17,7 +17,7 @@ from expriccati.densecore import (
 )
 from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 
-from helpers import kron_matrix, rel_err
+from helpers import kron_matrix, random_stable, rel_err
 
 
 class TestExpm:
@@ -93,18 +93,6 @@ class TestExpmActionRoutes:
     """Which operators reach a full ``scipy.linalg.expm`` in expm_actions."""
 
     N = 30
-
-    @pytest.fixture
-    def full_exponentials(self, monkeypatch):
-        sizes = []
-        original = scipy.linalg.expm
-
-        def spy(a):
-            sizes.append(a.shape[0])
-            return original(a)
-
-        monkeypatch.setattr(scipy.linalg, "expm", spy)
-        return sizes
 
     def _operator(self, rng):
         """Dissipative tridiagonal A minus a rank-2 U B^T."""
@@ -225,6 +213,32 @@ class TestSolveSylvester:
         w = solve_sylvester(a, apart, np.ones((3, 2)))
         assert np.linalg.norm(a @ w + w @ apart - 1.0) <= 1e-12 * np.linalg.norm(w)
         assert operator_separation(a, apart) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("transposed, forms", [(True, 1), (False, 2)])
+    def test_schur_forms_per_solve(self, monkeypatch, transposed, forms):
+        calls = []
+        original = scipy.linalg.schur
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy)
+        rng = np.random.default_rng(17)
+        a = random_stable(rng, 6, margin=0.5)
+        d = a.T if transposed else random_stable(rng, 6, margin=0.5)
+        solve_sylvester(a, d, rng.standard_normal((6, 6)))
+        assert len(calls) == forms
+
+    def test_transposed_pair_matches_vectorized_solve(self):
+        rng = np.random.default_rng(18)
+        a = random_stable(rng, 5, margin=0.5)
+        f = rng.standard_normal((5, 5))
+        w = solve_sylvester(a, a.T, f)
+        oracle = unvec(np.linalg.solve(kron_matrix(a, a.T), vec(f)), 5, 5)
+        assert rel_err(w, oracle) <= 1e-11
+        # The shared Schur form is the one a second factorization returns.
+        assert np.array_equal(w, scipy.linalg.solve_sylvester(a, a.T, f))
 
     def test_kron_size_cap(self):
         a = np.eye(70)

@@ -47,6 +47,18 @@ class TestBuildBasis:
         # seed block deflates from 3 to 2 columns
         assert basis.basis.shape[1] <= 4
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e14])
+    def test_deflation_relative_to_each_block(self, scale):
+        # Each product block is deflated against its own norm, not the
+        # seed's: a tiny seed must not let roundoff columns into the
+        # basis, nor a huge one deflate the real ones.
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((5, 5))
+        v = scale * rng.standard_normal((5, 3))
+        q = build_basis(a, v, m=4).basis
+        assert q.shape[1] == 5
+        assert np.linalg.norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
+
     def test_zero_seed_rejected(self, rng):
         with pytest.raises(DomainError):
             build_basis(rng.standard_normal((5, 5)), np.zeros((5, 2)), m=3)

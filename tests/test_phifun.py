@@ -127,6 +127,19 @@ class TestPhiActionQuadrature:
         with pytest.raises(DomainError):
             phi_action_quadrature(0, op, 1.0, [[1.0]], QuadratureRule.gauss_legendre(3))
 
+    @pytest.mark.parametrize("transposed, per_node", [(True, 1), (False, 2)])
+    def test_exponentials_per_node(self, full_exponentials, transposed, per_node):
+        rng = np.random.default_rng(33)
+        a, d = (random_stable(rng, 4, margin=0.5, scale=0.3) for _ in range(2))
+        op = SylvesterOperator(a, a.T if transposed else d)
+        mat = rng.standard_normal((4, 4))
+        rule = QuadratureRule.gauss_legendre(7)
+        got = phi_action_quadrature(3, op, 0.5, mat, rule)
+        assert len(full_exponentials) == per_node * len(rule)
+        # Degree 13 is exact to roundoff at this scale.
+        oracle = unvec(kronecker_phi(3, op, 0.5) @ vec(mat), 4, 4)
+        assert rel_err(got, oracle) <= 1e-11
+
     def test_node_doubling_converges_monotonically(self):
         rng = np.random.default_rng(31)
         op = _random_operator(rng, 4, 3)

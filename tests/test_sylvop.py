@@ -6,6 +6,7 @@ from expriccati.errors import DimensionError, DomainError
 from expriccati.integrators import RiccatiProblem
 from expriccati.oracle import kronecker_phi, radon_solve
 from expriccati.phifun import QuadratureRule
+from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import (
     SylvesterOperator,
     linearize,
@@ -139,6 +140,46 @@ class TestPhiActionAugmented:
             phi_action_augmented(op, 0.5, -1, [[1.0]])
 
 
+class TestTransposedPair:
+    """A pair with D = A^T shares one exponential: exp(tD) = exp(tA)^T."""
+
+    @pytest.fixture
+    def op(self, rng):
+        a = random_stable(rng, 4, margin=0.5)
+        return SylvesterOperator(a, a.T)
+
+    @pytest.mark.parametrize("transposed, calls", [(True, 1), (False, 2)])
+    def test_exponentials_per_exp_action(self, rng, full_exponentials, transposed, calls):
+        a = rng.standard_normal((4, 4))
+        op = SylvesterOperator(a, a.T if transposed else rng.standard_normal((4, 4)))
+        assert op.transposed == transposed
+        op.exp_action(0.7, rng.standard_normal((4, 4)))
+        assert full_exponentials == [4] * calls
+
+    def test_exp_action_matches_kronecker(self, rng, op):
+        x = rng.standard_normal((4, 4))
+        oracle = unvec(expm(0.7 * kron_matrix(op.A, op.D)) @ vec(x), 4, 4)
+        assert rel_err(op.exp_action(0.7, x), oracle) <= 1e-12
+
+    @pytest.mark.parametrize("h", [0.6, 3.0])
+    def test_phi1_augmented_matches_kronecker(self, rng, op, h):
+        v = rng.standard_normal((4, 4))
+        x = rng.standard_normal((4, 4))
+        oracle = unvec(
+            expm(h * kron_matrix(op.A, op.D)) @ vec(x) + h * (kronecker_phi(1, op, h) @ vec(v)),
+            4,
+            4,
+        )
+        assert rel_err(phi1_action_augmented(op, h, v, x), oracle) <= 1e-11
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("h", [0.8, 3.0])
+    def test_phi_augmented_matches_kronecker(self, rng, op, k, h):
+        x = rng.standard_normal((4, 4))
+        oracle = unvec(kronecker_phi(k, op, h) @ vec(x), 4, 4)
+        assert rel_err(phi_action_augmented(op, h, k, x), oracle) <= 1e-11
+
+
 def _random_problem(rng, m, n):
     return RiccatiProblem(
         A=rng.standard_normal((m, m)),
@@ -177,6 +218,24 @@ class TestLinearize:
         p = _random_problem(rng, 4, 3)
         x = rng.standard_normal((4, 3))
         lin = linearize(p, x)
+        direct = p.rhs(x) - (lin.A @ x + x @ lin.D)
+        scale = max(np.linalg.norm(direct), 1.0)
+        assert np.linalg.norm(lin.remainder - direct) <= 1e-13 * scale
+
+    def test_symmetric_problem_gives_transposed_pair(self, rng):
+        n = 5
+        p = build_symmetric_problem(
+            rng.standard_normal((n, n)),
+            rng.standard_normal((2, n)),
+            rng.standard_normal((n, 2)),
+            rng.standard_normal((n, 2)),
+        )
+        y = rng.standard_normal((n, n))
+        x = y + y.T
+        lin = linearize(p, x)
+        assert np.array_equal(lin.D, lin.A.T)
+        assert lin.operator.transposed
+        assert rel_err(lin.D, p.D - p.G @ x) <= 1e-14
         direct = p.rhs(x) - (lin.A @ x + x @ lin.D)
         scale = max(np.linalg.norm(direct), 1.0)
         assert np.linalg.norm(lin.remainder - direct) <= 1e-13 * scale
