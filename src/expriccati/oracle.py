@@ -33,7 +33,7 @@ def _flow_matrix(problem):
     return np.block([[-problem.D, problem.G], [problem.Q, problem.A]])
 
 
-def _condition_estimate(lu, piv, anorm):
+def _condition_estimate(lu, anorm):
     gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
     rcond, _ = gecon(lu, anorm, norm="1")
     return np.inf if rcond == 0.0 else 1.0 / rcond
@@ -58,7 +58,7 @@ def _propagate(block, x, cond_max):
             return None
     if not np.all(np.isfinite(lu)):
         return None
-    if _condition_estimate(lu, piv, np.linalg.norm(u, 1)) > cond_max:
+    if _condition_estimate(lu, np.linalg.norm(u, 1)) > cond_max:
         return None
     # X_next = V U^{-1}, via U^T applied from the left to V^T.
     return scipy.linalg.lu_solve((lu, piv), v.T, trans=1, check_finite=False).T
@@ -125,14 +125,10 @@ def radon_solve(problem, t, cond_max=1e4):
 
     ``cond_max`` trades substep count for accuracy: the extraction loses
     roughly eps * cond(U) per substep.  The default keeps the reference
-    around 1e-11 relative accuracy on stable problems.  NaN is refused
-    whenever t != 0, since it would switch the guard off.
+    around 1e-11 relative accuracy on stable problems.  NaN is always
+    refused, since it would switch the guard off.
     """
-    x = as_matrix(problem.X0, "X0").copy()
-    if t == 0.0:
-        return x
-    flow = _FlowPropagator(problem, cond_max)
-    return flow.advance(x, t)
+    return radon_trajectory(problem, [t], cond_max)[0]
 
 
 def radon_trajectory(problem, times, cond_max=1e4):

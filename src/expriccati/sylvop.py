@@ -123,37 +123,16 @@ def linearize(problem, state):
 _AUGMENTED_NORM_LIMIT = 4.0
 
 
-def _phi_integrals_base(operator, t, k, mat, e_right):
-    """[t^j phi_j(tS)(N) for j = 1..k] from one augmented exponential.
-
-    The block matrix chains k copies of -tD coupled by identities above
-    the operand; block (1, j+1) of its exponential, times ``e_right`` =
-    exp(tD), is phi_j(tS)(N).  The operand is balanced to unit norm first
-    (exact, undone on extraction) so the exponential sees O(1) blocks.
-    """
-    m, n = operator.rows, operator.cols
-    scale = max(float(np.linalg.norm(mat, 1)), 1e-300)
-    size = m + k * n
-    block = np.zeros((size, size))
-    block[:m, :m] = t * operator.A
-    block[:m, m:m + n] = mat / scale
-    for i in range(k):
-        r0 = m + i * n
-        block[r0:r0 + n, r0:r0 + n] = -t * operator.D
-        if i + 1 < k:
-            block[r0:r0 + n, r0 + n:r0 + 2 * n] = np.eye(n)
-    e = scipy.linalg.expm(block)
-    return [
-        (scale * t ** j) * (e[:m, m + (j - 1) * n:m + j * n] @ e_right)
-        for j in range(1, k + 1)
-    ]
-
-
 def _phi_integrals(operator, h, k, mat):
-    """[h^j phi_j(hS)(N) for j = 1..k], stable at stiff scales.
+    """[h^j phi_j(hS)(N) for j = 1..k], exp(hA) and exp(hD), stable at stiff scales.
 
-    For |h| (||A||_1 + ||D||_1) beyond a small limit the base values are
-    computed at h / 2^s and doubled s times through
+    One augmented exponential at t = h / 2^s holds tA, the operand
+    (balanced to unit norm, undone on extraction) and k copies of -tD
+    chained by identities: its block (1, j+1) times exp(tD) is
+    t^j phi_j(tS)(N), and its top-left block is exp(tA).  exp(tD) is
+    exp(tA)^T for a transposed pair and one more exponential otherwise.
+    For |h| (||A||_1 + ||D||_1) beyond a small limit, s > 0 and the values
+    are doubled s times through
 
         I_j(2t) = exp(tS)(I_j(t)) + sum_i t^(j-1-i)/(j-1-i)! I_{i+1}(t),
 
@@ -162,6 +141,7 @@ def _phi_integrals(operator, h, k, mat):
     coefficients and the operand were validated by the caller, so the
     exponentials go to SciPy directly.
     """
+    m, n = operator.rows, operator.cols
     z = abs(h) * (
         float(np.linalg.norm(operator.A, 1)) + float(np.linalg.norm(operator.D, 1))
     )
@@ -170,8 +150,22 @@ def _phi_integrals(operator, h, k, mat):
         else int(np.ceil(np.log2(z / _AUGMENTED_NORM_LIMIT)))
     )
     t = h / (1 << doublings)
-    left, right = operator._exponentials(t)
-    integrals = _phi_integrals_base(operator, t, k, mat, right)
+    scale = max(float(np.linalg.norm(mat, 1)), 1e-300)
+    block = np.zeros((m + k * n, m + k * n))
+    block[:m, :m] = t * operator.A
+    block[:m, m:m + n] = mat / scale
+    for i in range(k):
+        r0 = m + i * n
+        block[r0:r0 + n, r0:r0 + n] = -t * operator.D
+        if i + 1 < k:
+            block[r0:r0 + n, r0 + n:r0 + 2 * n] = np.eye(n)
+    e = scipy.linalg.expm(block)
+    left = e[:m, :m]
+    right = left.T if operator.transposed else scipy.linalg.expm(t * operator.D)
+    integrals = [
+        (scale * t ** j) * (e[:m, m + (j - 1) * n:m + j * n] @ right)
+        for j in range(1, k + 1)
+    ]
     for _ in range(doublings):
         doubled = []
         for j in range(1, k + 1):
@@ -190,11 +184,11 @@ def phi1_action_augmented(operator, h, inhom, state):
     """exp(hS)(X) + h phi_1(hS)(V) through the augmented block exponential.
 
     Embeds the inhomogeneity in the block matrix [[A, V], [0, -D]]: the
-    top M rows of its scaled exponential applied to [X; I], multiplied on
-    the right by exp(hD), give the whole affine update.  The coupling
-    block is balanced, and at stiff scales the exponential is taken at a
-    halved step and doubled back through the semigroup identity so the
-    update stays accurate at the scale of the result.
+    top M rows of its scaled exponential applied to [X; I], times exp(hD),
+    give the whole affine update; exp(hA) is the block's top-left corner.
+    The coupling block is balanced, and at stiff scales the exponential is
+    taken at a halved step and doubled back through the semigroup identity
+    so the update stays accurate at the scale of the result.
     """
     v = operator._check_operand(inhom, "inhomogeneity")
     x = operator._check_operand(state, "state")
@@ -207,8 +201,8 @@ def phi_action_augmented(operator, h, k, mat):
 
     Chains k diagonal copies of -hD coupled by identity blocks above the
     operand block; the top-right M x N block of the exponential, times
-    exp(hD), is the phi_k action.  k = 0 falls back to the plain operator
-    exponential.  Exact up to matrix-exponential accuracy (with the same
+    exp(hD) (for D = A^T the transpose of its top-left block exp(hA)), is
+    the phi_k action.  k = 0 falls back to the plain operator exponential.  Exact up to matrix-exponential accuracy (with the same
     balancing and step-doubling stabilization as the affine update), so
     it serves as the default route wherever a single higher-order phi
     action of a moderately sized operator is needed.

@@ -8,6 +8,7 @@ from expriccati.oracle import kronecker_phi, radon_solve
 from expriccati.phifun import QuadratureRule
 from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import (
+    _AUGMENTED_NORM_LIMIT,
     SylvesterOperator,
     linearize,
     phi1_action_augmented,
@@ -20,6 +21,13 @@ from helpers import kron_matrix, random_stable, rel_err, unvec, vec
 @pytest.fixture
 def rng():
     return np.random.default_rng(40)
+
+
+def _stable_pair(rng, m, n):
+    # A general pair for steps far into the doubling range: with unstable
+    # coefficients exp(hS) grows like exp(2h) and at h = 30 the Kronecker
+    # oracle itself is only 1e-11 accurate.
+    return SylvesterOperator(random_stable(rng, m, margin=0.5), random_stable(rng, n, margin=0.5))
 
 
 class TestApply:
@@ -112,6 +120,21 @@ class TestPhi1Augmented:
             )
             assert rel_err(phi1_action_augmented(op, h, v, x), oracle) <= 1e-11
 
+    def test_matches_kronecker_identity_at_many_doublings(self, rng):
+        h = 30.0
+        for _ in range(10):
+            m, n = rng.integers(1, 5, size=2)
+            op = _stable_pair(rng, m, n)
+            v = rng.standard_normal((m, n))
+            x = rng.standard_normal((m, n))
+            oracle = unvec(
+                expm(h * kron_matrix(op.A, op.D)) @ vec(x)
+                + h * (kronecker_phi(1, op, h) @ vec(v)),
+                m,
+                n,
+            )
+            assert rel_err(phi1_action_augmented(op, h, v, x), oracle) <= 1e-11
+
 
 class TestPhiActionAugmented:
     def test_k0_is_exponential(self, rng):
@@ -125,6 +148,15 @@ class TestPhiActionAugmented:
             op = SylvesterOperator(rng.standard_normal((m, m)), rng.standard_normal((n, n)))
             x = rng.standard_normal((m, n))
             h = 0.8
+            oracle = unvec(kronecker_phi(k, op, h) @ vec(x), m, n)
+            assert rel_err(phi_action_augmented(op, h, k, x), oracle) <= 1e-11
+
+    def test_matches_kronecker_phi_at_many_doublings(self, rng):
+        h = 30.0
+        for k in (1, 2, 3):
+            m, n = rng.integers(1, 5, size=2)
+            op = _stable_pair(rng, m, n)
+            x = rng.standard_normal((m, n))
             oracle = unvec(kronecker_phi(k, op, h) @ vec(x), m, n)
             assert rel_err(phi_action_augmented(op, h, k, x), oracle) <= 1e-11
 
@@ -156,12 +188,32 @@ class TestTransposedPair:
         op.exp_action(0.7, rng.standard_normal((4, 4)))
         assert full_exponentials == [4] * calls
 
+    @pytest.mark.parametrize("transposed", [True, False])
+    @pytest.mark.parametrize("h, doubled", [(0.1, False), (3.0, True)])
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_exponentials_per_augmented_action(
+        self, rng, full_exponentials, transposed, h, doubled, k
+    ):
+        # The block exponential's top-left block is exp(tA); only a general
+        # pair takes one more, exp(tD), and the doublings take none.
+        a = rng.standard_normal((4, 4))
+        op = SylvesterOperator(a, a.T if transposed else rng.standard_normal((4, 4)))
+        z = h * (np.linalg.norm(op.A, 1) + np.linalg.norm(op.D, 1))
+        assert (z > _AUGMENTED_NORM_LIMIT) == doubled
+        x = rng.standard_normal((4, 4))
+        if k is None:
+            phi1_action_augmented(op, h, rng.standard_normal((4, 4)), x)
+        else:
+            phi_action_augmented(op, h, k, x)
+        size = 4 + (k or 1) * 4
+        assert full_exponentials == ([size] if transposed else [size, 4])
+
     def test_exp_action_matches_kronecker(self, rng, op):
         x = rng.standard_normal((4, 4))
         oracle = unvec(expm(0.7 * kron_matrix(op.A, op.D)) @ vec(x), 4, 4)
         assert rel_err(op.exp_action(0.7, x), oracle) <= 1e-12
 
-    @pytest.mark.parametrize("h", [0.6, 3.0])
+    @pytest.mark.parametrize("h", [0.6, 3.0, 30.0])
     def test_phi1_augmented_matches_kronecker(self, rng, op, h):
         v = rng.standard_normal((4, 4))
         x = rng.standard_normal((4, 4))
@@ -173,7 +225,7 @@ class TestTransposedPair:
         assert rel_err(phi1_action_augmented(op, h, v, x), oracle) <= 1e-11
 
     @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("h", [0.8, 3.0])
+    @pytest.mark.parametrize("h", [0.8, 3.0, 30.0])
     def test_phi_augmented_matches_kronecker(self, rng, op, k, h):
         x = rng.standard_normal((4, 4))
         oracle = unvec(kronecker_phi(k, op, h) @ vec(x), 4, 4)
