@@ -9,6 +9,7 @@ on every internal call.
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 
@@ -21,6 +22,7 @@ __all__ = [
     "expm",
     "expm_actions",
     "SparsePlusThin",
+    "sparse_shift",
     "sylvester_kron_matrix",
     "operator_separation",
     "solve_sylvester",
@@ -84,16 +86,20 @@ class SparsePlusThin:
 
     ``a`` is a SciPy sparse matrix, ``u`` and ``bt`` are n x p and p x n
     arrays, and ``norm1`` bounds the 1-norm by ||A||_1 + ||U||_1 ||B^T||_1.
-    A product with an n x b block costs about b (nnz(A) + 2 n p) flops
-    instead of the b n^2 of the dense matrix.  The package builds these
-    from validated coefficients, so nothing is checked here.
+    ``shift`` is ``sparse_shift(a)``, the shift the Taylor chain takes;
+    operators that share one A pass it in, otherwise the chain computes it
+    on each call.  A product with an n x b block costs about
+    b (nnz(A) + 2 n p) flops instead of the b n^2 of the dense matrix.
+    The package builds these from validated coefficients, so nothing is
+    checked here.
     """
 
-    def __init__(self, a, u, bt, norm1):
+    def __init__(self, a, u, bt, norm1, shift=None):
         self.a = a
         self.u = u
         self.bt = bt
         self.norm1 = norm1
+        self.shift = shift
 
     @property
     def shape(self):
@@ -105,9 +111,33 @@ class SparsePlusThin:
         return out
 
 
-def _norm1(m):
-    """1-norm of a dense matrix, or the bound a SparsePlusThin carries."""
-    return m.norm1 if isinstance(m, SparsePlusThin) else np.linalg.norm(m, 1)
+def sparse_shift(a):
+    """(mu, A - mu I as CSR, ||A - mu I||_1) for a sparse A, mu = trace(A) / n."""
+    n = a.shape[0]
+    mu = float(a.diagonal().sum()) / n if n else 0.0
+    shifted = scipy.sparse.csr_array(a - mu * scipy.sparse.eye_array(n))
+    return mu, shifted, float(abs(shifted).sum(axis=0).max(initial=0.0))
+
+
+def _centered(m):
+    """(mu, M - mu I, a bound on ||M - mu I||_1) with mu = trace(M) / n,
+    or (0, M, its bound on ||M||_1) when the shift does not lower it.
+
+    For a SparsePlusThin mu is the mean diagonal of A, which operators
+    sharing one A share; the thin part keeps its bound.
+    """
+    if isinstance(m, SparsePlusThin):
+        mu, a_shifted, a_norm = m.shift if m.shift is not None else sparse_shift(m.a)
+        bound = a_norm + float(np.linalg.norm(m.u, 1) * np.linalg.norm(m.bt, 1))
+        centered, norm = SparsePlusThin(a_shifted, m.u, m.bt, bound), m.norm1
+    else:
+        n = m.shape[0]
+        mu = float(np.trace(m)) / n if n else 0.0
+        centered = m - mu * np.eye(n)
+        bound, norm = np.linalg.norm(centered, 1), np.linalg.norm(m, 1)
+    if bound < norm:
+        return mu, centered, bound
+    return 0.0, m, norm
 
 
 # theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), Table
@@ -124,20 +154,23 @@ _THETA = {
     16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
     21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22,
 }
-# Above this max|tau| ||M||_1 a dense matrix gets one full exponential
-# per tau, which is cheaper there than the repeated products.
-_TAYLOR_NORM_LIMIT = 16.0
-# A SparsePlusThin is formed densely, and then takes the route of a dense
-# matrix, when its chain would cost more: m s products, (m, s) for
-# max|tau| ||M||_1, with the b columns of the block at nnz(A) + 2 n p
-# flops a column, against len(taus) n^3.  The chain grows linearly with
-# the norm, a full exponential only with its logarithm.  Seven taus of
-# h = 1e-3 on fdm-sym:k=14 and k=20 (n = 196, 400) with the thin part
-# scaled up, one BLAS thread, broke even at a ratio of 0.65-1.45 (b = 10
-# to 40); the low-rank runs at n = 400 and 1600 stay below 0.06 and 0.16.
-# Chains under _CHAIN_FLOOR flops (milliseconds) always run, so small
-# operators keep the chain at any ratio.
-_DENSE_ROUTE_RATIO = 1.0
+# expm_actions takes one full exponential per tau instead of the chain
+# when m s b c > _DENSE_ROUTE_RATIO len(taus) n^3: m s products with the
+# b-column block, c flops a column, n^2 for a dense matrix and
+# _SPARSE_PRODUCT_COST (nnz(A) + 2 n p) for a SparsePlusThin, which is
+# then formed densely.  The chain grows linearly with the norm, a full
+# exponential only with its logarithm.  Seven Gauss node times, one BLAS
+# thread: dense fdm-like operators broke even at a ratio of 5-12 for
+# n = 64, 12-15 for n = 100 and 200 (n = 100, b = 80, span 16: 8.1 against
+# 7.6 ms) and 6-8 for n = 400; A_lin of fdm-sym:k=14 and k=20 (b = 10 to
+# 40) at 0.4-5 counting a sparse flop as one (n = 400, b = 10, span 400:
+# 129 against 331 ms), so a sparse flop counts 8.  A SparsePlusThin chain
+# under _CHAIN_FLOOR model flops (milliseconds) always runs, so a small
+# structured operator is never formed densely.  A dense matrix has no
+# floor: at n = 2 and 10 the full route won from 92 products on, each
+# product's call overhead being about 4 us.
+_DENSE_ROUTE_RATIO = 10.0
+_SPARSE_PRODUCT_COST = 8.0
 _CHAIN_FLOOR = 1e7
 
 
@@ -150,64 +183,93 @@ def _taylor_parameters(norm):
     return degree, steps[degree]
 
 
-def _taylor_apply(m, tau, norm, b):
-    """exp(tau M) B as s steps of the degree-m truncated Taylor series of
-    exp(tau M / s), (m, s) from ``_taylor_parameters(|tau| norm)`` with
-    ``norm`` >= ||M||_1."""
-    degree, s = _taylor_parameters(abs(tau) * norm)
-    out = b.copy()
-    for _ in range(s):
-        term = out
+def _taylor_apply(m, mu, norm, taus, b):
+    """[exp(tau (M + mu I)) B for tau in taus], all taus of one sign, with
+    ``norm`` >= ||M||_1.
+
+    (m, s) come from ``_taylor_parameters(max|tau| norm)`` and cut
+    [0, max tau] into s intervals of length step.  Each interval writes
+    the powers (step M)^k V / k!, k <= m, of its start V once, and every
+    tau in it, and its end, is the one product of the rows
+    theta^k, theta = (tau - start) / step, with those powers.  The factor
+    e^((tau - start) mu) is applied per interval, so that e^(tau mu)
+    cannot underflow against a growing series.
+    """
+    t_end = max(taus, key=abs)
+    if t_end == 0.0:
+        return [b.copy() for _ in taus]
+    degree, s = _taylor_parameters(abs(t_end) * norm)
+    s = max(s, 1)
+    step = t_end / s
+    taus = np.asarray(taus)
+    interval = np.clip(np.ceil(taus / step) - 1, 0, s - 1)
+    powers = np.empty((degree + 1,) + b.shape)
+    exponents = np.arange(degree + 1)
+    results = [None] * len(taus)
+    start = b
+    for j in range(s):
+        members = np.flatnonzero(interval == j)
+        offsets = np.append(taus[members] - j * step, step)
+        powers[0] = start
         for k in range(1, degree + 1):
-            term = m @ term
-            term *= tau / (s * k)
-            out += term
-    return out
+            np.multiply(m @ powers[k - 1], step / k, out=powers[k])
+        values = ((offsets / step)[:, None] ** exponents) @ powers.reshape(degree + 1, -1)
+        values *= np.exp(mu * offsets)[:, None]
+        for i, value in zip(members, values):
+            results[i] = value.reshape(b.shape)
+        start = values[-1].reshape(b.shape)
+    return results
 
 
 def expm_actions(m, taus, b):
     """[exp(tau M) B for tau in taus], sharing work across the tau values.
 
     ``m`` is a square matrix or a package-built :class:`SparsePlusThin`,
-    which the chain only multiplies with thin blocks.  The products are
-    evaluated along the chain exp(tau' M) B =
-    exp((tau' - tau) M) (exp(tau M) B), in increasing |tau|, one chain
-    over the tau >= 0 and one over the tau < 0.  Each increment is a
-    truncated Taylor series applied to the thin block, with the degree and
-    scaling of Al-Mohy & Higham (2011) for its 1-norm (for a
-    SparsePlusThin, the bound it carries).  A dense matrix with
-    max|tau| ||M||_1 > 16 takes one full ``scipy.linalg.expm`` per tau
-    instead, and so does a SparsePlusThin, formed densely, whose chain
-    would cost more than that.  Results come back in the order of ``taus``.
+    which the chain only multiplies with thin blocks.  The Taylor chain
+    of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011, Alg. 3.2)
+    shifts M by mu = trace(M) / n where that lowers the 1-norm (for a
+    SparsePlusThin, the bound it carries, and mu the mean diagonal of its
+    sparse part) and chooses the degree m and the number s of scaling
+    intervals once for max|tau| ||M - mu I||_1, one chain over the
+    tau >= 0 and one over the tau < 0.  Each interval applies the powers
+    of M - mu I to its start once, and every tau in it is one product
+    with them (see ``_taylor_apply``).  When the chain's products would
+    cost more than one dense exponential per tau (see
+    ``_DENSE_ROUTE_RATIO``), every tau takes a full ``scipy.linalg.expm``
+    instead, of a SparsePlusThin formed densely.  Results come back in
+    the order of ``taus``.
     """
     if not isinstance(m, SparsePlusThin):
         m = require_square(as_matrix(m, "matrix"), "matrix")
     b = as_matrix(b, "block")
-    if b.shape[0] != m.shape[0]:
-        raise DimensionError(
-            f"block has {b.shape[0]} rows, matrix is {m.shape[0]} square"
-        )
+    n = m.shape[0]
+    if b.shape[0] != n:
+        raise DimensionError(f"block has {b.shape[0]} rows, matrix is {n} square")
     taus = [float(t) for t in taus]
     if any(not np.isfinite(t) for t in taus):
         raise DomainError("tau values must be finite")
-    m_norm = _norm1(m)
-    span = max((abs(t) for t in taus), default=0.0) * m_norm
+    mu, centered, norm = _centered(m)
+    chains = ([], [])
+    for i, t in enumerate(taus):
+        chains[t < 0.0].append(i)
+    products = 0
+    for chain in chains:
+        degree, s = _taylor_parameters(max((abs(taus[i]) for i in chain), default=0.0) * norm)
+        products += degree * s
     if isinstance(m, SparsePlusThin):
-        degree, s = _taylor_parameters(span)
-        flops = degree * s * b.shape[1] * (m.a.nnz + 2 * m.u.size)
-        if flops > max(_DENSE_ROUTE_RATIO * len(taus) * m.shape[0] ** 3, _CHAIN_FLOOR):
+        column, floor = _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size), _CHAIN_FLOOR
+    else:
+        column, floor = n * n, 0.0
+    if products * b.shape[1] * column > max(_DENSE_ROUTE_RATIO * len(taus) * n ** 3, floor):
+        if isinstance(m, SparsePlusThin):
             m = m.a.toarray() - m.u @ m.bt
-    if not isinstance(m, SparsePlusThin) and span > _TAYLOR_NORM_LIMIT:
         return [scipy.linalg.expm(t * m) @ b for t in taus]
     results = [None] * len(taus)
-    order = sorted(range(len(taus)), key=lambda i: abs(taus[i]))
-    for chain in ([i for i in order if taus[i] >= 0.0], [i for i in order if taus[i] < 0.0]):
-        current = b
-        prev = 0.0
-        for idx in chain:
-            current = _taylor_apply(m, taus[idx] - prev, m_norm, current)
-            prev = taus[idx]
-            results[idx] = current
+    for chain in chains:
+        if chain:
+            values = _taylor_apply(centered, mu, norm, [taus[i] for i in chain], b)
+            for i, value in zip(chain, values):
+                results[i] = value
     return results
 
 

@@ -21,7 +21,7 @@ from math import inf, ulp
 import numpy as np
 import scipy.sparse
 
-from .densecore import SparsePlusThin, as_matrix, expm_actions, fro, solve_sylvester
+from .densecore import SparsePlusThin, as_matrix, expm_actions, fro, solve_sylvester, sparse_shift
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -171,8 +171,9 @@ class RiccatiProblem:
 
     @cached_property
     def _sparse_coefficient(self):
-        """(CSR copy of A, ||A||_1, ||B^T||_1) when the low-rank steps should
-        apply A_lin as a SparsePlusThin operator, else None.
+        """(CSR copy of A, ||A||_1, ||B^T||_1, ``sparse_shift`` of A) when
+        the low-rank steps should apply A_lin as a SparsePlusThin operator,
+        else None.
 
         Built on the first low-rank step, not on construction; A and B are
         not expected to change afterwards.
@@ -180,10 +181,12 @@ class RiccatiProblem:
         n, p = self.B.shape
         if _STRUCTURED_COST_RATIO * (np.count_nonzero(self.A) + 2 * n * p) > n * n:
             return None
+        a_csr = scipy.sparse.csr_array(self.A)
         return (
-            scipy.sparse.csr_array(self.A),
+            a_csr,
             float(np.linalg.norm(self.A, 1)),
             float(np.linalg.norm(self.B, np.inf)),
+            sparse_shift(a_csr),
         )
 
     def rhs(self, x):
@@ -211,8 +214,9 @@ class IntegratorConfig:
     ``compression_tol`` of None resolves to dim * machine epsilon at use
     time.  ``exp_action`` selects how the low-rank steps take the
     quadrature images exp(tau A_lin) V: "dense" applies A_lin directly
-    (chained truncated Taylor series; only a dense A_lin with
-    max|tau| ||A_lin||_1 > 16 gets one full exponential per node time);
+    (one shifted truncated Taylor series per scaling interval for all
+    node times; one full exponential per node time where that chain
+    would cost more, see ``densecore.expm_actions``);
     "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
     built on A_lin in the same form, except when ``krylov_m`` times the block
     width reaches the dimension, where such a basis would span the whole
@@ -342,9 +346,9 @@ def _linearized_coefficient(problem, state):
     sparse = problem._sparse_coefficient
     if sparse is None:
         return problem.A - xb @ problem.B.T
-    a_csr, a_norm1, bt_norm1 = sparse
+    a_csr, a_norm1, bt_norm1, shift = sparse
     return SparsePlusThin(
-        a_csr, xb, problem.B.T, a_norm1 + float(np.linalg.norm(xb, 1)) * bt_norm1
+        a_csr, xb, problem.B.T, a_norm1 + float(np.linalg.norm(xb, 1)) * bt_norm1, shift
     )
 
 

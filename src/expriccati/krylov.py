@@ -129,8 +129,11 @@ def _residual_estimate(basis, core):
 def exp_actions_krylov(basis, taus, V):
     """Evaluate exp(tau A) V for several tau values from one basis.
 
-    The subspace is built once and the projected exponentials share work
-    through the chained thin-block evaluation.  Returns a list of
+    The subspace is built once.  The projected exponentials act on the
+    thin block basis^T V through ``expm_actions``, whose shifted Taylor
+    chain serves every tau from one power sequence per scaling interval;
+    a full k x k exponential per tau runs only where that chain would
+    cost more.  Returns a list of
     ``(value, estimate)`` pairs in the order of ``taus``: the value is
     basis exp(tau H) (basis^T V) and the estimate the generalized residual
     ``coupling`` * ||trailing block of exp(tau H) basis^T V||_F.  The

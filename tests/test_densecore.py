@@ -16,6 +16,7 @@ from expriccati.densecore import (
     vec,
 )
 from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
+from expriccati.problems import fdm_sym
 
 from helpers import kron_matrix, random_stable, rel_err
 
@@ -88,6 +89,57 @@ class TestExpmActions:
         with pytest.raises(DomainError):
             expm_actions(np.eye(2), [0.1, np.inf], np.eye(2))
 
+    @staticmethod
+    def _count_products(monkeypatch):
+        """Products of any SparsePlusThin with a block, counted."""
+        count = [0]
+        original = SparsePlusThin.__matmul__
+
+        def spy(self, block):
+            count[0] += 1
+            return original(self, block)
+
+        monkeypatch.setattr(SparsePlusThin, "__matmul__", spy)
+        return count
+
+    def test_node_times_share_one_power_sequence(self, monkeypatch):
+        # The shift by the mean diagonal halves the Laplacian's norm, so
+        # one interval of degree <= 24 serves all seven node times.
+        rng = np.random.default_rng(19)
+        a = scipy.sparse.csr_array(fdm_sym(10))
+        u, b = 0.1 * rng.standard_normal((100, 2)), 0.1 * rng.standard_normal((100, 2))
+        norm1 = np.linalg.norm(a.toarray(), 1) + np.linalg.norm(u, 1) * np.linalg.norm(b.T, 1)
+        op = SparsePlusThin(a, u, b.T, norm1)
+        nodes = np.polynomial.legendre.leggauss(7)[0]
+        h = 3.5 / norm1
+        taus = [(1.0 - 0.5 * (x + 1.0)) * h for x in nodes]
+        v = rng.standard_normal((100, 4))
+        products = self._count_products(monkeypatch)
+        got = expm_actions(op, taus, v)
+        assert 0 < products[0] <= 24
+        dense = a.toarray() - u @ b.T
+        for value, tau in zip(got, taus):
+            assert rel_err(value, scipy.linalg.expm(tau * dense) @ v) <= 1e-12
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_multiple_of_identity_is_a_scalar_factor(self, structured, monkeypatch, full_exponentials):
+        # tau c = -800 underflows e^(tau c) and +30 grows it; the shift
+        # leaves nothing for the series, so no product is taken.
+        n, c = 5, 2.0
+        v = np.random.default_rng(20).standard_normal((n, 3))
+        if structured:
+            identity = scipy.sparse.csr_array(scipy.sparse.eye_array(n))
+            m = SparsePlusThin(c * identity, np.zeros((n, 1)), np.zeros((1, n)), c)
+        else:
+            m = c * np.eye(n)
+        taus = [-800.0 / c, 30.0 / c]
+        products = self._count_products(monkeypatch)
+        got = expm_actions(m, taus, v)
+        assert products[0] == 0 and full_exponentials == []
+        for value, tau in zip(got, taus):
+            assert np.all(np.isfinite(value))
+            assert np.array_equal(value, np.exp(tau * c) * v)
+
 
 class TestExpmActionRoutes:
     """Which operators reach a full ``scipy.linalg.expm`` in expm_actions."""
@@ -123,7 +175,9 @@ class TestExpmActionRoutes:
         dense = op.a.toarray() - op.u @ op.bt
         taus = [0.1, 0.5, 1.0]
         span = 20.0 / np.linalg.norm(dense, 1)
-        expm_actions(dense, [span * t for t in taus], rng.standard_normal((self.N, 2)))
+        # A block as wide as the matrix: the chain's products would cost
+        # more than three full exponentials.
+        expm_actions(dense, [span * t for t in taus], rng.standard_normal((self.N, self.N)))
         assert full_exponentials == [self.N] * len(taus)
 
     def test_long_structured_chain_is_formed_densely(self, full_exponentials, monkeypatch):

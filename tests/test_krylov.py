@@ -187,3 +187,17 @@ class TestStiffOperator:
         for tau, (value, estimate) in zip(taus, exp_actions_krylov(basis, taus, v)):
             assert rel_err(value, expm(tau * dense) @ v) <= 1e-12
             assert estimate <= 1e-10
+
+    def test_projected_actions_take_the_chain(self, step0, full_exponentials):
+        # At twice the step the span max|tau| ||H||_1 is 20; the chain on
+        # the 6-column block costs far less than a 122 x 122 exponential
+        # per node time.
+        a_lin, _, v = step0
+        basis = build_basis(a_lin, v, m=30)
+        nodes = np.polynomial.legendre.leggauss(7)[0]
+        taus = [(1.0 - 0.5 * (x + 1.0)) * 2.0 * self.H for x in nodes]
+        pairs = exp_actions_krylov(basis, taus, v)
+        assert full_exponentials == []
+        e1 = basis.basis.T @ v
+        for tau, (value, _) in zip(taus, pairs):
+            assert rel_err(value, basis.basis @ (expm(tau * basis.H) @ e1)) <= 1e-12
