@@ -55,7 +55,6 @@ from .problems import (
     scalar_tanh_problem,
 )
 from .sylvop import (
-    Linearization,
     SylvesterOperator,
     linearize,
     phi1_action_augmented,
@@ -74,7 +73,6 @@ __all__ = [
     "IntegrationError",
     "IntegratorConfig",
     "LdlFactor",
-    "Linearization",
     "MatrixFormatError",
     "PhiCombination",
     "QuadratureRule",

@@ -17,8 +17,6 @@ __all__ = [
     "as_matrix",
     "require_square",
     "fro",
-    "vec",
-    "unvec",
     "expm",
     "expm_actions",
     "SparsePlusThin",
@@ -32,7 +30,7 @@ __all__ = [
 ]
 
 # Largest M*N for which a vectorized MN x MN matrix of the Sylvester
-# operator (its solve or its phi functions) may be formed explicitly.
+# operator (the oracle's phi functions) may be formed explicitly.
 KRON_LIMIT = 4096
 
 
@@ -55,16 +53,6 @@ def require_square(a, name="matrix"):
 def fro(a):
     """Frobenius norm."""
     return float(np.linalg.norm(a, "fro"))
-
-
-def vec(x):
-    """Column-stacking vectorization."""
-    return np.asarray(x).reshape(-1, order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((rows, cols), order="F")
 
 
 def expm(a):
@@ -319,8 +307,14 @@ def _check_separation(sep, a, d):
         )
 
 
-def solve_sylvester(a, d, rhs, method="schur"):
+def solve_sylvester(a, d, rhs):
     """Solve the Sylvester equation ``A W + W D = RHS``.
+
+    Reduces A and D^T to real Schur form and back-substitutes with LAPACK
+    ``trsyl`` (Bartels-Stewart, the same steps as
+    ``scipy.linalg.solve_sylvester``); one Schur form serves both when
+    D^T equals A.  The separation check reads the spectra off the Schur
+    forms.
 
     Parameters
     ----------
@@ -329,14 +323,6 @@ def solve_sylvester(a, d, rhs, method="schur"):
         must be disjoint for unique solvability.
     rhs : array_like
         M x N right-hand side.
-    method : {"schur", "kron"}
-        "schur" reduces A and D^T to real Schur form and back-substitutes
-        with LAPACK ``trsyl`` (Bartels-Stewart, the same steps as
-        ``scipy.linalg.solve_sylvester``); the separation check reads the
-        spectra off the two Schur forms, one form when D^T equals A.
-        "kron" assembles and solves the vectorized MN x MN system
-        directly; it is refused above M*N = 4096 and doubles as an
-        independent cross-check of the Schur route.
 
     Raises
     ------
@@ -351,30 +337,18 @@ def solve_sylvester(a, d, rhs, method="schur"):
         raise DimensionError(
             f"RHS shape {rhs.shape} does not match ({a.shape[0]}, {d.shape[0]})"
         )
-    if method not in ("schur", "kron"):
-        raise DomainError(f"unknown Sylvester method {method!r}")
     if rhs.size == 0:
         return np.zeros(rhs.shape)
 
-    if method == "schur":
-        r, u = scipy.linalg.schur(a, output="real")
-        s, v = (r, u) if np.array_equal(d.T, a) else scipy.linalg.schur(d.T, output="real")
-        _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
-        f = np.dot(np.dot(u.T, rhs), v)
-        trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
-        y, scale, info = trsyl(r, s, f, tranb="C")
-        if info < 0:
-            raise DomainError(f"trsyl rejected argument {-info}")
-        return np.dot(np.dot(u, scale * y), v.T)
-
-    _check_separation(operator_separation(a, d), a, d)
-    size = a.shape[0] * d.shape[0]
-    if size > KRON_LIMIT:
-        raise DomainError(
-            f"vectorized solve limited to M*N <= {KRON_LIMIT}, got {size}"
-        )
-    k = sylvester_kron_matrix(a, d)
-    return unvec(np.linalg.solve(k, vec(rhs)), a.shape[0], d.shape[0])
+    r, u = scipy.linalg.schur(a, output="real")
+    s, v = (r, u) if np.array_equal(d.T, a) else scipy.linalg.schur(d.T, output="real")
+    _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
+    f = np.dot(np.dot(u.T, rhs), v)
+    trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
+    y, scale, info = trsyl(r, s, f, tranb="C")
+    if info < 0:
+        raise DomainError(f"trsyl rejected argument {-info}")
+    return np.dot(np.dot(u, scale * y), v.T)
 
 
 def check_factor(l, core):

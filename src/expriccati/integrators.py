@@ -25,6 +25,7 @@ from .densecore import SparsePlusThin, as_matrix, expm_actions, fro, solve_sylve
 from .errors import (
     ConfigurationError,
     DimensionError,
+    DomainError,
     FiniteEscapeError,
     IntegrationError,
     SolvabilityError,
@@ -319,8 +320,8 @@ class Trajectory:
 
 def step_expeuler_general(problem, x, h, cfg=None, details=None):
     """Rosenbrock-Euler step through the augmented block exponential."""
-    lin = linearize(problem, x)
-    return phi1_action_augmented(lin.operator, h, lin.remainder, x)
+    operator, remainder = linearize(problem, x)
+    return phi1_action_augmented(operator, h, remainder, x)
 
 
 def step_expeuler_backward(problem, x, h, cfg=None, details=None):
@@ -330,9 +331,9 @@ def step_expeuler_backward(problem, x, h, cfg=None, details=None):
     SolvabilityError when the linearized operator is near singular; the
     caller may fall back to the general realization.
     """
-    lin = linearize(problem, x)
-    w = solve_sylvester(lin.A, lin.D, problem.rhs(x))
-    return lin.operator.exp_action(h, w) + x - w
+    operator, _ = linearize(problem, x)
+    w = solve_sylvester(operator.A, operator.D, problem.rhs(x))
+    return operator.exp_action(h, w) + x - w
 
 
 def _linearized_coefficient(problem, state):
@@ -424,15 +425,15 @@ def step_erow3(problem, x, h, cfg, details=None):
         stage = update(x, assemble_rhs(problem, x), 1, h)
         return update(stage, assemble_remainder_diff(problem, x, stage), 3, 2.0 * h)
 
-    lin = linearize(problem, x)
-    stage = phi1_action_augmented(lin.operator, h, lin.remainder, x)
+    operator, remainder = linearize(problem, x)
+    stage = phi1_action_augmented(operator, h, remainder, x)
     # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage.
     e = x - stage
     diff = -(e @ problem.G) @ e
     if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
-        correction = phi_action_augmented(lin.operator, h, 3, diff)
+        correction = phi_action_augmented(operator, h, 3, diff)
     else:
-        correction = phi_action_quadrature(3, lin.operator, h, diff, cfg.rule)
+        correction = phi_action_quadrature(3, operator, h, diff, cfg.rule)
     return stage + 2.0 * h * correction
 
 
@@ -486,7 +487,9 @@ def integrate(problem, cfg):
     Snapshots are stored every ``cfg.store_every`` steps (the initial and
     final states always included); diagnostics are recorded for every
     step.  A failing step raises IntegrationError carrying the partial
-    trajectory and the zero-based index of the step that failed.
+    trajectory and the zero-based index of the step that failed.  Step
+    operands are built from validated input, so a DomainError inside a
+    step means a value became non-finite; it fails the step too.
     """
     stepper, factored = _SCHEME_STEPS[cfg.scheme]
     state = problem.initial_factor() if factored else problem.X0.copy()
@@ -509,7 +512,7 @@ def integrate(problem, cfg):
             )
             if bad:
                 raise FiniteEscapeError("state became non-finite")
-        except (SolvabilityError, FiniteEscapeError, np.linalg.LinAlgError) as exc:
+        except (SolvabilityError, FiniteEscapeError, DomainError, np.linalg.LinAlgError) as exc:
             partial = Trajectory(
                 times=np.array(times), states=states, diagnostics=diagnostics,
                 scheme=cfg.scheme,

@@ -103,11 +103,10 @@ class LdlFactor:
 
 
 def _require_generators(problem):
-    if not getattr(problem, "symmetric", False):
-        raise ConfigurationError("low-rank assemblies need a symmetric problem")
-    if problem.C is None or problem.B is None:
+    if not problem.has_lowrank_generators:
         raise ConfigurationError(
-            "low-rank assemblies need the generators C (of Q) and B (of G)"
+            "low-rank assemblies need a symmetric problem with the generators "
+            "C (of Q) and B (of G)"
         )
 
 

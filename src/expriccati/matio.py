@@ -1,16 +1,15 @@
 """Matrix file I/O: real MatrixMarket files through ``scipy.io``.
 
 Reads ``array`` and ``coordinate`` files with ``general`` or
-``symmetric`` symmetry into dense arrays.  The writer emits ``general``
-files with the shortest decimal that reproduces each float64, so a
-write/read round trip is bitwise.
+``symmetric`` symmetry into dense arrays.  The writer emits ``array``
+``general`` files with the shortest decimal that reproduces each
+float64, so a write/read round trip is bitwise.
 """
 
 import re
 
 import numpy as np
 import scipy.io
-import scipy.sparse
 
 from .densecore import as_matrix
 from .errors import MatrixFormatError
@@ -45,9 +44,6 @@ def read_matrix_market(path):
     return data.toarray() if layout == "coordinate" else data
 
 
-def write_matrix_market(path, a, layout="array"):
-    """Write a real ``general`` matrix in MatrixMarket ``array`` or ``coordinate`` layout."""
-    if layout not in ("array", "coordinate"):
-        raise MatrixFormatError(f"unsupported layout {layout}", path=str(path))
-    a = as_matrix(a, "matrix")
-    scipy.io.mmwrite(path, a if layout == "array" else scipy.sparse.coo_array(a), symmetry="general")
+def write_matrix_market(path, a):
+    """Write a real matrix as a MatrixMarket ``array`` ``general`` file."""
+    scipy.io.mmwrite(path, as_matrix(a, "matrix"), symmetry="general")

@@ -17,7 +17,6 @@ from .errors import DimensionError, DomainError
 
 __all__ = [
     "SylvesterOperator",
-    "Linearization",
     "linearize",
     "phi1_action_augmented",
     "phi_action_augmented",
@@ -75,30 +74,10 @@ class SylvesterOperator:
         return left @ x @ right
 
 
-@dataclass(frozen=True)
-class Linearization:
-    """Frechet linearization of the Riccati right-hand side at a state.
-
-    ``operator`` holds A - XG and D - GX, or (A - XG)^T for a symmetric
-    problem, also readable as ``A`` and ``D``; ``remainder`` is the value
-    of the nonlinear remainder at the linearization point, Q + XGX.
-    """
-
-    operator: SylvesterOperator
-    remainder: np.ndarray
-
-    @property
-    def A(self):
-        return self.operator.A
-
-    @property
-    def D(self):
-        return self.operator.D
-
-
 def linearize(problem, state):
     """Linearize X' = AX + XD + Q - XGX at ``state``.
 
+    Returns (SylvesterOperator of A - XG and D - GX, remainder Q + XGX).
     A symmetric problem gets D_lin = A_lin^T (exact at a symmetric state),
     a pair that shares one exponential and one Schur form.
     """
@@ -111,9 +90,7 @@ def linearize(problem, state):
     xg = x @ problem.G
     a_lin = problem.A - xg
     d_lin = a_lin.T if problem.symmetric else problem.D - problem.G @ x
-    return Linearization(
-        operator=SylvesterOperator(a_lin, d_lin), remainder=problem.Q + xg @ x
-    )
+    return SylvesterOperator(a_lin, d_lin), problem.Q + xg @ x
 
 
 # Above this value of |h| (||A||_1 + ||D||_1) the base block exponential

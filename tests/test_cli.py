@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ class TestRunTable:
     def test_empty_scheme_list_rejected(self):
         with pytest.raises(UsageError):
             run_table(ExperimentConfig(problem="tanh", schemes=[], h=[0.1]))
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"h": []}, "step size"),
+        ({"repeat": 0}, "repeat"),
+    ])
+    def test_bad_setting_rejected(self, setting, message):
+        settings = {"problem": "tanh", "schemes": ["GExpEuler"], "h": [0.1], **setting}
+        with pytest.raises(UsageError, match=message):
+            run_table(ExperimentConfig(**settings))
 
     def test_unknown_scheme_lists_valid_names(self):
         with pytest.raises(UsageError, match="GExpEuler"):
@@ -136,6 +147,12 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("problem = tanh\nbogus = 3\n")
         with pytest.raises(UsageError, match=":2:"):
+            load_config_file(path)
+
+    def test_unparsable_value_reports_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("problem = tanh\n\nh = 0.1,fast\n")
+        with pytest.raises(UsageError, match=re.escape(f"{path}:3: ") + ".*fast"):
             load_config_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):

@@ -4,7 +4,13 @@ import pytest
 import expriccati.integrators as integrators
 import expriccati.lowrank as lowrank
 from expriccati.densecore import SparsePlusThin, expm
-from expriccati.errors import ConfigurationError, DimensionError, DomainError, IntegrationError
+from expriccati.errors import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    FiniteEscapeError,
+    IntegrationError,
+)
 from expriccati.integrators import (
     IntegratorConfig,
     RiccatiProblem,
@@ -223,8 +229,8 @@ class TestExpEulerGeneral:
             x = rng.standard_normal((m, n))
             h = 0.2
             first = step_expeuler_general(p, x, h)
-            lin = linearize(p, x)
-            second = x + h * phi_action_augmented(lin.operator, h, 1, p.rhs(x))
+            operator, _ = linearize(p, x)
+            second = x + h * phi_action_augmented(operator, h, 1, p.rhs(x))
             assert rel_err(first, second) <= 1e-11
 
 
@@ -488,6 +494,25 @@ class TestIntegrate:
             integrate(p, cfg)
         assert info.value.step_index == 0
         assert len(info.value.trajectory.states) == 1
+
+    # x' = x^2 from x(0) = 1 escapes at t = 1 and overflows in step 3; from
+    # 1e200 the products of step 0 overflow.  The overflow shows either in
+    # the state check or in a kernel's check of an operand it was handed.
+    @pytest.mark.parametrize("scheme, x0, step, cause", [
+        ("GExpEuler", 1.0, 3, FiniteEscapeError),
+        ("BrExpEuler", 1.0, 3, FiniteEscapeError),
+        ("Erow3Dense", 1.0, 3, DomainError),
+        ("GExpEuler", 1e200, 0, DomainError),
+        ("BrExpEuler", 1e200, 0, DomainError),
+        ("Erow3Dense", 1e200, 0, DomainError),
+    ])
+    def test_dense_overflow_names_failing_step(self, scheme, x0, step, cause):
+        p = RiccatiProblem(A=[[0.0]], D=[[0.0]], Q=[[0.0]], G=[[-1.0]], X0=[[x0]])
+        with pytest.raises(IntegrationError) as info, np.errstate(all="ignore"):
+            integrate(p, IntegratorConfig(scheme, 0.5, 5.0))
+        assert info.value.step_index == step
+        assert len(info.value.trajectory.states) == step + 1
+        assert type(info.value.__cause__) is cause
 
     @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
     @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])

@@ -67,6 +67,11 @@ class TestBuildBasis:
         with pytest.raises(DomainError):
             build_basis(rng.standard_normal((5, 5)), np.zeros((5, 0)), m=3)
 
+    @pytest.mark.parametrize("rows, m, message", [(4, 3, "4 rows"), (5, 0, "step count")])
+    def test_bad_seed_rows_or_step_count_rejected(self, rng, rows, m, message):
+        with pytest.raises(DomainError, match=message):
+            build_basis(rng.standard_normal((5, 5)), rng.standard_normal((rows, 2)), m=m)
+
 
 class TestExpAction:
     def test_tau_zero_returns_block(self, rng):
@@ -99,6 +104,11 @@ class TestExpAction:
         basis = build_basis(a, v, m=2)
         with pytest.raises(DomainError):
             exp_actions_krylov(basis, [np.nan], v)
+
+    def test_row_mismatch_rejected(self, rng):
+        basis = build_basis(rng.standard_normal((5, 5)), rng.standard_normal((5, 1)), m=2)
+        with pytest.raises(DomainError, match="4 rows"):
+            exp_actions_krylov(basis, [0.1], rng.standard_normal((4, 1)))
 
     def test_residual_estimate_tracks_error(self, rng):
         a = fdm_sym(8)  # n = 64, symmetric

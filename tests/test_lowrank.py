@@ -106,8 +106,29 @@ class TestAssembleRhs:
         with pytest.raises(ConfigurationError):
             assemble_rhs(p, LdlFactor.zero(n))
 
+    def test_state_dimension_mismatch(self, rng):
+        p = _symmetric_problem(rng, 6)
+        with pytest.raises(DimensionError, match="dimension 5"):
+            assemble_rhs(p, _random_state(rng, 5, 2))
+
+    def test_needs_symmetric_problem(self, rng):
+        from expriccati.integrators import RiccatiProblem
+
+        # The generators are attached, but the problem is not symmetric.
+        n = 4
+        a = random_stable(rng, n)
+        p = RiccatiProblem(A=a, D=a.T, Q=np.eye(n), G=np.eye(n), X0=np.zeros((n, n)),
+                           C=np.eye(n), B=np.eye(n))
+        with pytest.raises(ConfigurationError, match="symmetric problem"):
+            assemble_rhs(p, LdlFactor.zero(n))
+
 
 class TestAssembleRemainderDiff:
+    def test_dimension_mismatch(self, rng):
+        p = _symmetric_problem(rng, 6)
+        with pytest.raises(DimensionError, match="6 versus 5"):
+            assemble_remainder_diff(p, _random_state(rng, 6, 2), _random_state(rng, 5, 2))
+
     def test_identical_states_cancel(self, rng):
         p = _symmetric_problem(rng, 10)
         state = _random_state(rng, 10, 3)

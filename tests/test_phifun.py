@@ -186,6 +186,13 @@ class TestEvalForward:
 
 
 class TestEvalBackward:
+    def test_single_term_is_operator_exponential(self):
+        rng = np.random.default_rng(36)
+        op = _random_operator(rng, 3, 2)
+        n0 = rng.standard_normal((3, 2))
+        comb = PhiCombination((n0,), op, 0.6)
+        assert np.array_equal(eval_backward(comb), op.exp_action(0.6, n0))
+
     def test_zero_tail_reduces_to_exponential(self):
         rng = np.random.default_rng(35)
         op = _random_operator(rng, 3, 2)

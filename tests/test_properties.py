@@ -24,7 +24,7 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expriccati.densecore import SparsePlusThin, compress, expm_actions, unvec, vec
+from expriccati.densecore import SparsePlusThin, compress, expm_actions
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
@@ -32,7 +32,7 @@ from expriccati.oracle import kronecker_phi
 from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import SylvesterOperator
 
-from helpers import random_stable
+from helpers import random_stable, unvec, vec
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 

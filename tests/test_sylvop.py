@@ -171,6 +171,12 @@ class TestPhiActionAugmented:
         with pytest.raises(DomainError):
             phi_action_augmented(op, 0.5, -1, [[1.0]])
 
+    def test_zero_step_is_operand_over_factorial(self, rng):
+        # phi_k(0) = 1/k!
+        op = SylvesterOperator(rng.standard_normal((3, 3)), rng.standard_normal((2, 2)))
+        x = rng.standard_normal((3, 2))
+        assert np.array_equal(phi_action_augmented(op, 0.0, 3, x), x / 6.0)
+
 
 class TestTransposedPair:
     """A pair with D = A^T shares one exponential: exp(tD) = exp(tA)^T."""
@@ -245,34 +251,39 @@ def _random_problem(rng, m, n):
 class TestLinearize:
     def test_at_zero_state(self, rng):
         p = _random_problem(rng, 3, 2)
-        lin = linearize(p, np.zeros((3, 2)))
-        assert np.array_equal(lin.A, p.A)
-        assert np.array_equal(lin.D, p.D)
-        assert np.array_equal(lin.remainder, p.Q)
+        op, remainder = linearize(p, np.zeros((3, 2)))
+        assert np.array_equal(op.A, p.A)
+        assert np.array_equal(op.D, p.D)
+        assert np.array_equal(remainder, p.Q)
 
     def test_no_quadratic_term(self, rng):
         p = _random_problem(rng, 3, 3)
         p.G = np.zeros((3, 3))
         x = rng.standard_normal((3, 3))
-        lin = linearize(p, x)
-        assert np.array_equal(lin.A, p.A)
-        assert np.array_equal(lin.D, p.D)
-        assert np.array_equal(lin.remainder, p.Q)
+        op, remainder = linearize(p, x)
+        assert np.array_equal(op.A, p.A)
+        assert np.array_equal(op.D, p.D)
+        assert np.array_equal(remainder, p.Q)
+
+    def test_state_shape_mismatch_rejected(self, rng):
+        p = _random_problem(rng, 3, 2)
+        with pytest.raises(DimensionError, match="state shape"):
+            linearize(p, np.zeros((2, 3)))
 
     def test_scalar_hand_algebra(self):
         p = RiccatiProblem(A=[[0.0]], D=[[0.0]], Q=[[1.0]], G=[[1.0]], X0=[[0.0]])
-        lin = linearize(p, [[0.5]])
-        assert lin.A[0, 0] == pytest.approx(-0.5)
-        assert lin.D[0, 0] == pytest.approx(-0.5)
-        assert lin.remainder[0, 0] == pytest.approx(1.25)
+        op, remainder = linearize(p, [[0.5]])
+        assert op.A[0, 0] == pytest.approx(-0.5)
+        assert op.D[0, 0] == pytest.approx(-0.5)
+        assert remainder[0, 0] == pytest.approx(1.25)
 
     def test_remainder_equals_rhs_minus_linear_part(self, rng):
         p = _random_problem(rng, 4, 3)
         x = rng.standard_normal((4, 3))
-        lin = linearize(p, x)
-        direct = p.rhs(x) - (lin.A @ x + x @ lin.D)
+        op, remainder = linearize(p, x)
+        direct = p.rhs(x) - (op.A @ x + x @ op.D)
         scale = max(np.linalg.norm(direct), 1.0)
-        assert np.linalg.norm(lin.remainder - direct) <= 1e-13 * scale
+        assert np.linalg.norm(remainder - direct) <= 1e-13 * scale
 
     def test_symmetric_problem_gives_transposed_pair(self, rng):
         n = 5
@@ -284,22 +295,22 @@ class TestLinearize:
         )
         y = rng.standard_normal((n, n))
         x = y + y.T
-        lin = linearize(p, x)
-        assert np.array_equal(lin.D, lin.A.T)
-        assert lin.operator.transposed
-        assert rel_err(lin.D, p.D - p.G @ x) <= 1e-14
-        direct = p.rhs(x) - (lin.A @ x + x @ lin.D)
+        op, remainder = linearize(p, x)
+        assert np.array_equal(op.D, op.A.T)
+        assert op.transposed
+        assert rel_err(op.D, p.D - p.G @ x) <= 1e-14
+        direct = p.rhs(x) - (op.A @ x + x @ op.D)
         scale = max(np.linalg.norm(direct), 1.0)
-        assert np.linalg.norm(lin.remainder - direct) <= 1e-13 * scale
+        assert np.linalg.norm(remainder - direct) <= 1e-13 * scale
 
     def test_remainder_difference_identity(self, rng):
         p = _random_problem(rng, 3, 3)
         x = rng.standard_normal((3, 3))
         y = rng.standard_normal((3, 3))
-        lin = linearize(p, x)
+        op, _ = linearize(p, x)
 
         def remainder_at(state):
-            return p.rhs(state) - (lin.A @ state + state @ lin.D)
+            return p.rhs(state) - (op.A @ state + state @ op.D)
 
         lhs = remainder_at(y) - remainder_at(x)
         rhs = x @ p.G @ y + y @ p.G @ x - y @ p.G @ y - x @ p.G @ x
