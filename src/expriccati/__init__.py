@@ -1,6 +1,6 @@
 """Exponential Rosenbrock-type integrators for stiff matrix Riccati and
 Sylvester differential equations, with dense, low-rank LDL^T and
-Sylvester-solve realizations plus closed-form and vectorization oracles."""
+Sylvester-solve realizations plus a closed-form reference solution."""
 
 from .densecore import compress, expm, solve_sylvester
 from .errors import (
@@ -23,7 +23,6 @@ from .integrators import (
     step_expeuler_backward,
     step_expeuler_general,
     step_expeuler_lowrank,
-    step_msde_polynomial,
 )
 from .krylov import BlockKrylovBasis, build_basis, exp_actions_krylov
 from .lowrank import (
@@ -33,14 +32,13 @@ from .lowrank import (
     assemble_rhs,
     concat_update,
 )
-from .oracle import kronecker_phi, radon_solve, radon_trajectory
+from .oracle import radon_solve, radon_trajectory
 from .phifun import (
     PhiCombination,
     QuadratureRule,
     eval_backward,
     eval_forward,
     phi_action_quadrature,
-    phi_scalar,
 )
 from .problems import (
     Fdm2dSpec,
@@ -51,7 +49,6 @@ from .problems import (
     load_problem,
     problem_from_spec,
     random_lowrank,
-    save_problem,
     scalar_tanh_problem,
 )
 from .sylvop import (
@@ -97,23 +94,19 @@ __all__ = [
     "fdm_nonsym",
     "fdm_sym",
     "integrate",
-    "kronecker_phi",
     "linearize",
     "load_problem",
     "phi1_action_augmented",
     "phi_action_augmented",
     "phi_action_quadrature",
-    "phi_scalar",
     "problem_from_spec",
     "radon_solve",
     "radon_trajectory",
     "random_lowrank",
-    "save_problem",
     "scalar_tanh_problem",
     "solve_sylvester",
     "step_erow3",
     "step_expeuler_backward",
     "step_expeuler_general",
     "step_expeuler_lowrank",
-    "step_msde_polynomial",
 ]

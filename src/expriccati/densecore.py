@@ -154,12 +154,19 @@ _THETA = {
 # 40) at 0.4-5 counting a sparse flop as one (n = 400, b = 10, span 400:
 # 129 against 331 ms), so a sparse flop counts 8.  A SparsePlusThin chain
 # under _CHAIN_FLOOR model flops (milliseconds) always runs, so a small
-# structured operator is never formed densely.  A dense matrix has no
-# floor: at n = 2 and 10 the full route won from 92 products on, each
-# product's call overhead being about 4 us.
+# structured operator is never formed densely.  A dense matrix has the
+# floor _DENSE_CHAIN_FLOOR, for accuracy rather than speed: on small
+# non-normal matrices with large growth the full route's squarings lose
+# digits the chain keeps (n = 2, span 40, seven node times: 8.0e-14
+# against 5.8e-16 off a long-double exponential; 5.2e-12 against 3.0e-15
+# on another draw), at 1.3 against 0.11 ms.  Under the floor the chain
+# takes at most 1e5 / (b n^2) products of about 4 us each (0.1 s at n = 2
+# and b = 1, a few ms from n = 10 on).  From n = 64 on the full route's
+# own threshold, 10 len(taus) n^3, lies far above the floor.
 _DENSE_ROUTE_RATIO = 10.0
 _SPARSE_PRODUCT_COST = 8.0
 _CHAIN_FLOOR = 1e7
+_DENSE_CHAIN_FLOOR = 1e5
 
 
 def _taylor_parameters(norm):
@@ -247,7 +254,7 @@ def expm_actions(m, taus, b):
     if isinstance(m, SparsePlusThin):
         column, floor = _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size), _CHAIN_FLOOR
     else:
-        column, floor = n * n, 0.0
+        column, floor = n * n, _DENSE_CHAIN_FLOOR
     if products * b.shape[1] * column > max(_DENSE_ROUTE_RATIO * len(taus) * n ** 3, floor):
         if isinstance(m, SparsePlusThin):
             m = m.a.toarray() - m.u @ m.bt
@@ -354,16 +361,22 @@ def solve_sylvester(a, d, rhs):
 def check_factor(l, core):
     """Validate the pair of a thin factor L and its symmetric core C.
 
-    Both must be finite, C square with as many rows as L has columns, and
-    symmetric to 1e-12 relative.  Returns the pair as float arrays.
+    Both must be finite.  C is either square with as many rows as L has
+    columns and symmetric to 1e-12 relative, or the vector of a diagonal
+    core with one entry per column.  Returns the pair as float arrays.
     """
     l = as_matrix(l, "L")
-    core = require_square(as_matrix(core, "core"), "core")
+    diagonal = np.ndim(core) == 1
+    core = as_matrix(core, "core")
+    if diagonal:
+        core = core[0]
+    else:
+        require_square(core, "core")
     if l.shape[1] != core.shape[0]:
         raise DimensionError(
-            f"factor has {l.shape[1]} columns but core is {core.shape[0]} x {core.shape[1]}"
+            f"factor has {l.shape[1]} columns but core has shape {core.shape}"
         )
-    if core.size:
+    if not diagonal and core.size:
         asym = float(np.abs(core - core.T).max())
         if asym > 1e-12 * max(float(np.abs(core).max()), 1e-300):
             raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
@@ -378,7 +391,9 @@ def compress(l, core, tol):
     l : array_like
         n x r factor.
     core : array_like
-        r x r symmetric core; indefinite cores are fine.
+        r x r symmetric core, or the r-vector of a diagonal one; indefinite
+        cores are fine.  Both forms of a diagonal core give the same result
+        bit for bit.
     tol : float
         Nonnegative relative tolerance.  The returned pair (L', C')
         satisfies ``||L C L^T - L' C' L'^T||_F <= tol * ||L C L^T||_F``.
@@ -396,18 +411,25 @@ def compress(l, core, tol):
     tail stays within the reconstruction budget ``tol * ||lambda||``;
     exact zero modes are always dropped.
     """
-    return _compress_trusted(*check_factor(l, core), tol)
+    l, lam = _compress_trusted(*check_factor(l, core), tol)
+    return l, np.diag(lam)
 
 
 def _compress_trusted(l, core, tol):
-    """:func:`compress` for package-built factors, without ``check_factor``."""
+    """:func:`compress` for package-built factors, without ``check_factor``.
+
+    Returns the kept eigenvalues as a vector, the diagonal of C'.
+    """
     if tol < 0:
         raise DomainError("compression tolerance must be nonnegative")
     if l.shape[1] == 0:
-        return l.copy(), core.copy()
+        return l.copy(), np.zeros(0)
 
     q, r = np.linalg.qr(l)
-    mid = r @ ((core + core.T) / 2.0) @ r.T
+    if core.ndim == 1:
+        mid = (r * core) @ r.T
+    else:
+        mid = r @ ((core + core.T) / 2.0) @ r.T
     mid = (mid + mid.T) / 2.0
     lam, u = np.linalg.eigh(mid)
     if not np.all(np.isfinite(lam)):
@@ -423,4 +445,4 @@ def _compress_trusted(l, core, tol):
     tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
     drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
     keep = lam.size - int(np.count_nonzero(drop))
-    return q @ u[:, :keep], np.diag(lam[:keep])
+    return q @ u[:, :keep], lam[:keep]

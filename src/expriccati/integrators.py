@@ -38,7 +38,7 @@ from .lowrank import (
     assemble_rhs,
     concat_update,
 )
-from .phifun import PhiCombination, QuadratureRule, eval_backward, eval_forward, phi_action_quadrature
+from .phifun import QuadratureRule, phi_action_quadrature
 from .sylvop import linearize, phi1_action_augmented, phi_action_augmented
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "step_expeuler_backward",
     "step_expeuler_lowrank",
     "step_erow3",
-    "step_msde_polynomial",
     "integrate",
 ]
 
@@ -343,7 +342,7 @@ def _linearized_coefficient(problem, state):
     sparse enough for that to pay off (``_STRUCTURED_COST_RATIO``), else
     the dense matrix.
     """
-    xb = state.L @ (state.core @ (state.L.T @ problem.B))
+    xb = state.apply(problem.B)
     sparse = problem._sparse_coefficient
     if sparse is None:
         return problem.A - xb @ problem.B.T
@@ -437,25 +436,6 @@ def step_erow3(problem, x, h, cfg, details=None):
     return stage + 2.0 * h * correction
 
 
-def step_msde_polynomial(operator, coeffs, t, recursion="forward"):
-    """Exact flow of X' = S(X) + Q(t) for a polynomial inhomogeneity.
-
-    ``coeffs`` is (X_initial, N_1, ..., N_m) where
-    Q(t) = sum_{j>=1} t^(j-1)/(j-1)! N_j, i.e. N_{j+1} is the j-th
-    derivative of Q at zero.  The value at ``t`` is
-    exp(tS)(X_initial) + sum_j t^j phi_j(tS)(N_j), assembled through the
-    forward (default) or backward phi recursion.
-    """
-    coeffs = list(coeffs)
-    scaled = [coeffs[0]] + [t ** j * np.asarray(nj, dtype=float) for j, nj in enumerate(coeffs[1:], start=1)]
-    comb = PhiCombination(tuple(scaled), operator, t)
-    if recursion == "forward":
-        return eval_forward(comb)
-    if recursion == "backward":
-        return eval_backward(comb)
-    raise ConfigurationError(f"unknown recursion {recursion!r}")
-
-
 # Scheme name -> (stepper, whether the state is an LDL^T factor).  Every
 # stepper takes (problem, state, h, cfg, details); the dense Euler steps
 # ignore the last two.
@@ -505,12 +485,10 @@ def integrate(problem, cfg):
         started = time.perf_counter()
         try:
             state = stepper(problem, state, cfg.h, cfg, details)
-            bad = (
-                not np.all(np.isfinite(state.L)) or not np.all(np.isfinite(state.core))
-                if isinstance(state, LdlFactor)
-                else not np.all(np.isfinite(state))
+            finite = (
+                state.is_finite() if isinstance(state, LdlFactor) else np.all(np.isfinite(state))
             )
-            if bad:
+            if not finite:
                 raise FiniteEscapeError("state became non-finite")
         except (SolvabilityError, FiniteEscapeError, DomainError, np.linalg.LinAlgError) as exc:
             partial = Trajectory(

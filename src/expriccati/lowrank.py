@@ -4,15 +4,16 @@ Symmetric Riccati problems with thin generators never need the full dense
 state: the right-hand side, the quadrature images and the step update all
 stay products of a thin factor with a small symmetric (possibly
 indefinite) core.  Column compression after each concatenation keeps the
-factor width bounded.
+factor width bounded.  Every core of the phi update is diagonal (a
+compression returns one, and the node stack scales it), so it travels
+as the vector of its diagonal; only the assembled right-hand side has a
+full core.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 
 import numpy as np
-import scipy.linalg
 
 from .densecore import check_factor
 # Factors built here come from validated pieces, so they are compressed
@@ -30,40 +31,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class LdlFactor:
     """Thin factorization X = L C L^T with a small symmetric core C.
 
-    The constructor validates its input; factors the package assembles
-    from validated ones are built by ``_trusted`` without the re-check.
+    ``core`` is the r x r matrix C.  A diagonal C is held as the vector of
+    its diagonal and formed as a matrix only when ``core`` is read.  The
+    constructor validates its input (C as a matrix or as the vector of a
+    diagonal); factors the package assembles from validated ones are built
+    by ``_trusted`` without the re-check.
     """
 
-    L: np.ndarray
-    core: np.ndarray
-
-    def __post_init__(self):
-        l, core = check_factor(self.L, self.core)
-        object.__setattr__(self, "L", l)
-        object.__setattr__(self, "core", core)
+    def __init__(self, L, core):
+        l, core = check_factor(L, core)
+        if core.ndim == 2 and np.array_equal(core, np.diag(np.diagonal(core))):
+            core = np.diagonal(core).copy()
+        self.L, self._core = l, core
 
     @classmethod
     def _trusted(cls, l, core):
         factor = object.__new__(cls)
-        object.__setattr__(factor, "L", l)
-        object.__setattr__(factor, "core", core)
+        factor.L, factor._core = l, core
         return factor
 
     @classmethod
     def _from_compressed(cls, l, core):
         """Factor of a ``compress`` result: L has orthonormal columns and the
-        core is diagonal, so the diagonal is the nonzero spectrum."""
-        factor = cls._trusted(l, core)
-        factor.__dict__["_projected_eigenvalues"] = np.diagonal(core)
+        core is diagonal (a vector, or a matrix from the public ``compress``),
+        so its diagonal is the nonzero spectrum."""
+        d = np.diagonal(core) if core.ndim == 2 else core
+        factor = cls._trusted(l, d)
+        factor.__dict__["_projected_eigenvalues"] = d
         return factor
 
     @classmethod
     def zero(cls, dim):
-        return cls._trusted(np.zeros((dim, 0)), np.zeros((0, 0)))
+        return cls._trusted(np.zeros((dim, 0)), np.zeros(0))
 
     @property
     def dim(self):
@@ -73,12 +75,34 @@ class LdlFactor:
     def rank(self):
         return self.L.shape[1]
 
+    @cached_property
+    def core(self):
+        """The core as an r x r matrix."""
+        return np.diag(self._core) if self._core.ndim == 1 else self._core
+
     def reconstruct(self):
         """Dense L C L^T."""
         return self.L @ self.core @ self.L.T
 
+    def apply(self, b):
+        """X b = L (C (L^T b)) without forming X."""
+        y = self.L.T @ b
+        y = self._core[:, None] * y if self._core.ndim == 1 else self._core @ y
+        return self.L @ y
+
+    def is_finite(self):
+        return bool(np.all(np.isfinite(self.L)) and np.all(np.isfinite(self._core)))
+
     def compressed(self, tol):
-        return LdlFactor._from_compressed(*compress(self.L, self.core, tol))
+        return LdlFactor._from_compressed(*compress(self.L, self._core, tol))
+
+    def _diagonalized(self):
+        """(L', d) with L' diag(d) L'^T = X: the stored pair for a diagonal
+        core, else L V and the eigenvalues of C = V diag(d) V^T."""
+        if self._core.ndim == 1:
+            return self.L, self._core
+        d, v = np.linalg.eigh(self._core)
+        return self.L @ v, d
 
     @cached_property
     def _projected_eigenvalues(self):
@@ -157,19 +181,19 @@ def assemble_remainder_diff(problem, state, stage):
         raise DimensionError(
             f"factor dimensions differ: {state.dim} versus {stage.dim}"
         )
-    xb = state.L @ (state.core @ (state.L.T @ problem.B))
-    yb = stage.L @ (stage.core @ (stage.L.T @ problem.B))
-    return LdlFactor._trusted(xb - yb, -np.eye(problem.B.shape[1]))
+    diff = state.apply(problem.B) - stage.apply(problem.B)
+    return LdlFactor._trusted(diff, -np.ones(problem.B.shape[1]))
 
 
 def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     """Stack quadrature-node exponential images of a factor.
 
     Builds Y = [E(tau_0) L, ..., E(tau_p) L] with tau_j = (1 - s_j) h and
-    the block-diagonal core of gamma_j C, gamma_j = coeff w_j s_j^(k-1) /
-    (k-1)!, so that Y diag(gamma_j C) Y^T approximates
-    coeff * phi_k(hS)(L C L^T) under the symmetric pairing (the right
-    exponentials are the transposes of the left ones).
+    the diagonal core [gamma_0 d, ..., gamma_p d], gamma_j = coeff w_j
+    s_j^(k-1) / (k-1)!, so that Y diag(gamma_j d) Y^T approximates
+    coeff * phi_k(hS)(L diag(d) L^T) under the symmetric pairing (the
+    right exponentials are the transposes of the left ones).  A factor
+    with a full core is diagonalized first, L <- L V for C = V diag(d) V^T.
 
     ``exp_actions`` maps (list of tau, block) to the list of
     exp(tau A_lin) block products; it is either a dense exponential
@@ -181,15 +205,14 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
         raise DomainError(f"phi order must be 1 or 3, got {k}")
     if h == 0.0 or coeff == 0.0 or factor.rank == 0:
         return LdlFactor.zero(factor.dim)
+    l, d = factor._diagonalized()
     taus = [(1.0 - s) * h for s in rule.nodes]
-    images = exp_actions(taus, factor.L)
+    images = exp_actions(taus, l)
     gammas = [
         coeff * w * s ** (k - 1) / factorial(k - 1)
         for s, w in zip(rule.nodes, rule.weights)
     ]
-    big = np.hstack(list(images))
-    core = scipy.linalg.block_diag(*[g * factor.core for g in gammas])
-    return LdlFactor._trusted(big, core)
+    return LdlFactor._trusted(np.hstack(list(images)), np.concatenate([g * d for g in gammas]))
 
 
 # Share of the relative tolerance that concat_update may spend on dropping
@@ -200,36 +223,19 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
 _PREDROP_SHARE = 0.1
 
 
-def _column_weights(l, core):
-    """w_i = ||l_i|| sum_j |C_ij| ||l_j||, the weight of column i in L C L^T."""
-    norms = np.sqrt(np.einsum("ij,ij->j", l, l))
-    return norms * (np.abs(core) @ norms)
-
-
-def _product_diagonal(l, core, diagonal):
-    """diag(L C L^T), row by row."""
-    if diagonal:
-        return (l * l) @ np.diagonal(core)
-    return np.einsum("ij,ij->i", l @ core, l)
-
-
-def _is_diagonal(core):
-    return np.count_nonzero(core) == np.count_nonzero(np.diagonal(core))
-
-
 def concat_update(state, update, tol):
     """Concatenate two factors and re-compress at ``tol``.
 
     Returns X' with ``||X - X'||_F <= tol ||X||_F`` for X = X_b + X_u, the
-    sum of ``state`` (the base, X_b) and ``update`` (X_u = L C L^T).
+    sum of ``state`` (the base, X_b) and ``update`` (X_u = L diag(d) L^T).
+    A factor with a full core is diagonalized on entry, L <- L V for
+    C = V diag(d) V^T, so both cores are diagonal.
 
     Before the compression, update columns whose contribution is provably
     negligible are dropped:
 
-    - Column i weighs w_i = ||l_i|| sum_j |C_ij| ||l_j||.  Removing a set
-      D of columns changes X by at most E = 2 sum_{i in D} w_i, and by
-      sum_{i in D} w_i = sum_{i in D} |C_ii| ||l_i||^2 when C is diagonal,
-      as the quadrature stacks of ``assemble_phi_sum`` are.
+    - Column i weighs w_i = |d_i| ||l_i||^2.  Removing a set D of columns
+      changes X by at most E = sum_{i in D} w_i.
     - nu = max(||X_b||_F - sum_i w_i, ||diag(X)||_2, 0) <= ||X||_F, since
       ||X_u||_F <= sum_i w_i.  ||X_b||_F is the norm of the base's
       spectrum, which a compressed base carries.
@@ -247,24 +253,23 @@ def concat_update(state, update, tol):
         )
     if update.rank == 0:
         return state
-    ul, uc = update.L, update.core
-    diagonal = _is_diagonal(uc)
-    weights = _column_weights(ul, uc)
-    x_diag = (_product_diagonal(state.L, state.core, _is_diagonal(state.core))
-              + _product_diagonal(ul, uc, diagonal))
+    sl, sd = state._diagonalized()
+    ul, ud = update._diagonalized()
+    norms = np.sqrt(np.einsum("ij,ij->j", ul, ul))
+    weights = norms * (np.abs(ud) * norms)
+    x_diag = (sl * sl) @ sd + (ul * ul) @ ud
     nu = max(state.fnorm() - float(weights.sum()), float(np.linalg.norm(x_diag)), 0.0)
     order = np.argsort(weights)
-    bound = np.cumsum(weights[order]) * (1.0 if diagonal else 2.0)
+    bound = np.cumsum(weights[order])
     dropped = 0
     # A non-finite update is kept whole, so that ``compress`` reports it.
     if np.isfinite(bound[-1]) and np.isfinite(nu):
         dropped = int(np.searchsorted(bound, _PREDROP_SHARE * tol * nu, side="right"))
     if dropped:
         keep = np.sort(order[dropped:])
-        ul, uc = ul[:, keep], uc[np.ix_(keep, keep)]
+        ul, ud = ul[:, keep], ud[keep]
         err = float(bound[dropped - 1])
         if err > 0.0:
             tol = (tol * nu - err) / (nu + err)
-    big = np.hstack([state.L, ul])
-    core = scipy.linalg.block_diag(state.core, uc)
-    return LdlFactor._from_compressed(*compress(big, core, tol))
+    big = np.hstack([sl, ul])
+    return LdlFactor._from_compressed(*compress(big, np.concatenate([sd, ud]), tol))

@@ -1,4 +1,4 @@
-"""Reference solutions and vectorized dense oracles.
+"""Reference solutions of the Riccati flow.
 
 The Riccati flow linearizes exactly: with
 
@@ -16,10 +16,10 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .densecore import KRON_LIMIT, as_matrix, expm, sylvester_kron_matrix
+from .densecore import as_matrix, expm
 from .errors import DomainError, FiniteEscapeError
 
-__all__ = ["radon_solve", "radon_trajectory", "kronecker_phi"]
+__all__ = ["radon_solve", "radon_trajectory"]
 
 # Keep ||dt H||_1 at most this large before even attempting a propagator;
 # avoids pointless exponentials that would overflow anyway.
@@ -149,29 +149,3 @@ def radon_trajectory(problem, times, cond_max=1e4):
         current = t
         out.append(x)
     return out
-
-
-def kronecker_phi(k, operator, h):
-    """Dense phi_k of the vectorized operator matrix h (I x A + D^T x I).
-
-    Test oracle for the operator-level evaluations: applying the returned
-    MN x MN matrix to vec(X) and reshaping reproduces phi_k(hS)(X).  The
-    matrix is formed explicitly and refused above M*N = 4096.  For k >= 1
-    the value is the top-right block of the exponential of the standard
-    nilpotent augmentation of size MN (k + 1).
-    """
-    if k < 0:
-        raise DomainError("phi index must be >= 0")
-    mn = operator.rows * operator.cols
-    if mn > KRON_LIMIT:
-        raise DomainError(f"vectorized phi limited to M*N <= {KRON_LIMIT}, got {mn}")
-    kmat = sylvester_kron_matrix(operator.A, operator.D)
-    if k == 0:
-        return expm(h * kmat)
-    size = mn * (k + 1)
-    block = np.zeros((size, size))
-    block[:mn, :mn] = h * kmat
-    for i in range(k):
-        r0 = i * mn
-        block[r0:r0 + mn, r0 + mn:r0 + 2 * mn] = np.eye(mn)
-    return expm(block)[:mn, k * mn:]

@@ -1,4 +1,4 @@
-"""phi functions of scalars and of Sylvester operators.
+"""phi functions of Sylvester operators.
 
 The family is phi_0(z) = exp(z) and, for j >= 1,
 
@@ -22,37 +22,13 @@ from .sylvop import SylvesterOperator, phi_action_augmented
 __all__ = [
     "QuadratureRule",
     "PhiCombination",
-    "phi_scalar",
     "phi_action_quadrature",
     "eval_forward",
     "eval_backward",
 ]
 
-# Below this magnitude the upward recurrence from exp(z) cancels badly,
-# so a truncated power series is used instead.
-SERIES_CUTOFF = 0.1
-SERIES_TERMS = 25
-
 # Node count of the default Gauss-Legendre rule of the quadrature path.
 GAUSS_NODES = 7
-
-
-def phi_scalar(j, z):
-    """phi_j at a scalar (real or complex) argument."""
-    if j < 0:
-        raise DomainError("phi index must be >= 0")
-    if j == 0:
-        return np.exp(z)
-    if abs(z) < SERIES_CUTOFF:
-        # Horner on sum_m z^m / (m+j)!
-        acc = 1.0 / factorial(SERIES_TERMS - 1 + j)
-        for m in range(SERIES_TERMS - 2, -1, -1):
-            acc = acc * z + 1.0 / factorial(m + j)
-        return acc
-    val = np.exp(z)
-    for i in range(j):
-        val = (val - 1.0 / factorial(i)) / z
-    return val
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "scalar_tanh_problem",
     "problem_from_spec",
     "load_problem",
-    "save_problem",
     "PROBLEM_FORMATS",
 ]
 
@@ -221,16 +220,3 @@ def load_problem(directory):
         l0 = np.zeros((a.shape[0], 0))
         d0 = None
     return build_symmetric_problem(a, c, b, l0, d0)
-
-
-def save_problem(directory, problem):
-    """Write the generator files read back by :func:`load_problem`."""
-    if not problem.has_lowrank_generators:
-        raise DomainError("only symmetric problems with generators can be saved")
-    os.makedirs(directory, exist_ok=True)
-    matio.write_matrix_market(os.path.join(directory, "A.mtx"), problem.A)
-    matio.write_matrix_market(os.path.join(directory, "B.mtx"), problem.B)
-    matio.write_matrix_market(os.path.join(directory, "C.mtx"), problem.C)
-    if problem.L0 is not None and problem.L0.shape[1]:
-        matio.write_matrix_market(os.path.join(directory, "L0.mtx"), problem.L0)
-        matio.write_matrix_market(os.path.join(directory, "D0.mtx"), problem.D0)

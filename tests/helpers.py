@@ -1,7 +1,18 @@
-"""Shared fixtures-in-spirit: random instances and vectorization oracles."""
+"""Shared fixtures-in-spirit: random instances and the oracles the tests
+check the package against (vectorized phi functions, scalar phi values,
+a long-double exponential, the exact polynomial-source flow) plus the
+writer of saved problems."""
+
+import os
+from math import factorial
 
 import numpy as np
 from scipy.linalg import expm as dense_expm
+
+from expriccati import matio
+from expriccati.densecore import KRON_LIMIT, sylvester_kron_matrix
+from expriccati.errors import ConfigurationError, DomainError
+from expriccati.phifun import PhiCombination, eval_backward, eval_forward
 
 
 def random_stable(rng, n, margin=1.0, scale=1.0):
@@ -64,3 +75,101 @@ def rel_err(approx, exact):
     scale = np.linalg.norm(exact)
     diff = np.linalg.norm(np.asarray(approx, dtype=float) - exact)
     return diff if scale == 0 else diff / scale
+
+
+def expm_longdouble(a):
+    """exp(a) in long double: a 30-term Taylor series of a / 2^s,
+    ||a / 2^s||_1 <= 1/2, squared s times, rounded to float64."""
+    a = np.asarray(a, dtype=np.longdouble)
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm else 0
+    sub = a / np.longdouble(2) ** s
+    term = out = np.eye(a.shape[0], dtype=np.longdouble)
+    for k in range(1, 31):
+        term = sub @ term / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out.astype(float)
+
+
+# Below this magnitude the upward recurrence from exp(z) cancels badly,
+# so phi_scalar sums a truncated power series instead.
+SERIES_CUTOFF = 0.1
+SERIES_TERMS = 25
+
+
+def phi_scalar(j, z):
+    """phi_j at a scalar (real or complex) argument."""
+    if j < 0:
+        raise DomainError("phi index must be >= 0")
+    if j == 0:
+        return np.exp(z)
+    if abs(z) < SERIES_CUTOFF:
+        # Horner on sum_m z^m / (m+j)!
+        acc = 1.0 / factorial(SERIES_TERMS - 1 + j)
+        for m in range(SERIES_TERMS - 2, -1, -1):
+            acc = acc * z + 1.0 / factorial(m + j)
+        return acc
+    val = np.exp(z)
+    for i in range(j):
+        val = (val - 1.0 / factorial(i)) / z
+    return val
+
+
+def kronecker_phi(k, operator, h):
+    """Dense phi_k of the vectorized operator matrix h (I x A + D^T x I).
+
+    Applying the returned MN x MN matrix to vec(X) and reshaping
+    reproduces phi_k(hS)(X).  The matrix is formed explicitly and refused
+    above M*N = KRON_LIMIT.  For k >= 1 the value is the top-right block
+    of the exponential of the standard nilpotent augmentation of size
+    MN (k + 1).
+    """
+    if k < 0:
+        raise DomainError("phi index must be >= 0")
+    mn = operator.rows * operator.cols
+    if mn > KRON_LIMIT:
+        raise DomainError(f"vectorized phi limited to M*N <= {KRON_LIMIT}, got {mn}")
+    kmat = sylvester_kron_matrix(operator.A, operator.D)
+    if k == 0:
+        return dense_expm(h * kmat)
+    size = mn * (k + 1)
+    block = np.zeros((size, size))
+    block[:mn, :mn] = h * kmat
+    for i in range(k):
+        r0 = i * mn
+        block[r0:r0 + mn, r0 + mn:r0 + 2 * mn] = np.eye(mn)
+    return dense_expm(block)[:mn, k * mn:]
+
+
+def step_msde_polynomial(operator, coeffs, t, recursion="forward"):
+    """Exact flow of X' = S(X) + Q(t) for a polynomial inhomogeneity.
+
+    ``coeffs`` is (X_initial, N_1, ..., N_m) where
+    Q(t) = sum_{j>=1} t^(j-1)/(j-1)! N_j, i.e. N_{j+1} is the j-th
+    derivative of Q at zero.  The value at ``t`` is
+    exp(tS)(X_initial) + sum_j t^j phi_j(tS)(N_j), assembled through the
+    forward (default) or backward phi recursion.
+    """
+    coeffs = list(coeffs)
+    scaled = [coeffs[0]] + [t ** j * np.asarray(nj, dtype=float) for j, nj in enumerate(coeffs[1:], start=1)]
+    comb = PhiCombination(tuple(scaled), operator, t)
+    if recursion == "forward":
+        return eval_forward(comb)
+    if recursion == "backward":
+        return eval_backward(comb)
+    raise ConfigurationError(f"unknown recursion {recursion!r}")
+
+
+def save_problem(directory, problem):
+    """Write the generator files read back by ``problems.load_problem``."""
+    if not problem.has_lowrank_generators:
+        raise DomainError("only symmetric problems with generators can be saved")
+    os.makedirs(directory, exist_ok=True)
+    matio.write_matrix_market(os.path.join(directory, "A.mtx"), problem.A)
+    matio.write_matrix_market(os.path.join(directory, "B.mtx"), problem.B)
+    matio.write_matrix_market(os.path.join(directory, "C.mtx"), problem.C)
+    if problem.L0 is not None and problem.L0.shape[1]:
+        matio.write_matrix_market(os.path.join(directory, "L0.mtx"), problem.L0)
+        matio.write_matrix_market(os.path.join(directory, "D0.mtx"), problem.D0)

@@ -13,7 +13,9 @@ from expriccati.cli import (
 )
 from expriccati.errors import UsageError
 from expriccati.matio import write_matrix_market
-from expriccati.problems import problem_from_spec, save_problem
+from expriccati.problems import problem_from_spec
+
+from helpers import save_problem
 
 
 def _rows(lines):

@@ -16,7 +16,7 @@ from expriccati.densecore import (
 from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 from expriccati.problems import fdm_sym
 
-from helpers import kron_matrix, random_stable, rel_err, unvec, vec
+from helpers import expm_longdouble, kron_matrix, random_stable, rel_err, unvec, vec
 
 
 class TestExpm:
@@ -74,7 +74,7 @@ class TestExpmActions:
             if trial % 3 == 0:
                 taus = list(rng.uniform(-1, 1, size=5))  # mixed-sign fallback
             for got, tau in zip(expm_actions(m, taus, b), taus):
-                assert rel_err(got, expm(tau * m) @ b) <= 1e-12
+                assert rel_err(got, expm_longdouble(tau * m) @ b) <= 1e-12
 
     def test_decaying_scalar_keeps_full_accuracy(self):
         # The chain's series steps must not lose the result to cancellation
@@ -351,6 +351,22 @@ class TestCompress:
         l2, c2 = compress(l, core, tol=1e-14)
         assert rel_err(l2 @ c2 @ l2.T, l @ core @ l.T) <= 1e-12
         assert (np.diag(c2) < 0).any()
+
+    def test_vector_core_equals_its_diagonal_matrix(self):
+        # A diagonal core given as its vector compresses bit for bit like
+        # the matrix form, kept columns, basis and eigenvalues alike.
+        rng = np.random.default_rng(23)
+        l = rng.standard_normal((15, 6))
+        d = np.array([3.0, -1.5, 1e-9, 0.5, -2e-12, 1.0])
+        for tol in (0.0, 1e-10, 1e-3):
+            lv, cv = compress(l, d, tol)
+            lm, cm = compress(l, np.diag(d), tol)
+            assert lv.shape[1] < 6 or tol == 0.0
+            assert np.array_equal(lv, lm) and np.array_equal(cv, cm)
+
+    def test_vector_core_length_checked(self):
+        with pytest.raises(DimensionError):
+            compress(np.eye(3)[:, :2], np.ones(3), tol=0.0)
 
     def test_asymmetric_core_rejected(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import expriccati.integrators as integrators
 import expriccati.lowrank as lowrank
@@ -19,7 +20,6 @@ from expriccati.integrators import (
     step_expeuler_backward,
     step_expeuler_general,
     step_expeuler_lowrank,
-    step_msde_polynomial,
 )
 from expriccati.lowrank import LdlFactor
 from expriccati.oracle import radon_solve
@@ -33,7 +33,7 @@ from expriccati.problems import (
 )
 from expriccati.sylvop import SylvesterOperator, linearize, phi_action_augmented
 
-from helpers import random_stable, rel_err, rk4_matrix_ode
+from helpers import random_stable, rel_err, rk4_matrix_ode, step_msde_polynomial
 
 
 @pytest.fixture
@@ -534,6 +534,23 @@ class TestIntegrate:
         # One call per step, linearized at the state the step starts from.
         assert len(calls) == len(traj.diagnostics) == 3
         assert all(call is state for call, state in zip(calls, traj.states))
+
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_lowrank_step_stacks_no_dense_core(self, scheme, monkeypatch):
+        # Every core of the phi update is diagonal and travels as a vector,
+        # so no step assembles a block-diagonal matrix.
+        calls = []
+        original = scipy.linalg.block_diag
+
+        def spy(*blocks):
+            calls.append(len(blocks))
+            return original(*blocks)
+
+        monkeypatch.setattr(scipy.linalg, "block_diag", spy)
+        p = problem_from_spec("fdm-sym:k=8", seed=20240)
+        traj = integrate(p, IntegratorConfig(scheme, 0.01, 0.01))
+        assert len(traj.diagnostics) == 1 and traj.final.rank > 0
+        assert calls == []
 
     def test_lowrank_diagnostics_populated(self, rng):
         n = 10

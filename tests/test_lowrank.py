@@ -171,15 +171,17 @@ class TestAssemblePhiSum:
         return lambda taus, block: [expm(t * a) @ block for t in taus]
 
     def test_first_order_weights(self, rng):
-        # gamma_j must be h * w_j for the phi_1 stack.
+        # gamma_j must be h * w_j for the phi_1 stack.  The full core is
+        # diagonalized first, so each node's block carries h w_j L C L^T.
         n, h = 5, 0.3
         factor = _random_state(rng, n, 2)
         rule = QuadratureRule.gauss_legendre(4)
         out = assemble_phi_sum(self._dense_actions(np.zeros((n, n))), h, 1, factor, rule, coeff=h)
         r = factor.rank
         for j, w in enumerate(rule.weights):
-            block = out.core[j * r:(j + 1) * r, j * r:(j + 1) * r]
-            assert rel_err(block, h * w * factor.core) <= 1e-14
+            cols = slice(j * r, (j + 1) * r)
+            block = out.L[:, cols] @ out.core[cols, cols] @ out.L[:, cols].T
+            assert rel_err(block, h * w * factor.reconstruct()) <= 1e-14
 
     def test_zero_step_returns_zero_factor(self, rng):
         factor = _random_state(rng, 4, 2)
@@ -238,6 +240,22 @@ class TestConcatUpdate:
         target = state.reconstruct() + update.reconstruct()
         assert np.linalg.norm(out.reconstruct() - target) <= 1e-12 * np.linalg.norm(target)
         assert out.rank <= state.rank + update.rank
+
+    @pytest.mark.parametrize("tol", [1e-1, 1e-4, 1e-8])
+    def test_general_update_meets_the_bound(self, rng, tol):
+        # A symmetric update core that is not diagonal: a graded spectrum
+        # in a random basis, so that the pre-pass drops columns of the
+        # diagonalized update.
+        n, r = 14, 6
+        state = _random_state(rng, n, 4)
+        q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        core = q @ np.diag([1.0, -0.5, 1e-3, -1e-6, 1e-9, 1e-12]) @ q.T
+        update = LdlFactor(rng.standard_normal((n, r)), (core + core.T) / 2)
+        assert np.count_nonzero(update.core - np.diag(np.diagonal(update.core)))
+        out = concat_update(state, update, tol)
+        target = state.reconstruct() + update.reconstruct()
+        assert np.linalg.norm(out.reconstruct() - target) <= tol * np.linalg.norm(target)
+        assert out.rank < state.rank + r
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(DimensionError):

@@ -4,12 +4,11 @@ import pytest
 from expriccati.densecore import expm
 from expriccati.errors import DomainError, FiniteEscapeError
 from expriccati.integrators import RiccatiProblem
-from expriccati.oracle import kronecker_phi, radon_solve, radon_trajectory
-from expriccati.phifun import phi_scalar
+from expriccati.oracle import radon_solve, radon_trajectory
 from expriccati.problems import build_symmetric_problem, problem_from_spec
 from expriccati.sylvop import SylvesterOperator
 
-from helpers import random_stable, rel_err
+from helpers import kronecker_phi, phi_scalar, random_stable, rel_err
 
 
 @pytest.fixture

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 
 from expriccati.errors import DimensionError, DomainError
-from expriccati.oracle import kronecker_phi
 from expriccati.phifun import (
     PhiCombination,
     QuadratureRule,
     eval_backward,
     eval_forward,
     phi_action_quadrature,
-    phi_scalar,
 )
 from expriccati.sylvop import SylvesterOperator
 
-from helpers import kron_matrix, phi_series, random_stable, rel_err, rk4_matrix_ode, unvec, vec
+from helpers import (
+    kron_matrix,
+    kronecker_phi,
+    phi_scalar,
+    phi_series,
+    random_stable,
+    rel_err,
+    rk4_matrix_ode,
+    unvec,
+    vec,
+)
 
 
 class TestPhiScalar:

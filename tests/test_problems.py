@@ -11,11 +11,10 @@ from expriccati.problems import (
     load_problem,
     problem_from_spec,
     random_lowrank,
-    save_problem,
     scalar_tanh_problem,
 )
 
-from helpers import rel_err
+from helpers import rel_err, save_problem
 
 
 class TestFdmMatrix:

@@ -28,11 +28,10 @@ from expriccati.densecore import SparsePlusThin, compress, expm_actions
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
-from expriccati.oracle import kronecker_phi
 from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import SylvesterOperator
 
-from helpers import random_stable, unvec, vec
+from helpers import expm_longdouble, kronecker_phi, random_stable, unvec, vec
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -270,22 +269,6 @@ def _sparse_plus_thin(rng, n, band, p):
     return SparsePlusThin(scipy.sparse.csr_array(a), u, b.T, norm1)
 
 
-def _expm_longdouble(a):
-    """exp(a) in long double: a 30-term Taylor series of a / 2^s,
-    ||a / 2^s||_1 <= 1/2, squared s times, rounded to float64."""
-    a = np.asarray(a, dtype=np.longdouble)
-    norm = float(np.abs(a).sum(axis=0).max())
-    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm else 0
-    sub = a / np.longdouble(2) ** s
-    term = out = np.eye(a.shape[0], dtype=np.longdouble)
-    for k in range(1, 31):
-        term = sub @ term / k
-        out = out + term
-    for _ in range(s):
-        out = out @ out
-    return out.astype(float)
-
-
 op_dims = st.integers(min_value=3, max_value=40)
 bands = st.integers(min_value=0, max_value=3)
 widths = st.integers(min_value=1, max_value=3)
@@ -323,7 +306,7 @@ def test_structured_actions_match_full_exponentials(n, band, p, cols, seed, span
     taus = sign * fractions * span / op.norm1
 
     for got, tau in zip(expm_actions(op, taus, v), taus):
-        exact = _expm_longdouble(tau * dense) @ v
+        exact = expm_longdouble(tau * dense) @ v
         assert _fro(got - exact) <= 1e-12 * _fro(exact)
 
 

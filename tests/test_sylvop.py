@@ -4,7 +4,7 @@ import pytest
 from expriccati.densecore import expm
 from expriccati.errors import DimensionError, DomainError
 from expriccati.integrators import RiccatiProblem
-from expriccati.oracle import kronecker_phi, radon_solve
+from expriccati.oracle import radon_solve
 from expriccati.phifun import QuadratureRule
 from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import (
@@ -15,7 +15,7 @@ from expriccati.sylvop import (
     phi_action_augmented,
 )
 
-from helpers import kron_matrix, random_stable, rel_err, unvec, vec
+from helpers import kron_matrix, kronecker_phi, random_stable, rel_err, unvec, vec
 
 
 @pytest.fixture
