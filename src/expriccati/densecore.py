@@ -21,18 +21,10 @@ __all__ = [
     "expm_actions",
     "SparsePlusThin",
     "sparse_shift",
-    "sylvester_kron_matrix",
-    "operator_separation",
     "solve_sylvester",
     "check_factor",
     "compress",
-    "KRON_LIMIT",
 ]
-
-# Largest M*N for which a vectorized MN x MN matrix of the Sylvester
-# operator (the oracle's phi functions) may be formed explicitly.
-KRON_LIMIT = 4096
-
 
 def as_matrix(a, name="matrix"):
     """Coerce ``a`` to a 2-D float array, rejecting non-finite entries."""
@@ -268,24 +260,9 @@ def expm_actions(m, taus, b):
     return results
 
 
-def sylvester_kron_matrix(a, d):
-    """Matrix of X -> AX + XD acting on the column-stacked vec(X)."""
-    a = require_square(as_matrix(a, "A"), "A")
-    d = require_square(as_matrix(d, "D"), "D")
-    return np.kron(np.eye(d.shape[0]), a) + np.kron(d.T, np.eye(a.shape[0]))
-
-
 def _separation(la, mu):
     """Smallest |lambda + mu| over two lists of eigenvalues."""
     return float(np.abs(la[:, None] + mu[None, :]).min())
-
-
-def operator_separation(a, d):
-    """Smallest |lambda_i(A) + mu_j(D)| over the two spectra.
-
-    Zero separation means X -> AX + XD is singular.
-    """
-    return _separation(np.linalg.eigvals(a), np.linalg.eigvals(d))
 
 
 def _schur_eigenvalues(t):

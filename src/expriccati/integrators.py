@@ -58,9 +58,10 @@ __all__ = [
 # exponential of size M + 3N rather than the quadrature rule.  The
 # augmented route is exact but costs a dense (M + 3N)^2 exponential: on
 # fdm-nonsym:k=10 (M*N = 10000, a 400 x 400 exponential, one BLAS thread)
-# it took 31-41 ms per call against 6-9 ms for the 7-node quadrature (one
-# 100 x 100 exponential per node, D = A^T), which there is 12% off an
-# 80-node rule at step 0.
+# it took 27-29 ms per call against 1.5-1.6 ms for the 7-node quadrature
+# on the rank-2 factor pair of the operand (one Taylor chain on [L, R],
+# D = A^T; 6-7 ms with one 100 x 100 exponential per node on the dense
+# operand), which there is 12% off an 80-node rule at step 0.
 _EROW3_AUGMENTED_LIMIT = 4096
 
 # The low-rank steps apply A_lin = A - (X B) B^T as a SparsePlusThin
@@ -415,8 +416,9 @@ def step_erow3(problem, x, h, cfg, details=None):
 
     Dispatches on the state kind.  Densely the correction is exact through
     the augmented block exponential up to M*N = 4096 and a quadrature
-    beyond (``cfg.rule``); in low-rank form both the stage and the
-    correction of the factored remainder difference go through one
+    beyond (``cfg.rule``), on the factor pair of -(X - U) G (X - U), U the
+    stage, where the problem has B.  In low-rank form both the stage and
+    the correction of the factored remainder difference go through one
     factored phi-update, linearized once.
     """
     if isinstance(x, LdlFactor):
@@ -428,10 +430,11 @@ def step_erow3(problem, x, h, cfg, details=None):
     stage = phi1_action_augmented(operator, h, remainder, x)
     # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage.
     e = x - stage
-    diff = -(e @ problem.G) @ e
     if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
-        correction = phi_action_augmented(operator, h, 3, diff)
+        correction = phi_action_augmented(operator, h, 3, -(e @ problem.G) @ e)
     else:
+        # G = B B^T makes the operand -W_L W_R^T, W_L = (X - U) B, W_R = (X - U)^T B.
+        diff = -(e @ problem.G) @ e if problem.B is None else (-(e @ problem.B), e.T @ problem.B)
         correction = phi_action_quadrature(3, operator, h, diff, cfg.rule)
     return stage + 2.0 * h * correction
 

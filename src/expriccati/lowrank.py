@@ -144,17 +144,17 @@ def assemble_rhs(problem, state):
          [0, 0,   C_x       ],
          [0, C_x, -K K^T    ]],     K = C_x L^T B.
 
-    The reconstruction is exact; no compression is applied here.
+    The reconstruction is exact; no compression is applied here.  A L
+    takes the CSR copy of A where the problem keeps one (n >= 196 on fdm).
     """
     _require_generators(problem)
     l = state.L
     cx = state.core
-    if l.shape[0] != problem.A.shape[0]:
-        raise DimensionError(
-            f"state lives in dimension {l.shape[0]}, problem in {problem.A.shape[0]}"
-        )
+    if l.shape[0] != problem.M:
+        raise DimensionError(f"state lives in dimension {l.shape[0]}, problem in {problem.M}")
     ct = problem.C.T
-    al = problem.A @ l
+    sparse = problem._sparse_coefficient
+    al = (problem.A if sparse is None else sparse[0]) @ l
     k = cx @ (l.T @ problem.B)
     nl, r = ct.shape[1], l.shape[1]
     big = np.hstack([ct, al, l])
@@ -178,9 +178,7 @@ def assemble_remainder_diff(problem, state, stage):
     """
     _require_generators(problem)
     if state.dim != stage.dim:
-        raise DimensionError(
-            f"factor dimensions differ: {state.dim} versus {stage.dim}"
-        )
+        raise DimensionError(f"factor dimensions differ: {state.dim} versus {stage.dim}")
     diff = state.apply(problem.B) - stage.apply(problem.B)
     return LdlFactor._trusted(diff, -np.ones(problem.B.shape[1]))
 

@@ -15,7 +15,7 @@ from math import factorial
 
 import numpy as np
 
-from .densecore import as_matrix, solve_sylvester
+from .densecore import as_matrix, expm_actions, solve_sylvester
 from .errors import DimensionError, DomainError
 from .sylvop import SylvesterOperator, phi_action_augmented
 
@@ -99,19 +99,34 @@ class PhiCombination:
 def phi_action_quadrature(k, operator, h, mat, rule):
     """Quadrature approximation of phi_k(hS)(N) for k >= 1.
 
-    Evaluates (1/(k-1)!) sum_j w_j s_j^(k-1) exp((1-s_j) hS)(N) with the
-    node exponentials applied exactly as two-sided products (one expm per
-    node when D = A^T) to the operand, validated once.  Nodes are summed in
-    ascending index order so results are reproducible.  k = 0 is refused.
+    Evaluates (1/(k-1)!) sum_j w_j s_j^(k-1) exp(tau_j S)(N) with
+    tau_j = (1 - s_j) h and the node exponentials applied exactly to the
+    operand, validated once: the M x N matrix N as two-sided products (one
+    expm per node when D = A^T), or the pair (L, R) of an M x q and an
+    N x q factor of N = L R^T as the images exp(tau_j A) L and
+    exp(tau_j D^T) R of ``expm_actions``, one Taylor chain for all nodes
+    (on [L, R] when D = A^T), summed in one product.  k = 0 is refused.
     """
     if k < 1:
         raise DomainError("quadrature path needs k >= 1; use exp_action for k = 0")
-    mat = operator._check_operand(mat, "operand")
-    acc = np.zeros_like(mat)
-    for s, w in zip(rule.nodes, rule.weights):
-        left, right = operator._exponentials((1.0 - s) * h)
-        acc = acc + (w * s ** (k - 1)) * (left @ mat @ right)
-    return acc / factorial(k - 1)
+    taus = [(1.0 - s) * h for s in rule.nodes]
+    coeffs = rule.weights * rule.nodes ** (k - 1) / factorial(k - 1)
+    if not isinstance(mat, tuple):
+        mat = operator._check_operand(mat, "operand")
+        nodes = zip(coeffs, map(operator._exponentials, taus))
+        return sum((c * (left @ mat @ right) for c, (left, right) in nodes), np.zeros_like(mat))
+    factors = [as_matrix(f, "factor") for f in mat]
+    rows, widths = [f.shape[0] for f in factors], {f.shape[1] for f in factors}
+    if rows != [operator.rows, operator.cols] or len(widths) != 1:
+        shapes, target = [f.shape for f in factors], (operator.rows, operator.cols)
+        raise DimensionError(f"factors of shapes {shapes} do not form a {target} operand")
+    if operator.transposed:
+        images = np.array(expm_actions(operator.A, taus, np.hstack(factors)))
+        lefts, rights = np.split(images, [factors[0].shape[1]], axis=2)
+    else:
+        lefts = np.array(expm_actions(operator.A, taus, factors[0]))
+        rights = np.array(expm_actions(operator.D.T, taus, factors[1]))
+    return np.hstack(coeffs[:, None, None] * lefts) @ np.hstack(rights).T
 
 
 def eval_forward(comb):

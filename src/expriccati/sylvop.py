@@ -179,10 +179,9 @@ def phi_action_augmented(operator, h, k, mat):
     Chains k diagonal copies of -hD coupled by identity blocks above the
     operand block; the top-right M x N block of the exponential, times
     exp(hD) (for D = A^T the transpose of its top-left block exp(hA)), is
-    the phi_k action.  k = 0 falls back to the plain operator exponential.  Exact up to matrix-exponential accuracy (with the same
-    balancing and step-doubling stabilization as the affine update), so
-    it serves as the default route wherever a single higher-order phi
-    action of a moderately sized operator is needed.
+    the phi_k action.  k = 0 falls back to the plain operator exponential.
+    Exact up to matrix-exponential accuracy, with the same balancing and
+    step-doubling stabilization as the affine update.
     """
     if k < 0:
         raise DomainError("phi index must be >= 0")

@@ -10,9 +10,13 @@ import numpy as np
 from scipy.linalg import expm as dense_expm
 
 from expriccati import matio
-from expriccati.densecore import KRON_LIMIT, sylvester_kron_matrix
 from expriccati.errors import ConfigurationError, DomainError
 from expriccati.phifun import PhiCombination, eval_backward, eval_forward
+
+
+# Largest M*N for which kronecker_phi forms the vectorized MN x MN matrix
+# of the Sylvester operator explicitly.
+KRON_LIMIT = 4096
 
 
 def random_stable(rng, n, margin=1.0, scale=1.0):
@@ -25,6 +29,15 @@ def random_stable(rng, n, margin=1.0, scale=1.0):
 def kron_matrix(a, d):
     """Vectorized form of X -> AX + XD (column-stacked convention)."""
     return np.kron(np.eye(d.shape[0]), a) + np.kron(d.T, np.eye(a.shape[0]))
+
+
+def operator_separation(a, d):
+    """Smallest |lambda_i(A) + mu_j(D)| over the two spectra.
+
+    Zero separation means X -> AX + XD is singular.
+    """
+    la, mu = np.linalg.eigvals(a), np.linalg.eigvals(d)
+    return float(np.abs(la[:, None] + mu[None, :]).min())
 
 
 def vec(x):
@@ -131,7 +144,7 @@ def kronecker_phi(k, operator, h):
     mn = operator.rows * operator.cols
     if mn > KRON_LIMIT:
         raise DomainError(f"vectorized phi limited to M*N <= {KRON_LIMIT}, got {mn}")
-    kmat = sylvester_kron_matrix(operator.A, operator.D)
+    kmat = kron_matrix(operator.A, operator.D)
     if k == 0:
         return dense_expm(h * kmat)
     size = mn * (k + 1)

@@ -9,14 +9,20 @@ from expriccati.densecore import (
     compress,
     expm,
     expm_actions,
-    operator_separation,
     solve_sylvester,
-    sylvester_kron_matrix,
 )
 from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
 from expriccati.problems import fdm_sym
 
-from helpers import expm_longdouble, kron_matrix, random_stable, rel_err, unvec, vec
+from helpers import (
+    expm_longdouble,
+    kron_matrix,
+    operator_separation,
+    random_stable,
+    rel_err,
+    unvec,
+    vec,
+)
 
 
 class TestExpm:
@@ -290,14 +296,6 @@ class TestSolveSylvester:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             solve_sylvester(np.eye(2), np.eye(2), np.ones((3, 2)))
-
-
-class TestKronMatrix:
-    def test_against_reference_construction(self):
-        rng = np.random.default_rng(16)
-        a = rng.standard_normal((3, 3))
-        d = rng.standard_normal((2, 2))
-        assert np.allclose(sylvester_kron_matrix(a, d), kron_matrix(a, d))
 
 
 class TestCompress:

@@ -363,6 +363,53 @@ class TestErow3:
         assert len(calls) == 10
         assert rel_err(traj.final_dense(), radon_solve(p, 0.1)) <= 1e-7
 
+    def test_quadrature_phi3_takes_no_node_exponential(self, full_exponentials):
+        # The stage takes one 162 x 162 augmented exponential; the phi_3
+        # quadrature on the factor pair of its operand takes none.
+        p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
+        assert full_exponentials == [162]
+
+    def test_quadrature_phi3_operand_without_b_stays_dense(self, monkeypatch):
+        # The same coefficients as a non-symmetric problem without B: the
+        # operand -(X - U) G (X - U) has no thin factor and goes in densely,
+        # and both forms give the same phi_3.
+        seen = []
+        original = integrators.phi_action_quadrature
+
+        def spy(*args):
+            seen.append((args[3], original(*args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
+        p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
+        without_b = RiccatiProblem(A=p.A, D=p.D, Q=p.Q, G=p.G, X0=p.X0)
+        cfg = IntegratorConfig("Erow3Dense", 0.01, 0.1)
+        for problem in (p, without_b):
+            step_erow3(problem, p.X0, 0.01, cfg)
+        (factored, phi3), (dense, phi3_dense) = seen
+        assert isinstance(factored, tuple) and isinstance(dense, np.ndarray)
+        assert rel_err(phi3, phi3_dense) <= 1e-13
+
+    def test_quadrature_phi3_rectangular_problem_without_b(self, rng, monkeypatch):
+        m, n = 72, 60  # M * N = 4320 > _EROW3_AUGMENTED_LIMIT
+        p = RiccatiProblem(
+            A=random_stable(rng, m), D=random_stable(rng, n),
+            Q=rng.standard_normal((m, n)), G=0.1 * rng.standard_normal((n, m)),
+            X0=0.1 * rng.standard_normal((m, n)),
+        )
+        operands = []
+        original = integrators.phi_action_quadrature
+
+        def spy(*args):
+            operands.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
+        assert [np.shape(op) for op in operands] == [(m, n)]
+        assert isinstance(operands[0], np.ndarray)
+
 
 class TestConvergenceOrders:
     def test_scalar_orders(self):

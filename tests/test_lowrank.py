@@ -12,7 +12,7 @@ from expriccati.lowrank import (
     concat_update,
 )
 from expriccati.phifun import QuadratureRule
-from expriccati.problems import build_symmetric_problem, random_lowrank
+from expriccati.problems import build_symmetric_problem, problem_from_spec, random_lowrank
 
 from helpers import random_stable, rel_err
 
@@ -95,6 +95,29 @@ class TestAssembleRhs:
         state = _random_state(rng, 20, 3)
         out = assemble_rhs(p, state)
         assert rel_err(out.reconstruct(), p.rhs(state.reconstruct())) <= 1e-12
+
+    def test_sparse_coefficient_product(self, rng):
+        # fdm-sym:k=14 (n = 196) keeps a CSR copy of A for the low-rank
+        # steps; A L goes through it and matches the dense-A assembly.
+        p = problem_from_spec("fdm-sym:k=14", seed=20240)
+        state = _random_state(rng, p.M, 31)
+        dense_a = problem_from_spec("fdm-sym:k=14", seed=20240)
+        dense_a.__dict__["_sparse_coefficient"] = None
+        expected = assemble_rhs(dense_a, state)
+
+        products = []
+
+        class Counted:
+            def __matmul__(self, block):
+                products.append(block.shape)
+                return csr @ block
+
+        csr, *rest = p._sparse_coefficient
+        p.__dict__["_sparse_coefficient"] = (Counted(), *rest)
+        out = assemble_rhs(p, state)
+        assert products == [(p.M, 31)]
+        assert rel_err(out.L, expected.L) <= 1e-14
+        assert np.array_equal(out.core, expected.core)
 
     def test_needs_generators(self, rng):
         from expriccati.integrators import RiccatiProblem

@@ -161,6 +161,52 @@ class TestPhiActionQuadrature:
         assert errors[0] > errors[1] > errors[2]
 
 
+class TestPhiActionQuadratureFactored:
+    """The operand as the pair (L, R) of N = L R^T against the dense operand."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("m, n, transposed", [(6, 6, True), (6, 6, False), (7, 5, False)])
+    @pytest.mark.parametrize("span", [0.5, 5.0, 40.0])
+    def test_matches_dense_operand(self, full_exponentials, k, m, n, transposed, span):
+        rng = np.random.default_rng(34)
+        a = random_stable(rng, m, margin=0.5)
+        d = a.T if transposed else random_stable(rng, n, margin=0.5)
+        op = SylvesterOperator(a, d)
+        assert op.transposed == transposed
+        h = span / np.linalg.norm(a, 1)
+        l, r = rng.standard_normal((m, 2)), rng.standard_normal((n, 2))
+        rule = QuadratureRule.gauss_legendre(7)
+        factored = phi_action_quadrature(k, op, h, (l, r), rule)
+        # The node images come from the Taylor chain, not from full exponentials.
+        assert full_exponentials == []
+        dense = phi_action_quadrature(k, op, h, l @ r.T, rule)
+        assert rel_err(factored, dense) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            (np.ones((4, 2)), np.ones((3, 3))),  # column counts differ
+            (np.ones((5, 2)), np.ones((3, 2))),  # L has N rows
+            (np.ones((4, 2)), np.ones((4, 2))),  # R has M rows
+            (np.ones((4, 2)),),
+            (np.ones((4, 2)), np.ones((3, 2)), np.ones((3, 2))),
+        ],
+    )
+    def test_mis_shaped_factors_rejected(self, factors):
+        rng = np.random.default_rng(36)
+        op = _random_operator(rng, 4, 3)
+        with pytest.raises(DimensionError):
+            phi_action_quadrature(3, op, 0.1, factors, QuadratureRule.gauss_legendre(3))
+
+    def test_non_finite_factor_rejected(self):
+        op = SylvesterOperator(-np.eye(2), -np.eye(2))
+        with pytest.raises(DomainError):
+            phi_action_quadrature(
+                1, op, 0.1, (np.ones((2, 1)), np.array([[1.0], [np.nan]])),
+                QuadratureRule.gauss_legendre(3),
+            )
+
+
 class TestEvalForward:
     def test_single_term_is_operator_exponential(self):
         rng = np.random.default_rng(32)
