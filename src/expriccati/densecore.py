@@ -336,28 +336,32 @@ def solve_sylvester(a, d, rhs):
 
 
 def check_factor(l, core):
-    """Validate the pair of a thin factor L and its symmetric core C.
+    """Validate a thin factor L with its symmetric core C, and diagonalize C.
 
     Both must be finite.  C is either square with as many rows as L has
     columns and symmetric to 1e-12 relative, or the vector of a diagonal
-    core with one entry per column.  Returns the pair as float arrays.
+    core with one entry per column.  Returns (L', d) with
+    L' diag(d) L'^T = L C L^T as float arrays: a diagonal C comes back as
+    its diagonal with L unchanged, bit for bit, and any other C is
+    diagonalized once, C = V diag(d) V^T and L' = L V.  This is the only
+    place where the package accepts a full core.
     """
     l = as_matrix(l, "L")
     diagonal = np.ndim(core) == 1
     core = as_matrix(core, "core")
-    if diagonal:
-        core = core[0]
-    else:
-        require_square(core, "core")
+    core = core[0] if diagonal else require_square(core, "core")
     if l.shape[1] != core.shape[0]:
-        raise DimensionError(
-            f"factor has {l.shape[1]} columns but core has shape {core.shape}"
-        )
-    if not diagonal and core.size:
-        asym = float(np.abs(core - core.T).max())
-        if asym > 1e-12 * max(float(np.abs(core).max()), 1e-300):
-            raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
-    return l, core
+        raise DimensionError(f"factor has {l.shape[1]} columns but core has shape {core.shape}")
+    if diagonal:
+        return l, core
+    asym = float(np.abs(core - core.T).max(initial=0.0))
+    if asym > 1e-12 * max(float(np.abs(core).max(initial=0.0)), 1e-300):
+        raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
+    d = np.diagonal(core).copy()
+    if np.array_equal(core, np.diag(d)):
+        return l, d
+    d, v = np.linalg.eigh(core)
+    return l @ v, d
 
 
 def compress(l, core, tol):
@@ -369,8 +373,8 @@ def compress(l, core, tol):
         n x r factor.
     core : array_like
         r x r symmetric core, or the r-vector of a diagonal one; indefinite
-        cores are fine.  Both forms of a diagonal core give the same result
-        bit for bit.
+        cores are fine.  ``check_factor`` diagonalizes a full core first,
+        so both forms of a diagonal core give the same result bit for bit.
     tol : float
         Nonnegative relative tolerance.  The returned pair (L', C')
         satisfies ``||L C L^T - L' C' L'^T||_F <= tol * ||L C L^T||_F``.
@@ -395,7 +399,8 @@ def compress(l, core, tol):
 def _compress_trusted(l, core, tol):
     """:func:`compress` for package-built factors, without ``check_factor``.
 
-    Returns the kept eigenvalues as a vector, the diagonal of C'.
+    Takes the core as the vector of its diagonal and returns the kept
+    eigenvalues as a vector, the diagonal of C'.
     """
     if tol < 0:
         raise DomainError("compression tolerance must be nonnegative")
@@ -403,10 +408,7 @@ def _compress_trusted(l, core, tol):
         return l.copy(), np.zeros(0)
 
     q, r = np.linalg.qr(l)
-    if core.ndim == 1:
-        mid = (r * core) @ r.T
-    else:
-        mid = r @ ((core + core.T) / 2.0) @ r.T
+    mid = (r * core) @ r.T
     mid = (mid + mid.T) / 2.0
     lam, u = np.linalg.eigh(mid)
     if not np.all(np.isfinite(lam)):

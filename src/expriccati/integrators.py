@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, ulp
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse
@@ -60,8 +61,7 @@ __all__ = [
 # fdm-nonsym:k=10 (M*N = 10000, a 400 x 400 exponential, one BLAS thread)
 # it took 27-29 ms per call against 1.5-1.6 ms for the 7-node quadrature
 # on the rank-2 factor pair of the operand (one Taylor chain on [L, R],
-# D = A^T; 6-7 ms with one 100 x 100 exponential per node on the dense
-# operand), which there is 12% off an 80-node rule at step 0.
+# D = A^T), which there is 12% off an 80-node rule at step 0.
 _EROW3_AUGMENTED_LIMIT = 4096
 
 # The low-rank steps apply A_lin = A - (X B) B^T as a SparsePlusThin
@@ -246,12 +246,13 @@ class IntegratorConfig:
             raise ConfigurationError("final time must be nonnegative and finite")
         if self.compression_tol is not None and not 0 <= self.compression_tol < inf:
             raise ConfigurationError("compression tolerance must be nonnegative and finite")
-        if self.krylov_m < 1:
-            raise ConfigurationError("krylov_m must be >= 1")
+        for name in ("krylov_m", "store_every"):
+            value = getattr(self, name)
+            # An integer type first: NaN or 2.5 would pass a bare comparison.
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
         if self.exp_action not in EXP_ACTIONS:
             raise ConfigurationError("exp_action must be 'dense' or 'krylov'")
-        if self.store_every < 1:
-            raise ConfigurationError("store_every must be >= 1")
         if self.rule is None:
             self.rule = QuadratureRule.gauss_legendre()
         quotient = self.t_end / self.h
@@ -416,10 +417,11 @@ def step_erow3(problem, x, h, cfg, details=None):
 
     Dispatches on the state kind.  Densely the correction is exact through
     the augmented block exponential up to M*N = 4096 and a quadrature
-    beyond (``cfg.rule``), on the factor pair of -(X - U) G (X - U), U the
-    stage, where the problem has B.  In low-rank form both the stage and
-    the correction of the factored remainder difference go through one
-    factored phi-update, linearized once.
+    beyond (``cfg.rule``) on a factor pair (L, R) of -(X - U) G (X - U),
+    U the stage: (-(X - U) B, (X - U)^T B) of width p where the problem
+    has B, else (-(X - U) G, (X - U)^T) of width M.  In low-rank form
+    both the stage and the correction of the factored remainder
+    difference go through one factored phi-update, linearized once.
     """
     if isinstance(x, LdlFactor):
         update = _factored_phi_update(problem, x, h, cfg, details)
@@ -434,8 +436,8 @@ def step_erow3(problem, x, h, cfg, details=None):
         correction = phi_action_augmented(operator, h, 3, -(e @ problem.G) @ e)
     else:
         # G = B B^T makes the operand -W_L W_R^T, W_L = (X - U) B, W_R = (X - U)^T B.
-        diff = -(e @ problem.G) @ e if problem.B is None else (-(e @ problem.B), e.T @ problem.B)
-        correction = phi_action_quadrature(3, operator, h, diff, cfg.rule)
+        pair = (-(e @ problem.G), e.T) if problem.B is None else (-(e @ problem.B), e.T @ problem.B)
+        correction = phi_action_quadrature(3, operator, h, pair, cfg.rule)
     return stage + 2.0 * h * correction
 
 

@@ -4,10 +4,11 @@ Symmetric Riccati problems with thin generators never need the full dense
 state: the right-hand side, the quadrature images and the step update all
 stay products of a thin factor with a small symmetric (possibly
 indefinite) core.  Column compression after each concatenation keeps the
-factor width bounded.  Every core of the phi update is diagonal (a
-compression returns one, and the node stack scales it), so it travels
-as the vector of its diagonal; only the assembled right-hand side has a
-full core.
+factor width bounded.  Every core is diagonal and travels as the vector
+of its diagonal: a full core given to the constructor is diagonalized
+once by ``check_factor``, the right-hand side is assembled in diagonal
+form, a compression returns a diagonal core and the node stack scales
+it.
 """
 
 from functools import cached_property
@@ -32,33 +33,29 @@ __all__ = [
 
 
 class LdlFactor:
-    """Thin factorization X = L C L^T with a small symmetric core C.
+    """Thin factorization X = L diag(d) L^T with a small diagonal core.
 
-    ``core`` is the r x r matrix C.  A diagonal C is held as the vector of
-    its diagonal and formed as a matrix only when ``core`` is read.  The
-    constructor validates its input (C as a matrix or as the vector of a
-    diagonal); factors the package assembles from validated ones are built
-    by ``_trusted`` without the re-check.
+    The core is held as the vector d; ``core`` forms the matrix diag(d)
+    on first read.  The constructor takes L with a symmetric core C, as a
+    matrix or as the vector of a diagonal, which ``check_factor``
+    validates and diagonalizes: a diagonal C keeps L as given, any other
+    C = V diag(d) V^T stores L V.  Factors the package assembles from
+    validated ones are built by ``_trusted`` without the re-check.
     """
 
     def __init__(self, L, core):
-        l, core = check_factor(L, core)
-        if core.ndim == 2 and np.array_equal(core, np.diag(np.diagonal(core))):
-            core = np.diagonal(core).copy()
-        self.L, self._core = l, core
+        self.L, self._core = check_factor(L, core)
 
     @classmethod
-    def _trusted(cls, l, core):
+    def _trusted(cls, l, d):
         factor = object.__new__(cls)
-        factor.L, factor._core = l, core
+        factor.L, factor._core = l, d
         return factor
 
     @classmethod
-    def _from_compressed(cls, l, core):
-        """Factor of a ``compress`` result: L has orthonormal columns and the
-        core is diagonal (a vector, or a matrix from the public ``compress``),
-        so its diagonal is the nonzero spectrum."""
-        d = np.diagonal(core) if core.ndim == 2 else core
+    def _from_compressed(cls, l, d):
+        """Factor of a ``compress`` result: L has orthonormal columns, so the
+        core vector d is the nonzero spectrum."""
         factor = cls._trusted(l, d)
         factor.__dict__["_projected_eigenvalues"] = d
         return factor
@@ -77,18 +74,16 @@ class LdlFactor:
 
     @cached_property
     def core(self):
-        """The core as an r x r matrix."""
-        return np.diag(self._core) if self._core.ndim == 1 else self._core
+        """The core as the r x r matrix diag(d)."""
+        return np.diag(self._core)
 
     def reconstruct(self):
-        """Dense L C L^T."""
-        return self.L @ self.core @ self.L.T
+        """Dense L diag(d) L^T."""
+        return (self.L * self._core) @ self.L.T
 
     def apply(self, b):
-        """X b = L (C (L^T b)) without forming X."""
-        y = self.L.T @ b
-        y = self._core[:, None] * y if self._core.ndim == 1 else self._core @ y
-        return self.L @ y
+        """X b = L (d * (L^T b)) without forming X."""
+        return self.L @ (self._core[:, None] * (self.L.T @ b))
 
     def is_finite(self):
         return bool(np.all(np.isfinite(self.L)) and np.all(np.isfinite(self._core)))
@@ -96,25 +91,17 @@ class LdlFactor:
     def compressed(self, tol):
         return LdlFactor._from_compressed(*compress(self.L, self._core, tol))
 
-    def _diagonalized(self):
-        """(L', d) with L' diag(d) L'^T = X: the stored pair for a diagonal
-        core, else L V and the eigenvalues of C = V diag(d) V^T."""
-        if self._core.ndim == 1:
-            return self.L, self._core
-        d, v = np.linalg.eigh(self._core)
-        return self.L @ v, d
-
     @cached_property
     def _projected_eigenvalues(self):
-        """Nonzero spectrum of L C L^T, computed once per factor."""
+        """Nonzero spectrum of L diag(d) L^T, computed once per factor."""
         if self.rank == 0:
             return np.zeros(0)
         r = np.linalg.qr(self.L)[1]
-        mid = r @ self.core @ r.T
+        mid = (r * self._core) @ r.T
         return np.linalg.eigvalsh((mid + mid.T) / 2.0)
 
     def fnorm(self):
-        """||L C L^T||_F without forming the dense product."""
+        """||L diag(d) L^T||_F without forming the dense product."""
         return float(np.linalg.norm(self._projected_eigenvalues))
 
     def min_eigenvalue(self):
@@ -135,35 +122,39 @@ def _require_generators(problem):
 
 
 def assemble_rhs(problem, state):
-    """Factored Riccati right-hand side at a factored state.
+    """Factored Riccati right-hand side at a factored state, diagonal core.
 
-    For X = L C_x L^T the value  C^T C + A X + X A^T - X B B^T X  equals
-    Lt Ct Lt^T with Lt = [C^T, A L, L] and the block core
+    For X = L diag(c) L^T,  F = C^T C + A X + X A^T - X B B^T X  equals
+    C^T C + U L^T + L U^T  with
 
-        [[I, 0,   0         ],
-         [0, 0,   C_x       ],
-         [0, C_x, -K K^T    ]],     K = C_x L^T B.
+        U = (A L) diag(c) - 1/2 L K K^T,     K = diag(c) L^T B,
 
-    The reconstruction is exact; no compression is applied here.  A L
-    takes the CSR copy of A where the problem keeps one (n >= 196 on fdm).
+    and  U L^T + L U^T = 1/2 P P^T - 1/2 M M^T  for P = U Lam^-1 + L Lam
+    and M = U Lam^-1 - L Lam.  The balancing Lam = diag(alpha_i),
+    alpha_i = sqrt(||u_i|| / ||l_i||) (1 where either norm is 0), makes
+    ||p_i|| and ||m_i|| about sqrt(||u_i|| ||l_i||), so the cancellation
+    between P P^T and M M^T stays at the scale of the result however far
+    ||A L|| and ||L|| lie apart.  The factor is [C^T, P, M] with the core
+    vector [1..., 1/2..., -1/2...], exact up to roundoff and not
+    compressed.  A L takes the CSR copy of A where the problem keeps one
+    (n >= 196 on fdm).
     """
     _require_generators(problem)
-    l = state.L
-    cx = state.core
+    l, c = state.L, state._core
     if l.shape[0] != problem.M:
         raise DimensionError(f"state lives in dimension {l.shape[0]}, problem in {problem.M}")
     ct = problem.C.T
     sparse = problem._sparse_coefficient
     al = (problem.A if sparse is None else sparse[0]) @ l
-    k = cx @ (l.T @ problem.B)
+    k = c[:, None] * (l.T @ problem.B)
+    u = al * c - 0.5 * ((l @ k) @ k.T)
+    l_norms, u_norms = (np.sqrt(np.einsum("ij,ij->j", m, m)) for m in (l, u))
+    both = (l_norms > 0.0) & (u_norms > 0.0)
+    alpha = np.sqrt(np.divide(u_norms, l_norms, out=np.ones_like(l_norms), where=both))
+    u, l = u / alpha, l * alpha
     nl, r = ct.shape[1], l.shape[1]
-    big = np.hstack([ct, al, l])
-    core = np.zeros((nl + 2 * r, nl + 2 * r))
-    core[:nl, :nl] = np.eye(nl)
-    core[nl:nl + r, nl + r:] = cx
-    core[nl + r:, nl:nl + r] = cx
-    core[nl + r:, nl + r:] = -k @ k.T
-    return LdlFactor._trusted(big, core)
+    core = np.concatenate([np.ones(nl), np.full(r, 0.5), np.full(r, -0.5)])
+    return LdlFactor._trusted(np.hstack([ct, u + l, u - l]), core)
 
 
 def assemble_remainder_diff(problem, state, stage):
@@ -190,8 +181,7 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     the diagonal core [gamma_0 d, ..., gamma_p d], gamma_j = coeff w_j
     s_j^(k-1) / (k-1)!, so that Y diag(gamma_j d) Y^T approximates
     coeff * phi_k(hS)(L diag(d) L^T) under the symmetric pairing (the
-    right exponentials are the transposes of the left ones).  A factor
-    with a full core is diagonalized first, L <- L V for C = V diag(d) V^T.
+    right exponentials are the transposes of the left ones).
 
     ``exp_actions`` maps (list of tau, block) to the list of
     exp(tau A_lin) block products; it is either a dense exponential
@@ -203,7 +193,7 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
         raise DomainError(f"phi order must be 1 or 3, got {k}")
     if h == 0.0 or coeff == 0.0 or factor.rank == 0:
         return LdlFactor.zero(factor.dim)
-    l, d = factor._diagonalized()
+    l, d = factor.L, factor._core
     taus = [(1.0 - s) * h for s in rule.nodes]
     images = exp_actions(taus, l)
     gammas = [
@@ -226,8 +216,6 @@ def concat_update(state, update, tol):
 
     Returns X' with ``||X - X'||_F <= tol ||X||_F`` for X = X_b + X_u, the
     sum of ``state`` (the base, X_b) and ``update`` (X_u = L diag(d) L^T).
-    A factor with a full core is diagonalized on entry, L <- L V for
-    C = V diag(d) V^T, so both cores are diagonal.
 
     Before the compression, update columns whose contribution is provably
     negligible are dropped:
@@ -251,8 +239,8 @@ def concat_update(state, update, tol):
         )
     if update.rank == 0:
         return state
-    sl, sd = state._diagonalized()
-    ul, ud = update._diagonalized()
+    sl, sd = state.L, state._core
+    ul, ud = update.L, update._core
     norms = np.sqrt(np.einsum("ij,ij->j", ul, ul))
     weights = norms * (np.abs(ud) * norms)
     x_diag = (sl * sl) @ sd + (ul * ul) @ ud

@@ -12,6 +12,7 @@ reduce everything to a single phi action plus cheap corrections.
 
 from dataclasses import dataclass
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -63,8 +64,8 @@ class QuadratureRule:
     @classmethod
     def gauss_legendre(cls, count=GAUSS_NODES):
         """Gauss-Legendre rule mapped from [-1, 1] to [0, 1]."""
-        if count < 1:
-            raise DomainError("node count must be positive")
+        if not (isinstance(count, Integral) and count >= 1):
+            raise DomainError(f"node count must be a positive integer, got {count!r}")
         x, w = np.polynomial.legendre.leggauss(count)
         return cls(0.5 * (x + 1.0), 0.5 * w)
 
@@ -96,26 +97,22 @@ class PhiCombination:
         return len(self.operands) - 1
 
 
-def phi_action_quadrature(k, operator, h, mat, rule):
-    """Quadrature approximation of phi_k(hS)(N) for k >= 1.
+def phi_action_quadrature(k, operator, h, factors, rule):
+    """Quadrature approximation of phi_k(hS)(N) for k >= 1, N = L R^T.
 
-    Evaluates (1/(k-1)!) sum_j w_j s_j^(k-1) exp(tau_j S)(N) with
-    tau_j = (1 - s_j) h and the node exponentials applied exactly to the
-    operand, validated once: the M x N matrix N as two-sided products (one
-    expm per node when D = A^T), or the pair (L, R) of an M x q and an
-    N x q factor of N = L R^T as the images exp(tau_j A) L and
-    exp(tau_j D^T) R of ``expm_actions``, one Taylor chain for all nodes
-    (on [L, R] when D = A^T), summed in one product.  k = 0 is refused.
+    ``factors`` is the pair (L, R) of an M x q and an N x q factor of the
+    operand, validated once; a dense N goes in as (N, I_N).  Evaluates
+    (1/(k-1)!) sum_j w_j s_j^(k-1) exp(tau_j S)(N) with
+    tau_j = (1 - s_j) h: the node images exp(tau_j A) L and
+    exp(tau_j D^T) R come from ``expm_actions``, one Taylor chain for all
+    nodes (on [L, R] when D = A^T), and are summed in one product.
+    k = 0 is refused.
     """
     if k < 1:
         raise DomainError("quadrature path needs k >= 1; use exp_action for k = 0")
     taus = [(1.0 - s) * h for s in rule.nodes]
     coeffs = rule.weights * rule.nodes ** (k - 1) / factorial(k - 1)
-    if not isinstance(mat, tuple):
-        mat = operator._check_operand(mat, "operand")
-        nodes = zip(coeffs, map(operator._exponentials, taus))
-        return sum((c * (left @ mat @ right) for c, (left, right) in nodes), np.zeros_like(mat))
-    factors = [as_matrix(f, "factor") for f in mat]
+    factors = [as_matrix(f, "factor") for f in factors]
     rows, widths = [f.shape[0] for f in factors], {f.shape[1] for f in factors}
     if rows != [operator.rows, operator.cols] or len(widths) != 1:
         shapes, target = [f.shape for f in factors], (operator.rows, operator.cols)

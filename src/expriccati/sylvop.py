@@ -60,17 +60,18 @@ class SylvesterOperator:
         x = self._check_operand(x)
         return self.A @ x + x @ self.D
 
-    def _exponentials(self, t):
-        """(exp(tA), exp(tD)) of the validated coefficients, straight from SciPy."""
-        left = scipy.linalg.expm(t * self.A)
-        return left, left.T if self.transposed else scipy.linalg.expm(t * self.D)
-
     def exp_action(self, t, x):
-        """exp(tA) X exp(tD), the exact operator exponential applied to X."""
+        """exp(tA) X exp(tD), the exact operator exponential applied to X.
+
+        The coefficients were validated on construction, so the
+        exponentials come straight from SciPy; exp(tD) = exp(tA)^T for a
+        transposed pair.
+        """
         x = self._check_operand(x)
         if t == 0.0:
             return x.copy()
-        left, right = self._exponentials(t)
+        left = scipy.linalg.expm(t * self.A)
+        right = left.T if self.transposed else scipy.linalg.expm(t * self.D)
         return left @ x @ right
 
 

@@ -182,12 +182,20 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("compression_tol", float("nan")), ("compression_tol", -1.0), ("krylov_m", 0),
-         ("t_end", float("nan")), ("t_end", float("inf")), ("h", float("inf"))],
+         ("t_end", float("nan")), ("t_end", float("inf")), ("h", float("inf")),
+         ("krylov_m", float("nan")), ("krylov_m", 2.5), ("krylov_m", 3.0),
+         ("store_every", float("nan")), ("store_every", 2.5), ("store_every", "3")],
     )
     def test_bad_value_rejected_at_construction(self, field, value):
         settings = {"h": 0.1, "t_end": 0.2, field: value}
         with pytest.raises(ConfigurationError):
             IntegratorConfig("LrExpEuler", **settings)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = IntegratorConfig(
+            "LrExpEuler", 0.1, 0.2, krylov_m=np.int64(4), store_every=np.int32(2)
+        )
+        assert (cfg.krylov_m, cfg.store_every) == (4, 2)
 
     def test_default_tolerance_scales_with_dimension(self):
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
@@ -304,6 +312,24 @@ class TestExpEulerLowRank:
         dense = integrate(p, IntegratorConfig("GExpEuler", 0.02, 0.2))
         assert rel_err(lr.final_dense(), dense.final_dense()) <= 1e-8
 
+    def test_non_diagonal_initial_core_matches_dense_realization(self, rng):
+        # X0 = L0 D0 L0^T with a full D0: the initial factor holds L0 V and
+        # the eigenvalues of D0 = V diag(d) V^T.
+        n = 20
+        p = build_symmetric_problem(
+            random_stable(rng, n), rng.standard_normal((2, n)),
+            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+            D0=np.array([[2.0, 1.0], [1.0, 2.0]]),
+        )
+        initial = p.initial_factor()
+        assert np.array_equal(initial.core, np.diag([1.0, 3.0]))
+        assert rel_err(initial.reconstruct(), p.X0) <= 1e-14
+        # h ||X0 G||_1 is about 7, which the 7-node quadrature resolves
+        # (at h = 0.02 it is 30, and both cores end 1e-10 to 1e-5 off).
+        lr = integrate(p, IntegratorConfig("LrExpEuler", 0.005, 0.2))
+        dense = integrate(p, IntegratorConfig("GExpEuler", 0.005, 0.2))
+        assert rel_err(lr.final_dense(), dense.final_dense()) <= 1e-8
+
     def test_nonsymmetric_problem_rejected(self, rng):
         p = RiccatiProblem(
             A=rng.standard_normal((3, 3)), D=rng.standard_normal((3, 3)),
@@ -370,10 +396,10 @@ class TestErow3:
         step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
         assert full_exponentials == [162]
 
-    def test_quadrature_phi3_operand_without_b_stays_dense(self, monkeypatch):
+    def test_quadrature_phi3_operand_without_b_takes_a_wide_pair(self, monkeypatch):
         # The same coefficients as a non-symmetric problem without B: the
-        # operand -(X - U) G (X - U) has no thin factor and goes in densely,
-        # and both forms give the same phi_3.
+        # operand -(X - U) G (X - U) goes in as the M-column pair
+        # (-(X - U) G, (X - U)^T), and both pairs give the same phi_3.
         seen = []
         original = integrators.phi_action_quadrature
 
@@ -387,9 +413,11 @@ class TestErow3:
         cfg = IntegratorConfig("Erow3Dense", 0.01, 0.1)
         for problem in (p, without_b):
             step_erow3(problem, p.X0, 0.01, cfg)
-        (factored, phi3), (dense, phi3_dense) = seen
-        assert isinstance(factored, tuple) and isinstance(dense, np.ndarray)
-        assert rel_err(phi3, phi3_dense) <= 1e-13
+        (thin, phi3), (wide, phi3_wide) = seen
+        m, width = p.M, p.B.shape[1]
+        assert [f.shape for f in thin] == [(m, width), (m, width)]
+        assert [f.shape for f in wide] == [(m, m), (m, m)]
+        assert rel_err(phi3, phi3_wide) <= 1e-13
 
     def test_quadrature_phi3_rectangular_problem_without_b(self, rng, monkeypatch):
         m, n = 72, 60  # M * N = 4320 > _EROW3_AUGMENTED_LIMIT
@@ -398,17 +426,25 @@ class TestErow3:
             Q=rng.standard_normal((m, n)), G=0.1 * rng.standard_normal((n, m)),
             X0=0.1 * rng.standard_normal((m, n)),
         )
-        operands = []
+        seen = []
         original = integrators.phi_action_quadrature
 
         def spy(*args):
-            operands.append(args[3])
-            return original(*args)
+            seen.append((args, original(*args)))
+            return seen[-1][1]
 
         monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
         step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
-        assert [np.shape(op) for op in operands] == [(m, n)]
-        assert isinstance(operands[0], np.ndarray)
+        [((k, op, h, pair, rule), phi3)] = seen
+        assert [f.shape for f in pair] == [(m, m), (n, m)]
+        # The node sum with one full exponential per side and node.
+        operand = pair[0] @ pair[1].T
+        nodes = zip(rule.nodes, rule.weights)
+        expected = sum(
+            w * s ** 2 / 2.0 * (expm((1.0 - s) * h * op.A) @ operand @ expm((1.0 - s) * h * op.D))
+            for s, w in nodes
+        )
+        assert k == 3 and rel_err(phi3, expected) <= 1e-13
 
 
 class TestConvergenceOrders:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import expriccati.lowrank as lowrank
-from expriccati.densecore import compress, expm
+from expriccati.densecore import expm
 from expriccati.errors import ConfigurationError, DimensionError, DomainError, FiniteEscapeError
 from expriccati.lowrank import (
     LdlFactor,
@@ -54,6 +54,20 @@ class TestLdlFactor:
         with pytest.raises(DomainError):
             LdlFactor(np.eye(3)[:, :2], [[0.0, 1.0], [0.0, 0.0]])
 
+    def test_general_core_is_diagonalized(self, rng):
+        l = rng.standard_normal((8, 3))
+        core = rng.standard_normal((3, 3))
+        core = core + core.T
+        factor = LdlFactor(l, core)
+        assert np.array_equal(factor.core, np.diag(np.diagonal(factor.core)))
+        assert rel_err(factor.reconstruct(), l @ core @ l.T) <= 1e-14
+
+    def test_diagonal_core_keeps_the_factor(self, rng):
+        l = rng.standard_normal((8, 3))
+        d = np.array([2.0, -1.0, 0.0])
+        factor = LdlFactor(l, np.diag(d))
+        assert np.array_equal(factor.L, l) and np.array_equal(factor.core, np.diag(d))
+
     def test_width_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             LdlFactor(np.eye(3)[:, :2], np.eye(3))
@@ -95,6 +109,24 @@ class TestAssembleRhs:
         state = _random_state(rng, 20, 3)
         out = assemble_rhs(p, state)
         assert rel_err(out.reconstruct(), p.rhs(state.reconstruct())) <= 1e-12
+
+    def test_balanced_against_a_large_coefficient(self, rng):
+        # ||A L|| / ||L|| is about 1e8.  Without the column balancing,
+        # P = U + L and M = U - L would carry U U^T twice, and its
+        # cancellation would cost about 1e4 times the bound below.
+        n, r = 12, 3
+        p = _symmetric_problem(rng, n)
+        p = build_symmetric_problem(1e8 * p.A, p.C, p.B, p.L0)
+        state = _random_state(rng, n, r)
+        out = assemble_rhs(p, state)
+        x = state.reconstruct()
+        terms = (p.Q, p.A @ x, x @ p.A.T, x @ p.G @ x)
+        dense = terms[0] + terms[1] + terms[2] - terms[3]
+        scale = sum(np.linalg.norm(t) for t in terms)
+        assert np.linalg.norm(out.reconstruct() - dense) <= 1e-12 * scale
+        nl = p.C.shape[0]
+        expected = np.concatenate([np.ones(nl), np.full(r, 0.5), np.full(r, -0.5)])
+        assert np.array_equal(out.core, np.diag(expected))
 
     def test_sparse_coefficient_product(self, rng):
         # fdm-sym:k=14 (n = 196) keeps a CSR copy of A for the low-rank
@@ -274,7 +306,7 @@ class TestConcatUpdate:
         q = np.linalg.qr(rng.standard_normal((r, r)))[0]
         core = q @ np.diag([1.0, -0.5, 1e-3, -1e-6, 1e-9, 1e-12]) @ q.T
         update = LdlFactor(rng.standard_normal((n, r)), (core + core.T) / 2)
-        assert np.count_nonzero(update.core - np.diag(np.diagonal(update.core)))
+        assert np.count_nonzero(core - np.diag(np.diagonal(core)))
         out = concat_update(state, update, tol)
         target = state.reconstruct() + update.reconstruct()
         assert np.linalg.norm(out.reconstruct() - target) <= tol * np.linalg.norm(target)
@@ -286,10 +318,11 @@ class TestConcatUpdate:
 
     def test_negligible_columns_skip_the_compression(self, rng, monkeypatch):
         widths = []
+        original = lowrank.compress
 
         def spy(l, core, tol):
             widths.append(l.shape[1])
-            return compress(l, core, tol)
+            return original(l, core, tol)
 
         monkeypatch.setattr(lowrank, "compress", spy)
         state = _random_state(rng, 12, 3)

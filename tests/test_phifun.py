@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import expriccati.phifun as phifun
 from expriccati.errors import DimensionError, DomainError
 from expriccati.phifun import (
     PhiCombination,
@@ -92,8 +93,9 @@ class TestQuadratureRule:
             QuadratureRule(nodes=[0.2, 0.8], weights=[0.6, 0.6])
         with pytest.raises(DimensionError):
             QuadratureRule(nodes=[0.2, 0.8], weights=[1.0])
-        with pytest.raises(DomainError):
-            QuadratureRule.gauss_legendre(0)
+        for count in (0, 2.5, float("nan"), "3"):
+            with pytest.raises(DomainError):
+                QuadratureRule.gauss_legendre(count)
 
     @pytest.mark.parametrize(
         "nodes, weights", [([float("nan"), 0.5], [0.5, 0.5]), ([0.2, 0.8], [float("nan"), 0.5])]
@@ -114,36 +116,45 @@ class TestPhiActionQuadrature:
         op = SylvesterOperator(np.zeros((3, 3)), np.zeros((2, 2)))
         n = np.arange(6.0).reshape(3, 2)
         rule = QuadratureRule.gauss_legendre(7)
-        assert np.allclose(phi_action_quadrature(1, op, 0.4, n, rule), n, atol=1e-14)
+        assert np.allclose(phi_action_quadrature(1, op, 0.4, (n, np.eye(2)), rule), n, atol=1e-14)
 
     def test_k3_zero_operator_weights(self):
         op = SylvesterOperator(np.zeros((2, 2)), np.zeros((2, 2)))
         n = np.ones((2, 2))
         rule = QuadratureRule.gauss_legendre(7)
-        out = phi_action_quadrature(3, op, 1.0, n, rule)
+        out = phi_action_quadrature(3, op, 1.0, (n, np.eye(2)), rule)
         assert rel_err(out, n / 6.0) <= 1e-14
 
     def test_scalar_phi1_closed_form(self):
         op = SylvesterOperator([[-1.0]], [[-1.0]])
         rule = QuadratureRule.gauss_legendre(7)
-        out = phi_action_quadrature(1, op, 1.0, [[1.0]], rule)
+        out = phi_action_quadrature(1, op, 1.0, ([[1.0]], [[1.0]]), rule)
         exact = (np.exp(-2.0) - 1.0) / (-2.0)
         assert abs(out[0, 0] - exact) <= 1e-12
 
     def test_k0_rejected(self):
         op = SylvesterOperator([[0.0]], [[0.0]])
         with pytest.raises(DomainError):
-            phi_action_quadrature(0, op, 1.0, [[1.0]], QuadratureRule.gauss_legendre(3))
+            phi_action_quadrature(0, op, 1.0, ([[1.0]], [[1.0]]), QuadratureRule.gauss_legendre(3))
 
-    @pytest.mark.parametrize("transposed, per_node", [(True, 1), (False, 2)])
-    def test_exponentials_per_node(self, full_exponentials, transposed, per_node):
+    @pytest.mark.parametrize("transposed, chains", [(True, 1), (False, 2)])
+    def test_exponentials_per_node(self, monkeypatch, transposed, chains):
+        calls = []
+        original = phifun.expm_actions
+
+        def spy(m, taus, b):
+            calls.append(len(taus))
+            return original(m, taus, b)
+
+        monkeypatch.setattr(phifun, "expm_actions", spy)
         rng = np.random.default_rng(33)
         a, d = (random_stable(rng, 4, margin=0.5, scale=0.3) for _ in range(2))
         op = SylvesterOperator(a, a.T if transposed else d)
         mat = rng.standard_normal((4, 4))
         rule = QuadratureRule.gauss_legendre(7)
-        got = phi_action_quadrature(3, op, 0.5, mat, rule)
-        assert len(full_exponentials) == per_node * len(rule)
+        got = phi_action_quadrature(3, op, 0.5, (mat, np.eye(4)), rule)
+        # All seven node times go to one chain per side, one in all for D = A^T.
+        assert calls == [len(rule)] * chains
         # Degree 13 is exact to roundoff at this scale.
         oracle = unvec(kronecker_phi(3, op, 0.5) @ vec(mat), 4, 4)
         assert rel_err(got, oracle) <= 1e-11
@@ -157,12 +168,12 @@ class TestPhiActionQuadrature:
         errors = []
         for count in (2, 4, 8):
             rule = QuadratureRule.gauss_legendre(count)
-            errors.append(rel_err(phi_action_quadrature(2, op, h, mat, rule), oracle))
+            errors.append(rel_err(phi_action_quadrature(2, op, h, (mat, np.eye(3)), rule), oracle))
         assert errors[0] > errors[1] > errors[2]
 
 
 class TestPhiActionQuadratureFactored:
-    """The operand as the pair (L, R) of N = L R^T against the dense operand."""
+    """The operand as the thin pair (L, R) of N = L R^T against (N, I_N)."""
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("m, n, transposed", [(6, 6, True), (6, 6, False), (7, 5, False)])
@@ -179,7 +190,7 @@ class TestPhiActionQuadratureFactored:
         factored = phi_action_quadrature(k, op, h, (l, r), rule)
         # The node images come from the Taylor chain, not from full exponentials.
         assert full_exponentials == []
-        dense = phi_action_quadrature(k, op, h, l @ r.T, rule)
+        dense = phi_action_quadrature(k, op, h, (l @ r.T, np.eye(n)), rule)
         assert rel_err(factored, dense) <= 1e-13
 
     @pytest.mark.parametrize(
