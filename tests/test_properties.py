@@ -236,15 +236,21 @@ def test_assemble_rhs_reconstructs_dense_formula(n, r, seed, spread):
 # reference Y G Y is 9.2e-21 off, the factored result 1.1e-22 off the
 # long-double one.
 @example(n=22, r_state=0, r_stage=6, seed=79247395, spread=13.0)
+# ||Y||^2 ||G|| = 4.9 against ||Y G Y|| = 3.1e-5 here: the float64 G is
+# B B^T rounded, 5e-16 off, and that alone put a reference formed from G
+# 1.4e-12 of the term scale off; formed from B it is 6e-15 off.
+@example(n=15, r_state=0, r_stage=3, seed=13987, spread=4.0)
 def test_assemble_remainder_diff_reconstructs_dense_formula(n, r_state, r_stage, seed, spread):
     rng = np.random.default_rng(seed)
     problem = _symmetric_problem(rng, n)
     state = _factor(rng, n, r_state, spread)
     stage = _factor(rng, n, r_stage, spread)
     # The reference in long double, so that its own roundoff in the
-    # cancelling products stays below the bound.
+    # cancelling products stays below the bound, with G = B B^T formed
+    # there too, as the factored form takes it.
     x, y = (f.L.astype(np.longdouble) @ f.core @ f.L.T for f in (state, stage))
-    g = problem.G.astype(np.longdouble)
+    b = problem.B.astype(np.longdouble)
+    g = b @ b.T
 
     factored = assemble_remainder_diff(problem, state, stage).reconstruct()
     terms = (x @ g @ y, y @ g @ x, y @ g @ y, x @ g @ x)
