@@ -170,6 +170,25 @@ def _taylor_parameters(norm):
     return degree, steps[degree]
 
 
+def _chain_cost(m, norm, taus):
+    """(m s, c) of the Taylor chains for [exp(tau M) B for tau in taus].
+
+    m s is the product count of the chains, one over the tau >= 0 and one
+    over the tau < 0, each with the (m, s) of ``_taylor_parameters`` for
+    max|tau| ``norm``; c is the model flops of one product column: n^2
+    for a dense matrix, _SPARSE_PRODUCT_COST (nnz(A) + 2 n p) for a
+    SparsePlusThin.  A block of b columns costs m s b c.
+    """
+    products = 0
+    for negative in (False, True):
+        reach = max((abs(t) for t in taus if (t < 0.0) == negative), default=0.0)
+        degree, s = _taylor_parameters(reach * norm)
+        products += degree * s
+    if isinstance(m, SparsePlusThin):
+        return products, _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size)
+    return products, m.shape[0] ** 2
+
+
 def _taylor_apply(m, mu, norm, taus, b):
     """[exp(tau (M + mu I)) B for tau in taus], all taus of one sign, with
     ``norm`` >= ||M||_1.
@@ -236,21 +255,15 @@ def expm_actions(m, taus, b):
     if any(not np.isfinite(t) for t in taus):
         raise DomainError("tau values must be finite")
     mu, centered, norm = _centered(m)
-    chains = ([], [])
-    for i, t in enumerate(taus):
-        chains[t < 0.0].append(i)
-    products = 0
-    for chain in chains:
-        degree, s = _taylor_parameters(max((abs(taus[i]) for i in chain), default=0.0) * norm)
-        products += degree * s
-    if isinstance(m, SparsePlusThin):
-        column, floor = _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size), _CHAIN_FLOOR
-    else:
-        column, floor = n * n, _DENSE_CHAIN_FLOOR
+    products, column = _chain_cost(m, norm, taus)
+    floor = _CHAIN_FLOOR if isinstance(m, SparsePlusThin) else _DENSE_CHAIN_FLOOR
     if products * b.shape[1] * column > max(_DENSE_ROUTE_RATIO * len(taus) * n ** 3, floor):
         if isinstance(m, SparsePlusThin):
             m = m.a.toarray() - m.u @ m.bt
         return [scipy.linalg.expm(t * m) @ b for t in taus]
+    chains = ([], [])
+    for i, t in enumerate(taus):
+        chains[t < 0.0].append(i)
     results = [None] * len(taus)
     for chain in chains:
         if chain:
@@ -386,8 +399,10 @@ def compress(l, core, tol):
 
     Notes
     -----
-    Thin QR of L followed by a symmetric eigendecomposition of the
-    projected core.  Eigenvalues are dropped from the small end while
+    Householder QR of L (LAPACK ``geqrf``) followed by a symmetric
+    eigendecomposition of the projected core R C R^T.  Q is never
+    formed: the reflectors are applied to the kept eigenvectors alone
+    (``ormqr``).  Eigenvalues are dropped from the small end while
     both ``|lambda| <= tol * max|lambda|`` and the norm of the dropped
     tail stays within the reconstruction budget ``tol * ||lambda||``;
     exact zero modes are always dropped.
@@ -407,7 +422,15 @@ def _compress_trusted(l, core, tol):
     if l.shape[1] == 0:
         return l.copy(), np.zeros(0)
 
-    q, r = np.linalg.qr(l)
+    # Householder QR without forming Q: R is the top k = min(n, r) rows of
+    # geqrf's output, and the reflectors in its first k columns are
+    # applied to the kept eigenvectors alone (none when keep = 0).  The
+    # workspaces hold 64 entries per column, above LAPACK's block size.
+    n, width = l.shape
+    k = min(n, width)
+    geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), (l,))
+    qr, tau, _, _ = geqrf(l, lwork=64 * width)
+    r = np.triu(qr[:k])
     mid = (r * core) @ r.T
     mid = (mid + mid.T) / 2.0
     lam, u = np.linalg.eigh(mid)
@@ -424,4 +447,6 @@ def _compress_trusted(l, core, tol):
     tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
     drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
     keep = lam.size - int(np.count_nonzero(drop))
-    return q @ u[:, :keep], lam[:keep]
+    padded = np.zeros((n, keep))
+    padded[:k] = u[:, :keep]
+    return ormqr("L", "N", qr[:, :k], tau, padded, max(64 * keep, 1))[0], lam[:keep]

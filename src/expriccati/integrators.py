@@ -31,7 +31,7 @@ from .errors import (
     IntegrationError,
     SolvabilityError,
 )
-from .krylov import build_basis, exp_actions_krylov
+from .krylov import _basis_pays, build_basis, exp_actions_krylov
 from .lowrank import (
     LdlFactor,
     assemble_phi_sum,
@@ -109,8 +109,9 @@ class RiccatiProblem:
     integrators require them.  A symmetric problem builds each of D, Q, G
     and X0 that is left out from its generator, once, checking only that
     the product is finite; a non-symmetric one needs all four.  What is
-    given is validated on construction: shapes, symmetry (of D0 too), and
-    the consistency of each given coefficient with its generator.
+    given is validated on construction: shapes, symmetry (of D0 too, whose
+    symmetric part a symmetric problem keeps), and the consistency of each
+    given coefficient with its generator.
     """
 
     A: np.ndarray
@@ -146,6 +147,10 @@ class RiccatiProblem:
                 self.D0 = np.eye(r)
             elif self.symmetric:
                 _require_match(self.D0, self.D0.T, "symmetric problems need symmetric D0")
+                # Keep the symmetric part, so that the factor's stricter check
+                # accepts what passed here.
+                if not np.array_equal(self.D0, self.D0.T):
+                    self.D0 = (self.D0 + self.D0.T) / 2.0
         for name, (generator, rule, form) in _COEFFICIENT_RULES.items():
             value = getattr(self, name)
             applies = getattr(self, generator) is not None and (self.symmetric or name != "D")
@@ -219,9 +224,12 @@ class IntegratorConfig:
     node times; one full exponential per node time where that chain
     would cost more, see ``densecore.expm_actions``);
     "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
-    built on A_lin in the same form, except when ``krylov_m`` times the block
-    width reaches the dimension, where such a basis would span the whole
-    space and the exact action of the "dense" route is taken instead.
+    built on A_lin in the same form, where that basis and its projected
+    actions cost less than the exact action of the "dense" route, in the
+    flop model of ``expm_actions`` (see ``krylov._basis_pays``); the exact
+    action is taken instead elsewhere, and always when ``krylov_m`` times
+    the block width reaches the dimension, where the basis would span the
+    whole space.
     The step grid must hit ``t_end`` exactly: t_end / h has to be an
     integer to within half an ulp.
     """
@@ -277,9 +285,11 @@ class StepDiagnostics:
 
     ``krylov_basis_cols`` lists, for each exponential-action call of a
     step with ``exp_action="krylov"``, the column count of the block
-    Krylov basis it built, or 0 where it took the exact full-space action
-    without a basis; ``krylov_residual`` is the largest residual estimate
-    of those calls (0.0 for full-space actions).  ``cols_in`` counts the
+    Krylov basis it built, or 0 where it took the exact action without a
+    basis: because the basis would cost more (chosen by cost), or because
+    ``krylov_m`` blocks would span the whole space (chosen by full span);
+    ``krylov_residual`` is the largest residual estimate of those calls
+    (0.0 for exact actions).  ``cols_in`` counts the
     columns (base plus quadrature stack) that entered a low-rank step's
     recompressions, summed over its updates; ``dropped`` of them did not
     survive, so ``cols_in - dropped`` is the summed width of the results.
@@ -361,8 +371,9 @@ def _make_exp_actions(a_lin, cfg, details):
         if cfg.exp_action == "dense":
             return expm_actions(a_lin, taus, block)
         n, width = block.shape
-        if cfg.krylov_m * width >= n:
-            # The basis would span the whole space: act exactly instead.
+        if cfg.krylov_m * width >= n or not _basis_pays(a_lin, block, cfg.krylov_m, taus):
+            # The basis would span the whole space, or cost more than the
+            # exact action: act exactly instead.
             cols, worst = 0, 0.0
             values = expm_actions(a_lin, taus, block)
         else:

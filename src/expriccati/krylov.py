@@ -10,7 +10,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .densecore import SparsePlusThin, as_matrix, expm_actions, require_square
+from .densecore import (
+    _DENSE_ROUTE_RATIO,
+    SparsePlusThin,
+    _centered,
+    _chain_cost,
+    as_matrix,
+    expm_actions,
+    require_square,
+)
 from .errors import DomainError
 
 __all__ = ["BlockKrylovBasis", "build_basis", "exp_actions_krylov"]
@@ -78,10 +86,11 @@ def build_basis(A, V, m):
     after m blocks, at an invariant subspace, or once the basis spans
     the whole space; ``coupling`` is 0.0 in the last case, where the
     actions on the basis are exact.  ``H`` is basis^T times the products
-    of A with the basis blocks, each taken once while the basis grew.  A
-    full-space basis costs more than the exact action itself, so the
-    low-rank steppers do not build one: when m times the block width
-    reaches the dimension they apply the exact action without a basis.
+    of A with the basis blocks, each taken once while the basis grew.  The
+    low-rank steppers build a basis only where it and its projected
+    actions cost less than the exact action (``_basis_pays``), and never
+    when m times the block width reaches the dimension, where it would
+    span the whole space.
     """
     if not isinstance(A, SparsePlusThin):
         A = require_square(as_matrix(A, "A"), "A")
@@ -117,6 +126,70 @@ def build_basis(A, V, m):
         coupling=coupling,
         last_width=products[-1].shape[1],
     )
+
+
+# Model flops of growing a basis of k columns in R^n, per n k^2: the
+# Gram-Schmidt passes, the pivoted QR of each block and H = basis^T [A Q_j],
+# with the Python overhead of each block folded in.  Calibrated on the
+# actions of LrExpEuler and Erow3LowRank (krylov, m = 30, seven node times)
+# captured on fdm-sym at seed 20240, h = 1e-3 unless noted, one BLAS
+# thread: a basis with its projected actions against the exact chain, and
+# the bound on this constant below (<) or above (>) which the model picks
+# the faster of the two.
+#   n     b   k    span  basis / exact ms  bound
+#   400   6   122  83    17.8 / 25.4       < 11.6
+#   400   12  331  58    80 / 23           > -15
+#   400   12  360  35    71 / 14           > -9
+#   400   2   60   83    13.5 / 25.0       < 30
+#   400   2   60   29    7.6 / 5.3         > 9.5
+#   196   6   122  19    10.1 / 4.7        > -1
+#   196   2   60   19    5.7 / 2.9         > 5.0
+#   196   6   122  189   20.5 / 44.6       < 13.9  (h = 0.01)
+#   900   6   122  404   34 / 195          < 115
+#   900   11  330  403   373 / 337         > 5.4
+#   900   12  360  403   429 / 362         > 0.5
+#   900   17  510  404   902 / 297         > -20
+#   1600  14  420  1284  601 / 1756        < 60
+#   1600  22  602  1284  1314 / 2181       < 34
+# Every row holds for a constant in (9.5, 11.6).
+_GRAM_SCHMIDT_COST = 10.0
+
+
+def _size_bound(A, V, m):
+    """Upper bound on the column count of ``build_basis(A, V, m)``.
+
+    In exact arithmetic no block of a block Krylov basis is wider than
+    the one before it, so the first two blocks, b_1 and b_2 columns wide,
+    bound the basis by b_1 + (m - 1) b_2.  The bound was exact on every
+    operand in the table above.  It matters at step 0, whose width-6
+    operand spans C^T, L0 and A L0: there b_2 = 4, and k = 122, not 180.
+    """
+    first = _orthonormalize(V, None)[0]
+    second = _orthonormalize(A @ first, first)[0]
+    return min(A.shape[0], first.shape[1] + (m - 1) * second.shape[1])
+
+
+def _basis_pays(A, V, m, taus):
+    """Whether a basis of m blocks and its projected actions cost less than
+    the exact actions exp(tau A) V, in the model flops of ``expm_actions``.
+
+    The exact action takes the cheaper of the Taylor chain and one full
+    n x n exponential per tau.  The basis (k columns, ``_size_bound``)
+    costs ``_GRAM_SCHMIDT_COST`` n k^2 plus k product columns with A,
+    and its projected actions the cheaper of the chain on the k x k H and
+    k x k exponentials.  H is not known yet, so its chain takes the
+    product count of A's; on the operands above H's own norm was about
+    half of A's bound.
+    """
+    n, b = V.shape
+    k = _size_bound(A, V, m)
+    products, column = _chain_cost(A, _centered(A)[2], taus)
+
+    def action(dim, cost):
+        return min(products * b * cost, _DENSE_ROUTE_RATIO * len(taus) * dim ** 3)
+
+    basis = _GRAM_SCHMIDT_COST * n * k * k + k * column + action(k, k * k)
+    return basis < action(n, column)
 
 
 def _residual_estimate(basis, core):

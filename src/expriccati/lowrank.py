@@ -96,7 +96,7 @@ class LdlFactor:
         """Nonzero spectrum of L diag(d) L^T, computed once per factor."""
         if self.rank == 0:
             return np.zeros(0)
-        r = np.linalg.qr(self.L)[1]
+        r = np.linalg.qr(self.L, mode="r")
         mid = (r * self._core) @ r.T
         return np.linalg.eigvalsh((mid + mid.T) / 2.0)
 

@@ -186,3 +186,22 @@ def save_problem(directory, problem):
     if problem.L0 is not None and problem.L0.shape[1]:
         matio.write_matrix_market(os.path.join(directory, "L0.mtx"), problem.L0)
         matio.write_matrix_market(os.path.join(directory, "D0.mtx"), problem.D0)
+
+
+def compress_forming_q(l, d, tol):
+    """Reference compression of L diag(d) L^T that forms the thin Q of L.
+
+    ``np.linalg.qr`` gives Q and R; the eigenvectors of R diag(d) R^T kept
+    by the drop rule of ``densecore.compress`` are mapped back by Q.
+    Returns the kept factor and eigenvalues, largest magnitude first.
+    """
+    q, r = np.linalg.qr(l)
+    mid = (r * d) @ r.T
+    lam, u = np.linalg.eigh((mid + mid.T) / 2.0)
+    order = np.argsort(-np.abs(lam))
+    lam, u = lam[order], u[:, order]
+    mags = np.abs(lam)
+    tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
+    drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
+    keep = lam.size - int(np.count_nonzero(drop))
+    return q @ u[:, :keep], lam[:keep]

@@ -15,6 +15,7 @@ from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, So
 from expriccati.problems import fdm_sym
 
 from helpers import (
+    compress_forming_q,
     expm_longdouble,
     kron_matrix,
     operator_separation,
@@ -388,6 +389,45 @@ class TestCompress:
         # that into an empty (zero) factor.
         with pytest.raises(FiniteEscapeError), np.errstate(over="ignore"):
             compress(np.array([[1e200]]), np.eye(1), tol=1e-14)
+
+    @staticmethod
+    def _factor(case):
+        """(L, core vector, tol) of one factor shape the steps produce."""
+        rng = np.random.default_rng(24)
+        if case == "tall":
+            return rng.standard_normal((40, 12)), rng.uniform(0.5, 2.0, 12), 1e-12
+        if case == "wide":
+            # More columns than rows, as at n = 64: R is 8 x 20 and Q 8 x 8.
+            return rng.standard_normal((8, 20)), rng.uniform(0.5, 2.0, 20), 1e-12
+        if case == "rank-deficient":
+            m = rng.standard_normal((30, 4))
+            return np.hstack([m, m @ rng.standard_normal((4, 6))]), np.ones(10), 1e-12
+        if case == "indefinite":
+            d = np.array([3.0, -2.0, 1.0, -0.5, 1e-9, -1e-13, 2e-14, 0.25])
+            return rng.standard_normal((25, 8)), d, 1e-10
+        # keep-0: tol = 1 lets the drop rule take every mode.
+        return rng.standard_normal((20, 5)), rng.standard_normal(5), 1.0
+
+    @pytest.mark.parametrize("case", ["tall", "wide", "rank-deficient", "indefinite", "keep-0"])
+    def test_matches_q_forming_reference(self, case):
+        l, d, tol = self._factor(case)
+        out, lam = densecore._compress_trusted(l, d, tol)
+        ref, ref_lam = compress_forming_q(l, d, tol)
+        assert out.shape == ref.shape and lam.shape == ref_lam.shape
+        assert lam.size == {"tall": 12, "wide": 8, "rank-deficient": 4, "indefinite": 6}.get(case, 0)
+        assert rel_err(lam, ref_lam) <= 1e-14
+        # Column signs are fixed by the eigenvectors both share.
+        assert rel_err(out, ref) <= 1e-14
+        assert np.abs(out.T @ out - np.eye(lam.size)).max(initial=0.0) <= 1e-14
+        x = (l * d) @ l.T
+        assert np.linalg.norm(x - (out * lam) @ out.T) <= (tol + 1e-14) * np.linalg.norm(x)
+
+    def test_never_forms_q(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args))
+        for case in ("tall", "wide", "keep-0"):
+            densecore._compress_trusted(*self._factor(case))
+        assert calls == []
 
     def test_zero_width_passthrough(self):
         l2, c2 = compress(np.zeros((4, 0)), np.zeros((0, 0)), tol=0.1)

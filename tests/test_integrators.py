@@ -23,7 +23,7 @@ from expriccati.integrators import (
 )
 from expriccati.lowrank import LdlFactor
 from expriccati.oracle import radon_solve
-from expriccati.krylov import build_basis
+from expriccati.krylov import _basis_pays, build_basis
 from expriccati.problems import (
     build_symmetric_problem,
     fdm_sym,
@@ -329,6 +329,19 @@ class TestExpEulerLowRank:
         lr = integrate(p, IntegratorConfig("LrExpEuler", 0.005, 0.2))
         dense = integrate(p, IntegratorConfig("GExpEuler", 0.005, 0.2))
         assert rel_err(lr.final_dense(), dense.final_dense()) <= 1e-8
+
+    @pytest.mark.parametrize("scheme, dense_scheme",
+                             [("LrExpEuler", "GExpEuler"), ("Erow3LowRank", "Erow3Dense")])
+    def test_nearly_symmetric_initial_core_accepted(self, scheme, dense_scheme):
+        # D0 is 1e-11 off symmetric: within the problem's 1e-10, outside the
+        # 1e-12 of a factor's core.  The problem keeps its symmetric part.
+        g = problem_from_spec("fdm-sym:k=3,rank=3", seed=20240)
+        d0 = np.array([[2.0, 1.0 + 1e-11, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        p = build_symmetric_problem(g.A, g.C, g.B, g.L0, D0=d0)
+        assert np.array_equal(p.D0, p.D0.T)
+        lr = integrate(p, IntegratorConfig(scheme, 0.01, 0.1))
+        dense = integrate(p, IntegratorConfig(dense_scheme, 0.01, 0.1))
+        assert rel_err(lr.final_dense(), dense.final_dense()) <= 1e-10
 
     def test_nonsymmetric_problem_rejected(self, rng):
         p = RiccatiProblem(
@@ -685,18 +698,25 @@ class TestIntegrate:
 
 class TestExponentialActionRoutes:
     """fdm-sym:k=14 (n = 196, rank-2 generators) is above the threshold at
-    which the low-rank steps keep A_lin as sparse A plus a thin correction."""
+    which the low-rank steps keep A_lin as sparse A plus a thin correction.
+
+    At h = 1e-3 the exact chain is cheaper than any block Krylov basis
+    there (step 0: 4.7 against 10.1 ms), so the route tests take
+    ``BASIS_H`` = 0.01, where step 0's Euler stage builds a basis
+    (20.5 against 44.6 ms for the exact chain).
+    """
 
     SPEC = "fdm-sym:k=14"
     STEPS = 10
     H = 1e-3
+    BASIS_H = 0.01
 
-    def _config(self, scheme, exp_action, steps=STEPS):
-        return IntegratorConfig(scheme, self.H, steps * self.H, exp_action=exp_action)
+    def _config(self, scheme, exp_action, steps=STEPS, h=H):
+        return IntegratorConfig(scheme, h, steps * h, exp_action=exp_action)
 
-    def _run(self, scheme, exp_action):
+    def _run(self, scheme, exp_action, h=H):
         problem = problem_from_spec(self.SPEC, seed=20240)
-        return problem, integrate(problem, self._config(scheme, exp_action))
+        return problem, integrate(problem, self._config(scheme, exp_action, h=h))
 
     @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
     @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
@@ -716,18 +736,43 @@ class TestExponentialActionRoutes:
         ids=["LrExpEuler", "Erow3LowRank", "LrExpEuler-step0", "Erow3LowRank-step0"],
     )
     def test_krylov_step_matches_dense_step(self, scheme, step):
-        # Step 0's Euler stage takes a real basis in R^196 (151 columns at
-        # this seed); from the state after it, the Euler stage is a
-        # full-space action.  Erow3's width-2 correction takes a real basis
-        # at both.
+        # Step 0's Euler stage takes a real basis in R^196 (122 columns at
+        # this seed); from the state after it, the Euler stage takes the
+        # exact action.  Erow3's width-2 correction takes a real basis at
+        # both.
         problem = problem_from_spec(self.SPEC, seed=20240)
-        state = integrate(problem, self._config(scheme, "dense", steps=step)).final
+        h = self.BASIS_H
+        state = integrate(problem, self._config(scheme, "dense", steps=step, h=h)).final
         stepper = integrators._SCHEME_STEPS[scheme][0]
         details = {}
-        krylov = stepper(problem, state, self.H, self._config(scheme, "krylov"), details)
-        dense = stepper(problem, state, self.H, self._config(scheme, "dense"))
+        krylov = stepper(problem, state, h, self._config(scheme, "krylov", h=h), details)
+        dense = stepper(problem, state, h, self._config(scheme, "dense", h=h))
         assert (details["krylov_basis_cols"][0] > 0) == (step == 0)
         assert rel_err(krylov.reconstruct(), dense.reconstruct()) <= 1e-12
+
+    def test_basis_only_where_it_is_cheaper(self, monkeypatch):
+        # fdm-sym:k=20 (n = 400), h = 1e-3: step 0's width-6 operand builds a
+        # 122-column basis (17.8 against 25.4 ms for the exact chain).  The
+        # width-12 operands of steps 1 and 2 fit 30 blocks into R^400, but
+        # the chain is 3-5 times faster than their 331- and 360-column bases.
+        widths, verdicts = [], []
+
+        def spy(a, v, m):
+            widths.append(v.shape[1])
+            return build_basis(a, v, m)
+
+        def pays(a, v, m, taus):
+            verdicts.append((v.shape[1], _basis_pays(a, v, m, taus)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(integrators, "build_basis", spy)
+        monkeypatch.setattr(integrators, "_basis_pays", pays)
+        problem = problem_from_spec("fdm-sym:k=20", seed=20240)
+        traj = integrate(problem, IntegratorConfig("LrExpEuler", 1e-3, 3e-3, exp_action="krylov"))
+        assert widths == [6]
+        assert verdicts == [(6, True), (12, False), (12, False)]
+        assert traj.diagnostics[0].krylov_basis_cols == (122,)
+        assert [d.krylov_basis_cols for d in traj.diagnostics[1:]] == [(0,), (0,)]
 
     @pytest.mark.parametrize("scheme, actions", [("LrExpEuler", 1), ("Erow3LowRank", 2)])
     def test_full_space_actions_build_no_basis(self, scheme, actions, monkeypatch):
@@ -738,7 +783,7 @@ class TestExponentialActionRoutes:
             return build_basis(a, v, m)
 
         monkeypatch.setattr(integrators, "build_basis", spy)
-        problem, traj = self._run(scheme, "krylov")
+        problem, traj = self._run(scheme, "krylov", h=self.BASIS_H)
         m, n = 30, problem.M
         cols = [c for diag in traj.diagnostics for c in diag.krylov_basis_cols]
 

@@ -171,7 +171,7 @@ class TestAccuracy:
 class TestStiffOperator:
     """The step-0 coefficient A_lin of fdm-sym:k=14 (n = 196), where
     ||h A_lin||_1 = 20 at h = 1e-3 and a 30-block basis on the width-6
-    right-hand side deflates to 151 columns."""
+    right-hand side deflates to 122 columns."""
 
     H = 1e-3
 

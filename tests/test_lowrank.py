@@ -72,6 +72,16 @@ class TestLdlFactor:
         with pytest.raises(DimensionError):
             LdlFactor(np.eye(3)[:, :2], np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(10, 4), (4, 7)])
+    def test_spectrum_from_r_alone(self, rng, shape):
+        # mode="r" skips forming Q; R and so the spectrum are bit for bit
+        # those of the full thin QR.
+        factor = LdlFactor(rng.standard_normal(shape), rng.standard_normal(shape[1]))
+        r = np.linalg.qr(factor.L)[1]
+        mid = (r * factor._core) @ r.T
+        assert np.array_equal(factor._projected_eigenvalues,
+                              np.linalg.eigvalsh((mid + mid.T) / 2.0))
+
     def test_fnorm_and_min_eigenvalue_match_dense(self, rng, monkeypatch):
         state = _random_state(rng, 10, 4)
         compressed = state.compressed(1e-12)
