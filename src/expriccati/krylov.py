@@ -135,7 +135,8 @@ def build_basis(A, V, m):
 # captured on fdm-sym at seed 20240, h = 1e-3 unless noted, one BLAS
 # thread: a basis with its projected actions against the exact chain, and
 # the bound on this constant below (<) or above (>) which the model picks
-# the faster of the two.
+# the faster of the two.  span is max|tau| times A_lin's 1-norm bound; the
+# b = 2 operands are Erow3LowRank's corrections.
 #   n     b   k    span  basis / exact ms  bound
 #   400   6   122  83    17.8 / 25.4       < 11.6
 #   400   12  331  58    80 / 23           > -15
