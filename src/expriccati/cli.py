@@ -18,6 +18,8 @@ overrides, so a run is reproducible from a single small text file:
 """
 
 import argparse
+import csv
+import io
 import os
 import sys
 import time
@@ -159,6 +161,14 @@ def _timed(fn, repeat):
     return result, float(np.median(laps))
 
 
+def _csv_lines(schema, header, rows):
+    """Schema comment, header and rows as CSV lines.  A field with a comma,
+    such as the problem spec fdm-sym:k=3,rank=3, is quoted."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([header] + rows)
+    return [f"# schema {schema}"] + out.getvalue().split("\n")[:-1]
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -189,7 +199,7 @@ def run_table(cfg):
             rank = traj.diagnostics[-1].rank if traj.diagnostics else None
             rows.append([cfg.problem, scheme, _fmt(h), _fmt(err), _fmt(rank), _fmt(seconds)])
     header = ["problem", "scheme", "h", "rel_error", "final_rank", "wall_time_s"]
-    return [f"# schema {TABLE_SCHEMA}", ",".join(header)] + [",".join(r) for r in rows]
+    return _csv_lines(TABLE_SCHEMA, header, rows)
 
 
 def run_trajectory(cfg):
@@ -217,7 +227,7 @@ def run_trajectory(cfg):
             ]
         )
     header = ["t", "x_fnorm", "ref_fnorm", "rel_error", "rank"]
-    return [f"# schema {TRAJECTORY_SCHEMA}", ",".join(header)] + [",".join(r) for r in rows]
+    return _csv_lines(TRAJECTORY_SCHEMA, header, rows)
 
 
 def run_order_study(cfg):
@@ -242,7 +252,7 @@ def run_order_study(cfg):
         for h, err in zip(hs, errors):
             rows.append([cfg.problem, scheme, _fmt(h), _fmt(err), _fmt(slope)])
     header = ["problem", "scheme", "h", "rel_error", "fitted_slope"]
-    return [f"# schema {ORDER_SCHEMA}", ",".join(header)] + [",".join(r) for r in rows]
+    return _csv_lines(ORDER_SCHEMA, header, rows)
 
 
 def show_config(cfg):

@@ -264,7 +264,9 @@ class IntegratorConfig:
         if self.rule is None:
             self.rule = QuadratureRule.gauss_legendre()
         quotient = self.t_end / self.h
-        if abs(quotient - round(quotient)) > 0.5 * ulp(max(quotient, 1.0)):
+        # One ulp: a decimal grid such as h = 0.1, t_end = 0.3 divides to
+        # 2.9999999999999996.
+        if abs(quotient - round(quotient)) > ulp(max(quotient, 1.0)):
             raise ConfigurationError(
                 f"t_end/h = {quotient!r} is not an integer step count"
             )

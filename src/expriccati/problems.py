@@ -61,29 +61,24 @@ def fdm2d_matrix(spec):
         raise DomainError("grid needs at least one interior point per side")
     k = spec.k
     spacing = 1.0 / (k + 1)
-    n = k * k
     fx = spec.fx or (lambda x, y: 0.0)
     fy = spec.fy or (lambda x, y: 0.0)
     inv_h2 = 1.0 / spacing ** 2
     inv_2h = 1.0 / (2.0 * spacing)
 
-    a = np.zeros((n, n))
-    for j in range(k):
-        y = (j + 1) * spacing
-        for i in range(k):
-            x = (i + 1) * spacing
-            p = j * k + i
-            a[p, p] = -4.0 * inv_h2
-            cx = fx(x, y) * inv_2h
-            cy = fy(x, y) * inv_2h
-            if i + 1 < k:
-                a[p, p + 1] = inv_h2 - cx
-            if i > 0:
-                a[p, p - 1] = inv_h2 + cx
-            if j + 1 < k:
-                a[p, p + k] = inv_h2 - cy
-            if j > 0:
-                a[p, p - k] = inv_h2 + cy
+    # Node p = j*k + i sits at ((i + 1) h, (j + 1) h); one field call per node.
+    nodes = [((i + 1) * spacing, (j + 1) * spacing) for j in range(k) for i in range(k)]
+    cx = np.array([fx(x, y) for x, y in nodes], dtype=float) * inv_2h
+    cy = np.array([fy(x, y) for x, y in nodes], dtype=float) * inv_2h
+    p = np.arange(k * k)
+    j, i = np.divmod(p, k)
+    a = np.zeros((p.size, p.size))
+    a[p, p] = -4.0 * inv_h2
+    for inside, step, values in (
+        (i + 1 < k, 1, inv_h2 - cx), (i > 0, -1, inv_h2 + cx),
+        (j + 1 < k, k, inv_h2 - cy), (j > 0, -k, inv_h2 + cy),
+    ):
+        a[p[inside], p[inside] + step] = values[inside]
     return a
 
 
@@ -99,35 +94,25 @@ def fdm_nonsym(k):
     )
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(seed):
-    """Infinite SplitMix64 stream of 64-bit words."""
-    state = seed & _MASK64
-    while True:
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        yield z ^ (z >> 31)
-
-
 def random_lowrank(n, r, seed):
     """Deterministic n x r random matrix, uniform on (0, 1).
 
     SplitMix64 stream seeded with ``seed``, filled column-major; each
-    entry is the top 53 bits of a word, offset by half an ulp.  The
-    generator is fixed by this package, not the platform, so fixtures
-    reproduce everywhere.
+    entry is the top 53 bits of a word, offset by half an ulp.  Word m
+    (from 1) mixes seed + m * 0x9E3779B97F4A7C15 mod 2^64, so the stream
+    is computed from that counter formula in wrapping uint64 arithmetic.
+    The generator is fixed by this package, not the platform, so
+    fixtures reproduce everywhere.
     """
     if r > n:
         raise DomainError(f"cannot draw {r} columns in dimension {n}")
     if r < 0 or n < 0:
         raise DomainError("dimensions must be nonnegative")
-    words = _splitmix64(seed)
-    vals = [((next(words) >> 11) + 0.5) * 2.0 ** -53 for _ in range(n * r)]
-    return np.array(vals).reshape((n, r), order="F")
+    words = np.arange(1, n * r + 1, dtype=np.uint64) * 0x9E3779B97F4A7C15 + seed % 2 ** 64
+    words = (words ^ (words >> 30)) * 0xBF58476D1CE4E5B9
+    words = (words ^ (words >> 27)) * 0x94D049BB133111EB
+    words ^= words >> 31
+    return (((words >> 11) + 0.5) * 2.0 ** -53).reshape((n, r), order="F")
 
 
 def build_symmetric_problem(A, C, B, L0, D0=None):
@@ -157,12 +142,10 @@ PROBLEM_FORMATS = (
 
 def _parse_options(text, spec):
     options = {}
-    for item in text.split(","):
-        if not item:
-            continue
+    for item in filter(None, text.split(",")):
         match = re.fullmatch(r"(\w+)=(\d+)", item)
-        if match is None:
-            raise UsageError(f"bad option {item!r} in problem spec {spec!r}")
+        if match is None or match.group(1) in options:
+            raise UsageError(f"bad or repeated option {item!r} in problem spec {spec!r}")
         options[match.group(1)] = int(match.group(2))
     return options
 

@@ -1,7 +1,8 @@
 """Shared fixtures-in-spirit: random instances and the oracles the tests
 check the package against (vectorized phi functions, scalar phi values,
-a long-double exponential, the exact polynomial-source flow) plus the
-writer of saved problems."""
+a long-double exponential, the exact polynomial-source flow, scalar
+references of the benchmark problem generators) plus the writer of saved
+problems."""
 
 import os
 from math import factorial
@@ -205,3 +206,50 @@ def compress_forming_q(l, d, tol):
     drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
     keep = lam.size - int(np.count_nonzero(drop))
     return q @ u[:, :keep], lam[:keep]
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(n, r, seed):
+    """Reference ``random_lowrank``: the stateful SplitMix64 stream, one
+    Python-int word per entry, filled column-major."""
+    state = seed & _MASK64
+    vals = []
+    for _ in range(n * r):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z ^= z >> 31
+        vals.append(((z >> 11) + 0.5) * 2.0 ** -53)
+    return np.array(vals, dtype=float).reshape((n, r), order="F")
+
+
+def fdm2d_reference(spec):
+    """Reference ``fdm2d_matrix``: the 5-point stencil, one grid point at a
+    time with a bounds check per neighbour."""
+    k = spec.k
+    spacing = 1.0 / (k + 1)
+    fx = spec.fx or (lambda x, y: 0.0)
+    fy = spec.fy or (lambda x, y: 0.0)
+    inv_h2 = 1.0 / spacing ** 2
+    inv_2h = 1.0 / (2.0 * spacing)
+    a = np.zeros((k * k, k * k))
+    for j in range(k):
+        y = (j + 1) * spacing
+        for i in range(k):
+            x = (i + 1) * spacing
+            p = j * k + i
+            a[p, p] = -4.0 * inv_h2
+            cx = fx(x, y) * inv_2h
+            cy = fy(x, y) * inv_2h
+            if i + 1 < k:
+                a[p, p + 1] = inv_h2 - cx
+            if i > 0:
+                a[p, p - 1] = inv_h2 + cx
+            if j + 1 < k:
+                a[p, p + k] = inv_h2 - cy
+            if j > 0:
+                a[p, p - k] = inv_h2 + cy
+    return a

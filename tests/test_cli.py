@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -81,6 +82,18 @@ class TestRunTable:
         row = _rows(run_table(cfg))[0]
         assert float(row[3]) <= 1e-10
 
+    def test_spec_with_a_comma_stays_one_field(self):
+        cfg = ExperimentConfig(problem="fdm-sym:k=3,rank=3", schemes=["GExpEuler"], h=[0.1],
+                               t_end=0.3)
+        lines = run_table(cfg)
+        parsed = list(csv.reader(lines[1:]))
+        assert [len(row) for row in parsed] == [6, 6]
+        assert parsed[1][0] == "fdm-sym:k=3,rank=3"
+
+    def test_comma_free_rows_are_unquoted(self):
+        cfg = ExperimentConfig(problem="fdm-sym:k=2", schemes=["GExpEuler"], h=[0.1], seed=3)
+        assert _rows(run_table(cfg))[0][:3] == ["fdm-sym:k=2", "GExpEuler", "1.0000000000000001e-01"]
+
 
 class TestRunTrajectory:
     def test_scalar_history(self):
@@ -120,6 +133,13 @@ class TestRunOrderStudy:
         slopes = {row[1]: float(row[4]) for row in rows}
         assert abs(slopes["GExpEuler"] - 2.0) <= 0.2
         assert abs(slopes["Erow3Dense"] - 3.0) <= 0.3
+
+    def test_spec_with_a_comma_stays_one_field(self):
+        cfg = ExperimentConfig(problem="fdm-sym:k=2,rank=1", schemes=["GExpEuler"],
+                               h=[0.1, 0.05, 0.025], t_end=0.1)
+        parsed = list(csv.reader(run_order_study(cfg)[1:]))
+        assert [len(row) for row in parsed] == [5] * 4
+        assert {row[0] for row in parsed[1:]} == {"fdm-sym:k=2,rank=1"}
 
     def test_too_few_step_sizes_rejected(self):
         cfg = ExperimentConfig(problem="tanh", schemes=["GExpEuler"], h=[0.1])
@@ -171,6 +191,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.startswith("# schema")
         assert "GExpEuler" in out
+
+    def test_decimal_grid_runs(self, capsys):
+        # 0.3 / 0.1 = 2.9999999999999996 is a three-step grid.
+        code = main(["table", "--problem", "tanh", "--scheme", "GExpEuler", "--h", "0.1",
+                     "--t-end", "0.3"])
+        assert code == 0
+        row = list(csv.reader(capsys.readouterr().out.splitlines()[2:]))[0]
+        assert row[1] == "GExpEuler" and float(row[3]) <= 1e-2
 
     def test_out_directory(self, tmp_path, capsys):
         code = main(

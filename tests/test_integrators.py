@@ -168,6 +168,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             IntegratorConfig("GExpEuler", 0.3, 1.0)
 
+    def test_decimal_grids_accepted_exactly_when_the_count_is_an_integer(self):
+        # h = c 10^-e and t_end = m 10^-e, both parsed from decimal text:
+        # the grid is valid exactly when c divides m.  Quotients such as
+        # 0.3 / 0.1 = 2.9999999999999996 miss the integer by one ulp.
+        rule = IntegratorConfig("GExpEuler", 0.1, 0.0).rule
+        for e in range(1, 6):
+            for c in (1, 2, 5, 25):
+                h = float(f"{c}e-{e}")
+                for m in range(1, 1001):
+                    t_end = float(f"{m}e-{e}")
+                    if m % c:
+                        with pytest.raises(ConfigurationError):
+                            IntegratorConfig("GExpEuler", h, t_end, rule=rule)
+                    else:
+                        cfg = IntegratorConfig("GExpEuler", h, t_end, rule=rule)
+                        assert cfg.step_count == m // c, (h, t_end)
+
     def test_zero_final_time_allowed(self):
         cfg = IntegratorConfig("GExpEuler", 0.1, 0.0)
         assert cfg.step_count == 0

@@ -14,7 +14,19 @@ from expriccati.problems import (
     scalar_tanh_problem,
 )
 
-from helpers import rel_err, save_problem
+from helpers import fdm2d_reference, rel_err, save_problem, splitmix64_reference
+
+# Seeds of every kind the stream must reduce mod 2^64 the same way: small,
+# the benchmark's 20240 + j * 1000003, negative, and 2^63 and beyond.
+SEEDS = [0, 1, 7, 20240, 20241, 20242, -1, -20240, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
+         2 ** 70 + 3, 20240 + 3 * 1000003]
+SHAPES = [(0, 0), (8, 0), (1, 1), (2, 2), (16, 3), (64, 2), (100, 2), (400, 2)]
+FIELDS = {
+    "none": (None, None),
+    "benchmark": (lambda x, y: 10.0 * x, lambda x, y: 100.0 * y),
+    "constant": (lambda x, y: 3.0, lambda x, y: -2.0),
+    "bilinear": (lambda x, y: x * y - 0.3, lambda x, y: x * y - 0.3),
+}
 
 
 class TestFdmMatrix:
@@ -86,6 +98,12 @@ class TestFdmMatrix:
         with pytest.raises(DomainError):
             fdm2d_matrix(Fdm2dSpec(0))
 
+    @pytest.mark.parametrize("fields", FIELDS.values(), ids=FIELDS.keys())
+    def test_bitwise_equal_to_the_point_loop(self, fields):
+        for k in range(1, 31):
+            spec = Fdm2dSpec(k, *fields)
+            assert np.array_equal(fdm2d_matrix(spec), fdm2d_reference(spec)), k
+
 
 class TestRandomLowrank:
     def test_deterministic(self):
@@ -103,7 +121,12 @@ class TestRandomLowrank:
                 [0.7457817572627012, 0.44435921705577214],
             ]
         )
-        assert np.allclose(out, golden, atol=1e-16)
+        assert np.array_equal(out, golden)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bitwise_equal_to_the_stateful_stream(self, seed):
+        for n, r in SHAPES:
+            assert np.array_equal(random_lowrank(n, r, seed), splitmix64_reference(n, r, seed)), (n, r)
 
     def test_uniform_range_and_column_norms(self):
         out = random_lowrank(64, 2, seed=7)
@@ -180,6 +203,12 @@ class TestProblemSpec:
             problem_from_spec("fdm-sym:k=abc")
         with pytest.raises(UsageError):
             problem_from_spec("fdm-sym:points=4")
+
+    def test_repeated_option_rejected(self):
+        with pytest.raises(UsageError, match="repeated"):
+            problem_from_spec("fdm-sym:k=2,k=3")
+        with pytest.raises(UsageError, match="repeated"):
+            problem_from_spec("fdm-nonsym:k=3,rank=1,rank=2")
 
 
 class TestLoadSave:
