@@ -2,7 +2,7 @@
 Sylvester differential equations, with dense, low-rank LDL^T and
 Sylvester-solve realizations plus a closed-form reference solution."""
 
-from .densecore import compress, expm, solve_sylvester
+from .densecore import compress, solve_sylvester
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -19,10 +19,6 @@ from .integrators import (
     RiccatiProblem,
     Trajectory,
     integrate,
-    step_erow3,
-    step_expeuler_backward,
-    step_expeuler_general,
-    step_expeuler_lowrank,
 )
 from .krylov import BlockKrylovBasis, build_basis, exp_actions_krylov
 from .lowrank import (
@@ -41,8 +37,6 @@ from .phifun import (
     phi_action_quadrature,
 )
 from .problems import (
-    Fdm2dSpec,
-    build_symmetric_problem,
     fdm2d_matrix,
     fdm_nonsym,
     fdm_sym,
@@ -65,7 +59,6 @@ __all__ = [
     "ConfigurationError",
     "DimensionError",
     "DomainError",
-    "Fdm2dSpec",
     "FiniteEscapeError",
     "IntegrationError",
     "IntegratorConfig",
@@ -83,13 +76,11 @@ __all__ = [
     "assemble_remainder_diff",
     "assemble_rhs",
     "build_basis",
-    "build_symmetric_problem",
     "compress",
     "concat_update",
     "eval_backward",
     "eval_forward",
     "exp_actions_krylov",
-    "expm",
     "fdm2d_matrix",
     "fdm_nonsym",
     "fdm_sym",
@@ -105,8 +96,4 @@ __all__ = [
     "random_lowrank",
     "scalar_tanh_problem",
     "solve_sylvester",
-    "step_erow3",
-    "step_expeuler_backward",
-    "step_expeuler_general",
-    "step_expeuler_lowrank",
 ]

@@ -99,7 +99,7 @@ class ExperimentConfig:
     krylov_m: int = _setting(IntegratorConfig.krylov_m, int)
     exp_action: str = _setting(IntegratorConfig.exp_action, str, choices=EXP_ACTIONS)
     seed: int = _setting(20240, int)
-    oracle_cond: float = _setting(1e4, float)
+    oracle_cond: float = _setting(1e4, float, help="condition bound of the reference (>= 1)")
     repeat: int = _setting(1, int, help="timing repetitions (median reported)")
     out: str = _setting(None, _optional(str), help="output directory (default: stdout)")
 
@@ -129,6 +129,8 @@ def load_config_file(path):
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in parsers:
                 raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in values:
+                raise UsageError(f"{path}:{lineno}: repeated key {key!r}")
             try:
                 values[key] = parsers[key](raw)
             except ValueError as exc:
@@ -214,9 +216,7 @@ def run_trajectory(cfg):
     for idx, (t, ref) in enumerate(zip(traj.times, refs)):
         state = traj.dense_state(idx)
         ref_norm = max(fro(ref), 1e-300)
-        rank = None
-        if idx > 0 and traj.diagnostics:
-            rank = traj.diagnostics[min(idx, len(traj.diagnostics)) - 1].rank
+        rank = traj.diagnostics[idx - 1].rank if idx > 0 else None
         rows.append(
             [
                 _fmt(float(t)),
@@ -231,14 +231,15 @@ def run_trajectory(cfg):
 
 
 def run_order_study(cfg):
-    """Convergence study over a geometric ladder of step sizes."""
+    """Convergence study over a geometric ladder of distinct step sizes."""
     _validate(cfg)
     if len(cfg.h) < 3:
         raise UsageError("order studies need at least three step sizes")
     hs = sorted(cfg.h, reverse=True)
     ratios = [hs[i] / hs[i + 1] for i in range(len(hs) - 1)]
-    if any(abs(r - ratios[0]) > 1e-12 * ratios[0] for r in ratios):
-        raise UsageError("step sizes must form a geometric progression")
+    # Equal step sizes (ratio 1) would leave the slope fit without a spread.
+    if not ratios[0] > 1.0 or any(abs(r - ratios[0]) > 1e-12 * ratios[0] for r in ratios):
+        raise UsageError("step sizes must form a geometric progression of distinct values")
     problem = problem_from_spec(cfg.problem, seed=cfg.seed)
     reference = radon_solve(problem, cfg.t_end, cond_max=cfg.oracle_cond)
     ref_norm = max(fro(reference), 1e-300)

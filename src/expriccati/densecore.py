@@ -17,7 +17,6 @@ __all__ = [
     "as_matrix",
     "require_square",
     "fro",
-    "expm",
     "expm_actions",
     "SparsePlusThin",
     "sparse_shift",
@@ -45,20 +44,6 @@ def require_square(a, name="matrix"):
 def fro(a):
     """Frobenius norm."""
     return float(np.linalg.norm(a, "fro"))
-
-
-def expm(a):
-    """Matrix exponential of a square real matrix.
-
-    Validating wrapper around SciPy's scaling-and-squaring implementation
-    with degree-13 diagonal Pade approximants, for raw input.  Kernels that
-    exponentiate blocks they assembled from validated coefficients call
-    ``scipy.linalg.expm`` directly.
-    """
-    arr = require_square(as_matrix(a, "expm operand"), "expm operand")
-    if arr.size == 0:
-        return arr.copy()
-    return scipy.linalg.expm(arr)
 
 
 class SparsePlusThin:

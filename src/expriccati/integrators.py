@@ -231,7 +231,7 @@ class IntegratorConfig:
     the block width reaches the dimension, where the basis would span the
     whole space.
     The step grid must hit ``t_end`` exactly: t_end / h has to be an
-    integer to within half an ulp.
+    integer to within one ulp.
     """
 
     scheme: str
@@ -241,7 +241,6 @@ class IntegratorConfig:
     compression_tol: float = None
     krylov_m: int = 30
     exp_action: str = "dense"
-    store_every: int = 1
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -254,11 +253,9 @@ class IntegratorConfig:
             raise ConfigurationError("final time must be nonnegative and finite")
         if self.compression_tol is not None and not 0 <= self.compression_tol < inf:
             raise ConfigurationError("compression tolerance must be nonnegative and finite")
-        for name in ("krylov_m", "store_every"):
-            value = getattr(self, name)
-            # An integer type first: NaN or 2.5 would pass a bare comparison.
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        # An integer type first: NaN or 2.5 would pass a bare comparison.
+        if not (isinstance(self.krylov_m, Integral) and self.krylov_m >= 1):
+            raise ConfigurationError(f"krylov_m must be an integer >= 1, got {self.krylov_m!r}")
         if self.exp_action not in EXP_ACTIONS:
             raise ConfigurationError("exp_action must be 'dense' or 'krylov'")
         if self.rule is None:
@@ -312,7 +309,7 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """Snapshots (dense arrays or LDL^T factors) along the step grid."""
+    """States (dense arrays or LDL^T factors) at every point of the step grid."""
 
     times: np.ndarray
     states: list
@@ -331,22 +328,22 @@ class Trajectory:
         return state.reconstruct() if isinstance(state, LdlFactor) else state
 
 
-def step_expeuler_general(problem, x, h, cfg=None, details=None):
+def step_expeuler_general(problem, state, h, cfg, details):
     """Rosenbrock-Euler step through the augmented block exponential."""
-    operator, remainder = linearize(problem, x)
-    return phi1_action_augmented(operator, h, remainder, x)
+    operator, remainder = linearize(problem, state)
+    return phi1_action_augmented(operator, h, remainder, state)
 
 
-def step_expeuler_backward(problem, x, h, cfg=None, details=None):
+def step_expeuler_backward(problem, state, h, cfg, details):
     """Rosenbrock-Euler step via one Sylvester solve.
 
     Solves S_n(W) = F(X_n) and returns exp(h S_n)(W) + X_n - W.  Raises
     SolvabilityError when the linearized operator is near singular; the
     caller may fall back to the general realization.
     """
-    operator, _ = linearize(problem, x)
-    w = solve_sylvester(operator.A, operator.D, problem.rhs(x))
-    return operator.exp_action(h, w) + x - w
+    operator, _ = linearize(problem, state)
+    w = solve_sylvester(operator.A, operator.D, problem.rhs(state))
+    return operator.exp_action(h, w) + state - w
 
 
 def _linearized_coefficient(problem, state):
@@ -383,9 +380,8 @@ def _make_exp_actions(a_lin, cfg, details):
             pairs = exp_actions_krylov(basis, taus, block)
             cols, worst = basis.size, max((est for _, est in pairs), default=0.0)
             values = [value for value, _ in pairs]
-        if details is not None:
-            details["krylov_residual"] = max(details.get("krylov_residual", 0.0), worst)
-            details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
+        details["krylov_residual"] = max(details.get("krylov_residual", 0.0), worst)
+        details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
         return values
 
     return actions
@@ -406,16 +402,15 @@ def _factored_phi_update(problem, state, h, cfg, details):
     def update(base, operand, k, coeff):
         phi_sum = assemble_phi_sum(actions, h, k, operand.compressed(tol), cfg.rule, coeff=coeff)
         out = concat_update(base, phi_sum, tol)
-        if details is not None:
-            cols_in = base.rank + phi_sum.rank
-            details["cols_in"] = details.get("cols_in", 0) + cols_in
-            details["dropped"] = details.get("dropped", 0) + cols_in - out.rank
+        cols_in = base.rank + phi_sum.rank
+        details["cols_in"] = details.get("cols_in", 0) + cols_in
+        details["dropped"] = details.get("dropped", 0) + cols_in - out.rank
         return out
 
     return update
 
 
-def step_expeuler_lowrank(problem, state, h, cfg, details=None):
+def step_expeuler_lowrank(problem, state, h, cfg, details):
     """Low-rank Rosenbrock-Euler step on LDL^T factors.
 
     Assembles the factored right-hand side and adds h phi_1(h S_n) of it
@@ -425,7 +420,7 @@ def step_expeuler_lowrank(problem, state, h, cfg, details=None):
     return update(state, assemble_rhs(problem, state), 1, h)
 
 
-def step_erow3(problem, x, h, cfg, details=None):
+def step_erow3(problem, state, h, cfg, details):
     """Third-order step: Euler stage plus the phi_3 remainder correction.
 
     Dispatches on the state kind.  Densely the correction is exact through
@@ -436,15 +431,15 @@ def step_erow3(problem, x, h, cfg, details=None):
     both the stage and the correction of the factored remainder
     difference go through one factored phi-update, linearized once.
     """
-    if isinstance(x, LdlFactor):
-        update = _factored_phi_update(problem, x, h, cfg, details)
-        stage = update(x, assemble_rhs(problem, x), 1, h)
-        return update(stage, assemble_remainder_diff(problem, x, stage), 3, 2.0 * h)
+    if isinstance(state, LdlFactor):
+        update = _factored_phi_update(problem, state, h, cfg, details)
+        stage = update(state, assemble_rhs(problem, state), 1, h)
+        return update(stage, assemble_remainder_diff(problem, state, stage), 3, 2.0 * h)
 
-    operator, remainder = linearize(problem, x)
-    stage = phi1_action_augmented(operator, h, remainder, x)
+    operator, remainder = linearize(problem, state)
+    stage = phi1_action_augmented(operator, h, remainder, state)
     # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage.
-    e = x - stage
+    e = state - stage
     if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
         correction = phi_action_augmented(operator, h, 3, -(e @ problem.G) @ e)
     else:
@@ -482,12 +477,12 @@ def _monitor(state, diag):
 def integrate(problem, cfg):
     """Fixed-step trajectory of the configured scheme.
 
-    Snapshots are stored every ``cfg.store_every`` steps (the initial and
-    final states always included); diagnostics are recorded for every
-    step.  A failing step raises IntegrationError carrying the partial
-    trajectory and the zero-based index of the step that failed.  Step
-    operands are built from validated input, so a DomainError inside a
-    step means a value became non-finite; it fails the step too.
+    The trajectory holds the state at every grid point, the initial one
+    included, and the diagnostics of every step.  A failing step raises
+    IntegrationError carrying the partial trajectory and the zero-based
+    index of the step that failed.  Step operands are built from
+    validated input, so a DomainError inside a step means a value became
+    non-finite; it fails the step too.
     """
     stepper, factored = _SCHEME_STEPS[cfg.scheme]
     state = problem.initial_factor() if factored else problem.X0.copy()
@@ -533,10 +528,8 @@ def integrate(problem, cfg):
         if problem.symmetric:
             _monitor(state, diag)
         diagnostics.append(diag)
-
-        if (i + 1) % cfg.store_every == 0 or i + 1 == steps:
-            times.append(t_next)
-            states.append(state)
+        times.append(t_next)
+        states.append(state)
 
     return Trajectory(
         times=np.array(times), states=states, diagnostics=diagnostics, scheme=cfg.scheme

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm
+from .densecore import as_matrix
 from .errors import DomainError, FiniteEscapeError
 
 __all__ = ["radon_solve", "radon_trajectory"]
@@ -73,8 +73,10 @@ class _FlowPropagator:
     """
 
     def __init__(self, problem, cond_max):
-        if np.isnan(cond_max):  # NaN fails every comparison: no guard at all
-            raise DomainError("cond_max must not be NaN")
+        # A 1-norm condition number is at least 1, so a lower bound could
+        # never be met; NaN fails every comparison and would be no guard.
+        if not cond_max >= 1.0:
+            raise DomainError(f"cond_max must be >= 1, got {cond_max!r}")
         self.h_matrix = _flow_matrix(problem)
         self.h_norm = np.linalg.norm(self.h_matrix, 1)
         self.cond_max = cond_max
@@ -84,7 +86,7 @@ class _FlowPropagator:
     def _propagator(self, dt):
         if dt not in self._cache:
             self._cache.clear()  # only the current substep size is ever reused
-            self._cache[dt] = expm(dt * self.h_matrix)
+            self._cache[dt] = scipy.linalg.expm(dt * self.h_matrix)
         return self._cache[dt]
 
     def advance(self, x, span):
@@ -125,8 +127,8 @@ def radon_solve(problem, t, cond_max=1e4):
 
     ``cond_max`` trades substep count for accuracy: the extraction loses
     roughly eps * cond(U) per substep.  The default keeps the reference
-    around 1e-11 relative accuracy on stable problems.  NaN is always
-    refused, since it would switch the guard off.
+    around 1e-11 relative accuracy on stable problems.  A bound below 1
+    (or NaN) is refused: no extraction could meet it.
     """
     return radon_trajectory(problem, [t], cond_max)[0]
 

@@ -13,8 +13,6 @@ every platform reproduces them bit for bit.
 
 import os
 import re
-from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -23,12 +21,10 @@ from .errors import DomainError, MatrixFormatError, UsageError
 from .integrators import RiccatiProblem
 
 __all__ = [
-    "Fdm2dSpec",
     "fdm2d_matrix",
     "fdm_sym",
     "fdm_nonsym",
     "random_lowrank",
-    "build_symmetric_problem",
     "scalar_tanh_problem",
     "problem_from_spec",
     "load_problem",
@@ -36,33 +32,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Fdm2dSpec:
-    """Five-point discretization with k interior grid points per side.
-
-    The convection coefficients ``fx`` and ``fy`` are callables of the
-    grid coordinates (None means zero); the matrix size is n = k^2.
-    """
-
-    k: int
-    fx: Optional[Callable[[float, float], float]] = None
-    fy: Optional[Callable[[float, float], float]] = None
-
-
-def fdm2d_matrix(spec):
+def fdm2d_matrix(k, fx=None, fy=None):
     """Negative stiffness matrix of the convection-diffusion operator.
 
-    Uniform interior grid with spacing 1/(k+1), centered first-order
-    differences for the convection terms, x-fastest lexicographic node
-    ordering.  With all coefficient functions zero the matrix is the
-    (negative definite) 5-point Laplacian.
+    Five-point discretization with ``k`` interior grid points per side
+    (n = k^2): uniform spacing 1/(k+1), centered first-order differences
+    for the convection terms, x-fastest lexicographic node ordering.  The
+    convection coefficients ``fx`` and ``fy`` are scalar callables of the
+    grid coordinates, called once per node (None means zero).  With both
+    zero the matrix is the (negative definite) 5-point Laplacian.
     """
-    if spec.k < 1:
+    if k < 1:
         raise DomainError("grid needs at least one interior point per side")
-    k = spec.k
     spacing = 1.0 / (k + 1)
-    fx = spec.fx or (lambda x, y: 0.0)
-    fy = spec.fy or (lambda x, y: 0.0)
+    fx = fx or (lambda x, y: 0.0)
+    fy = fy or (lambda x, y: 0.0)
     inv_h2 = 1.0 / spacing ** 2
     inv_2h = 1.0 / (2.0 * spacing)
 
@@ -84,14 +68,12 @@ def fdm2d_matrix(spec):
 
 def fdm_sym(k):
     """Symmetric benchmark matrix (pure 5-point Laplacian)."""
-    return fdm2d_matrix(Fdm2dSpec(k))
+    return fdm2d_matrix(k)
 
 
 def fdm_nonsym(k):
     """Nonsymmetric benchmark matrix with convection fields 10x and 100y."""
-    return fdm2d_matrix(
-        Fdm2dSpec(k, fx=lambda x, y: 10.0 * x, fy=lambda x, y: 100.0 * y)
-    )
+    return fdm2d_matrix(k, fx=lambda x, y: 10.0 * x, fy=lambda x, y: 100.0 * y)
 
 
 def random_lowrank(n, r, seed):
@@ -115,21 +97,9 @@ def random_lowrank(n, r, seed):
     return (((words >> 11) + 0.5) * 2.0 ** -53).reshape((n, r), order="F")
 
 
-def build_symmetric_problem(A, C, B, L0, D0=None):
-    """Symmetric Riccati problem from its thin generators.
-
-    D = A^T, Q = C^T C, G = B B^T and X0 = L0 D0 L0^T with D0 defaulting
-    to the identity, built by :class:`RiccatiProblem`.  A zero-width L0
-    gives X0 = 0.
-    """
-    return RiccatiProblem(A=A, C=C, B=B, L0=L0, D0=D0, symmetric=True)
-
-
 def scalar_tanh_problem():
     """The 1 x 1 flow x' = 1 - x^2, x(0) = 0, with solution tanh(t)."""
-    return build_symmetric_problem(
-        A=[[0.0]], C=[[1.0]], B=[[1.0]], L0=np.zeros((1, 0))
-    )
+    return RiccatiProblem(A=[[0.0]], C=[[1.0]], B=[[1.0]], L0=np.zeros((1, 0)), symmetric=True)
 
 
 PROBLEM_FORMATS = (
@@ -174,7 +144,7 @@ def problem_from_spec(spec, seed=0):
             b = random_lowrank(n, rank, seed)
             c = random_lowrank(n, rank, seed + 1).T
             l0 = random_lowrank(n, rank, seed + 2)
-            return build_symmetric_problem(a, c, b, l0)
+            return RiccatiProblem(A=a, C=c, B=b, L0=l0, symmetric=True)
     raise UsageError(
         f"unknown problem spec {spec!r}; formats: {', '.join(PROBLEM_FORMATS)}"
     )
@@ -202,4 +172,4 @@ def load_problem(directory):
     if l0 is None:
         l0 = np.zeros((a.shape[0], 0))
         d0 = None
-    return build_symmetric_problem(a, c, b, l0, d0)
+    return RiccatiProblem(A=a, C=c, B=b, L0=l0, D0=d0, symmetric=True)

@@ -226,13 +226,12 @@ def splitmix64_reference(n, r, seed):
     return np.array(vals, dtype=float).reshape((n, r), order="F")
 
 
-def fdm2d_reference(spec):
+def fdm2d_reference(k, fx=None, fy=None):
     """Reference ``fdm2d_matrix``: the 5-point stencil, one grid point at a
     time with a bounds check per neighbour."""
-    k = spec.k
     spacing = 1.0 / (k + 1)
-    fx = spec.fx or (lambda x, y: 0.0)
-    fy = spec.fy or (lambda x, y: 0.0)
+    fx = fx or (lambda x, y: 0.0)
+    fy = fy or (lambda x, y: 0.0)
     inv_h2 = 1.0 / spacing ** 2
     inv_2h = 1.0 / (2.0 * spacing)
     a = np.zeros((k * k, k * k))

@@ -13,6 +13,7 @@ from expriccati.cli import (
     run_trajectory,
 )
 from expriccati.errors import UsageError
+from expriccati.integrators import integrate
 from expriccati.matio import write_matrix_market
 from expriccati.problems import problem_from_spec
 
@@ -116,6 +117,17 @@ class TestRunTrajectory:
         assert errors[-1] <= 1e-10
         assert errors[-1] <= max(errors[:10])
 
+    def test_one_row_per_grid_point_with_its_rank(self):
+        cfg = ExperimentConfig(problem="fdm-sym:k=3", schemes=["LrExpEuler"], h=[0.1],
+                               t_end=0.5, seed=5)
+        traj = integrate(problem_from_spec(cfg.problem, seed=cfg.seed),
+                         cfg.integrator_config("LrExpEuler", 0.1))
+        assert np.array_equal(traj.times, [i * 0.1 for i in range(5)] + [0.5])
+        assert len(traj.states) == 6 and len(traj.diagnostics) == 5
+        rows = _rows(run_trajectory(cfg))
+        assert [float(r[0]) for r in rows] == list(traj.times)
+        assert [r[4] for r in rows] == [""] + [str(d.rank) for d in traj.diagnostics]
+
     def test_needs_exactly_one_cell(self):
         cfg = ExperimentConfig(problem="tanh", schemes=["GExpEuler", "BrExpEuler"], h=[0.1])
         with pytest.raises(UsageError):
@@ -146,6 +158,13 @@ class TestRunOrderStudy:
         with pytest.raises(UsageError):
             run_order_study(cfg)
 
+    def test_repeated_step_sizes_rejected(self):
+        # A ladder of ratio 1 passes the geometric check but leaves the
+        # slope fit nothing to fit.
+        cfg = ExperimentConfig(problem="tanh", schemes=["GExpEuler"], h=[0.1, 0.1, 0.1])
+        with pytest.raises(UsageError, match="distinct"):
+            run_order_study(cfg)
+
     def test_non_geometric_ladder_rejected(self):
         cfg = ExperimentConfig(problem="tanh", schemes=["GExpEuler"], h=[0.1, 0.05, 0.03])
         with pytest.raises(UsageError):
@@ -169,6 +188,12 @@ class TestConfigFile:
         path = tmp_path / "exp.cfg"
         path.write_text("problem = tanh\nbogus = 3\n")
         with pytest.raises(UsageError, match=":2:"):
+            load_config_file(path)
+
+    def test_repeated_key_reports_line(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("h = 0.1\nproblem = tanh\nh = 0.05\n")
+        with pytest.raises(UsageError, match=re.escape(f"{path}:3: repeated key 'h'")):
             load_config_file(path)
 
     def test_unparsable_value_reports_line(self, tmp_path):
@@ -227,6 +252,12 @@ class TestMain:
                      "--oracle-cond", "nan"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_oracle_condition_below_one_exit_code(self, capsys):
+        code = main(["table", "--problem", "fdm-sym:k=3", "--scheme", "GExpEuler", "--h", "0.1",
+                     "--t-end", "0.3", "--oracle-cond", "0.5"])
+        assert code == 2
+        assert "cond_max must be >= 1" in capsys.readouterr().err
 
     def test_unknown_problem_exit_code(self, capsys):
         code = main(["table", "--problem", "marsh:k=2", "--scheme", "GExpEuler", "--h", "0.1"])

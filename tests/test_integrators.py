@@ -4,7 +4,7 @@ import scipy.linalg
 
 import expriccati.integrators as integrators
 import expriccati.lowrank as lowrank
-from expriccati.densecore import SparsePlusThin, expm
+from expriccati.densecore import SparsePlusThin
 from expriccati.errors import (
     ConfigurationError,
     DimensionError,
@@ -25,7 +25,6 @@ from expriccati.lowrank import LdlFactor
 from expriccati.oracle import radon_solve
 from expriccati.krylov import _basis_pays, build_basis
 from expriccati.problems import (
-    build_symmetric_problem,
     fdm_sym,
     problem_from_spec,
     random_lowrank,
@@ -80,8 +79,8 @@ class TestProblemValidation:
 
     def test_mis_sized_d0_rejected_by_builder(self):
         with pytest.raises(DimensionError, match="D0"):
-            build_symmetric_problem(-np.eye(3), np.ones((1, 3)), np.ones((3, 1)),
-                                    np.ones((3, 1)), D0=np.eye(2))
+            RiccatiProblem(A=-np.eye(3), C=np.ones((1, 3)), B=np.ones((3, 1)),
+                           L0=np.ones((3, 1)), D0=np.eye(2), symmetric=True)
 
     def test_rhs_value(self, rng):
         p = RiccatiProblem(
@@ -132,7 +131,8 @@ class TestGeneratedCoefficients:
     def test_nonsymmetric_initial_core_rejected(self, rng):
         g = self._generators(rng)
         with pytest.raises(ConfigurationError, match="symmetric D0"):
-            build_symmetric_problem(g["A"], g["C"], g["B"], g["L0"], D0=[[1.0, 1.0], [0.0, 1.0]])
+            RiccatiProblem(A=g["A"], C=g["C"], B=g["B"], L0=g["L0"], D0=[[1.0, 1.0], [0.0, 1.0]],
+                           symmetric=True)
 
     def test_overflowing_product_rejected(self, rng):
         # Finite generators whose product is not: C^T C overflows.
@@ -200,8 +200,7 @@ class TestConfigValidation:
         "field, value",
         [("compression_tol", float("nan")), ("compression_tol", -1.0), ("krylov_m", 0),
          ("t_end", float("nan")), ("t_end", float("inf")), ("h", float("inf")),
-         ("krylov_m", float("nan")), ("krylov_m", 2.5), ("krylov_m", 3.0),
-         ("store_every", float("nan")), ("store_every", 2.5), ("store_every", "3")],
+         ("krylov_m", float("nan")), ("krylov_m", 2.5), ("krylov_m", 3.0)],
     )
     def test_bad_value_rejected_at_construction(self, field, value):
         settings = {"h": 0.1, "t_end": 0.2, field: value}
@@ -209,10 +208,8 @@ class TestConfigValidation:
             IntegratorConfig("LrExpEuler", **settings)
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = IntegratorConfig(
-            "LrExpEuler", 0.1, 0.2, krylov_m=np.int64(4), store_every=np.int32(2)
-        )
-        assert (cfg.krylov_m, cfg.store_every) == (4, 2)
+        cfg = IntegratorConfig("LrExpEuler", 0.1, 0.2, krylov_m=np.int64(4))
+        assert cfg.krylov_m == 4
 
     def test_default_tolerance_scales_with_dimension(self):
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
@@ -223,12 +220,12 @@ class TestConfigValidation:
 class TestExpEulerGeneral:
     def test_scalar_first_step(self):
         p = _tanh_problem()
-        out = step_expeuler_general(p, np.array([[0.0]]), 0.1)
+        out = step_expeuler_general(p, np.array([[0.0]]), 0.1, None, {})
         assert out[0, 0] == pytest.approx(0.1, abs=1e-14)
 
     def test_constant_source_linear_problem_is_exact(self):
         p = RiccatiProblem(A=[[-1.0]], D=[[-1.0]], Q=[[1.0]], G=[[0.0]], X0=[[0.0]])
-        out = step_expeuler_general(p, np.array([[0.0]]), 1.0)
+        out = step_expeuler_general(p, np.array([[0.0]]), 1.0, None, {})
         exact = (1.0 - np.exp(-2.0)) / 2.0  # (1 - e^{-2t})/2 at t = 1
         assert out[0, 0] == pytest.approx(exact, rel=1e-13)
 
@@ -239,8 +236,8 @@ class TestExpEulerGeneral:
             Q=np.zeros((m, n)), G=np.zeros((n, m)), X0=rng.standard_normal((m, n)),
         )
         h = 0.4
-        out = step_expeuler_general(p, p.X0, h)
-        assert rel_err(out, expm(h * p.A) @ p.X0 @ expm(h * p.D)) <= 1e-12
+        out = step_expeuler_general(p, p.X0, h, None, {})
+        assert rel_err(out, scipy.linalg.expm(h * p.A) @ p.X0 @ scipy.linalg.expm(h * p.D)) <= 1e-12
 
     def test_equivalent_forms(self, rng):
         # exp(hS)(X) + h phi_1(hS)(remainder)  ==  X + h phi_1(hS)(F(X))
@@ -253,7 +250,7 @@ class TestExpEulerGeneral:
             )
             x = rng.standard_normal((m, n))
             h = 0.2
-            first = step_expeuler_general(p, x, h)
+            first = step_expeuler_general(p, x, h, None, {})
             operator, _ = linearize(p, x)
             second = x + h * phi_action_augmented(operator, h, 1, p.rhs(x))
             assert rel_err(first, second) <= 1e-11
@@ -262,7 +259,7 @@ class TestExpEulerGeneral:
 class TestExpEulerBackward:
     def test_scalar_hand_computation(self):
         p = RiccatiProblem(A=[[-1.0]], D=[[-1.0]], Q=[[1.0]], G=[[0.0]], X0=[[0.0]])
-        out = step_expeuler_backward(p, np.array([[0.0]]), 1.0)
+        out = step_expeuler_backward(p, np.array([[0.0]]), 1.0, None, {})
         # W = -0.5, result = e^{-2} (-0.5) + 0 + 0.5
         assert out[0, 0] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), rel=1e-13)
         assert out[0, 0] == pytest.approx(0.432332358, abs=1e-9)
@@ -271,15 +268,15 @@ class TestExpEulerBackward:
         # Solve a small algebraic Riccati equation by iterating, then step.
         n = 4
         a = random_stable(rng, n)
-        p = build_symmetric_problem(
-            a, rng.standard_normal((2, n)), rng.standard_normal((n, 2)),
-            np.zeros((n, 0)),
+        p = RiccatiProblem(
+            A=a, C=rng.standard_normal((2, n)), B=rng.standard_normal((n, 2)),
+            L0=np.zeros((n, 0)), symmetric=True,
         )
         from scipy.linalg import solve_continuous_are
 
         xinf = solve_continuous_are(a.T, p.B, p.Q, np.eye(p.B.shape[1]))
         assert np.linalg.norm(p.rhs(xinf)) <= 1e-8 * np.linalg.norm(xinf)
-        out = step_expeuler_backward(p, xinf, 0.5)
+        out = step_expeuler_backward(p, xinf, 0.5, None, {})
         assert rel_err(out, xinf) <= 1e-9
 
     def test_agrees_with_general_realization(self, rng):
@@ -291,16 +288,17 @@ class TestExpEulerBackward:
                 X0=0.1 * rng.standard_normal((n, n)),
             )
             x = 0.2 * rng.standard_normal((n, n))
-            a_step = step_expeuler_general(p, x, 0.05)
-            b_step = step_expeuler_backward(p, x, 0.05)
+            a_step = step_expeuler_general(p, x, 0.05, None, {})
+            b_step = step_expeuler_backward(p, x, 0.05, None, {})
             assert rel_err(b_step, a_step) <= 1e-10
 
 
 class TestExpEulerLowRank:
     def test_zero_data_stays_zero(self):
         n = 5
-        p = build_symmetric_problem(
-            -np.eye(n), np.zeros((1, n)), np.zeros((n, 1)), np.zeros((n, 0))
+        p = RiccatiProblem(
+            A=-np.eye(n), C=np.zeros((1, n)), B=np.zeros((n, 1)), L0=np.zeros((n, 0)),
+            symmetric=True,
         )
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
         traj = integrate(p, cfg)
@@ -309,20 +307,20 @@ class TestExpEulerLowRank:
 
     def test_zero_step_returns_state(self, rng):
         n = 6
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
         state = p.initial_factor()
-        out = step_expeuler_lowrank(p, state, 0.0, cfg)
+        out = step_expeuler_lowrank(p, state, 0.0, cfg, {})
         assert out is state
 
     def test_matches_dense_realization(self, rng):
         n = 20
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         cfg = IntegratorConfig("LrExpEuler", 0.02, 0.2)
         lr = integrate(p, cfg)
@@ -333,10 +331,10 @@ class TestExpEulerLowRank:
         # X0 = L0 D0 L0^T with a full D0: the initial factor holds L0 V and
         # the eigenvalues of D0 = V diag(d) V^T.
         n = 20
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
-            D0=np.array([[2.0, 1.0], [1.0, 2.0]]),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)),
+            D0=np.array([[2.0, 1.0], [1.0, 2.0]]), symmetric=True,
         )
         initial = p.initial_factor()
         assert np.array_equal(initial.core, np.diag([1.0, 3.0]))
@@ -354,7 +352,7 @@ class TestExpEulerLowRank:
         # 1e-12 of a factor's core.  The problem keeps its symmetric part.
         g = problem_from_spec("fdm-sym:k=3,rank=3", seed=20240)
         d0 = np.array([[2.0, 1.0 + 1e-11, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        p = build_symmetric_problem(g.A, g.C, g.B, g.L0, D0=d0)
+        p = RiccatiProblem(A=g.A, C=g.C, B=g.B, L0=g.L0, D0=d0, symmetric=True)
         assert np.array_equal(p.D0, p.D0.T)
         lr = integrate(p, IntegratorConfig(scheme, 0.01, 0.1))
         dense = integrate(p, IntegratorConfig(dense_scheme, 0.01, 0.1))
@@ -374,7 +372,7 @@ class TestErow3:
     def test_scalar_hand_computation(self):
         p = _tanh_problem()
         cfg = IntegratorConfig("Erow3Dense", 0.1, 1.0)
-        out = step_erow3(p, np.array([[0.0]]), 0.1, cfg)
+        out = step_erow3(p, np.array([[0.0]]), 0.1, cfg, {})
         # Stage value 0.1; correction 2h phi_3(0) (-0.01) = -1/3000.
         assert out[0, 0] == pytest.approx(0.1 - 1.0 / 3000.0, abs=1e-12)
 
@@ -387,13 +385,14 @@ class TestErow3:
         )
         cfg = IntegratorConfig("Erow3Dense", 0.2, 1.0)
         x = rng.standard_normal((m, m))
-        assert rel_err(step_erow3(p, x, 0.2, cfg), step_expeuler_general(p, x, 0.2)) <= 1e-13
+        euler = step_expeuler_general(p, x, 0.2, None, {})
+        assert rel_err(step_erow3(p, x, 0.2, cfg, {}), euler) <= 1e-13
 
     def test_lowrank_matches_dense(self, rng):
         n = 16
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         lr = integrate(p, IntegratorConfig("Erow3LowRank", 0.02, 0.2))
         dense = integrate(p, IntegratorConfig("Erow3Dense", 0.02, 0.2))
@@ -423,7 +422,7 @@ class TestErow3:
         # The stage takes one 162 x 162 augmented exponential; the phi_3
         # quadrature on the factor pair of its operand takes none.
         p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
-        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), {})
         assert full_exponentials == [162]
 
     def test_quadrature_phi3_operand_without_b_takes_a_wide_pair(self, monkeypatch):
@@ -442,7 +441,7 @@ class TestErow3:
         without_b = RiccatiProblem(A=p.A, D=p.D, Q=p.Q, G=p.G, X0=p.X0)
         cfg = IntegratorConfig("Erow3Dense", 0.01, 0.1)
         for problem in (p, without_b):
-            step_erow3(problem, p.X0, 0.01, cfg)
+            step_erow3(problem, p.X0, 0.01, cfg, {})
         (thin, phi3), (wide, phi3_wide) = seen
         m, width = p.M, p.B.shape[1]
         assert [f.shape for f in thin] == [(m, width), (m, width)]
@@ -464,14 +463,16 @@ class TestErow3:
             return seen[-1][1]
 
         monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
-        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1))
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), {})
         [((k, op, h, pair, rule), phi3)] = seen
         assert [f.shape for f in pair] == [(m, m), (n, m)]
         # The node sum with one full exponential per side and node.
         operand = pair[0] @ pair[1].T
         nodes = zip(rule.nodes, rule.weights)
         expected = sum(
-            w * s ** 2 / 2.0 * (expm((1.0 - s) * h * op.A) @ operand @ expm((1.0 - s) * h * op.D))
+            w * s ** 2 / 2.0
+            * (scipy.linalg.expm((1.0 - s) * h * op.A) @ operand
+               @ scipy.linalg.expm((1.0 - s) * h * op.D))
             for s, w in nodes
         )
         assert k == 3 and rel_err(phi3, expected) <= 1e-13
@@ -542,7 +543,7 @@ class TestMsdeExactness:
                 X0=rng.standard_normal((m, n)),
             )
             h = 20.0 / (np.linalg.norm(a, 2) + np.linalg.norm(d, 2))
-            out = step_expeuler_general(p, p.X0, h)
+            out = step_expeuler_general(p, p.X0, h, None, {})
             ref = radon_solve(p, h, cond_max=1e2)
             assert rel_err(out, ref) <= 1e-11
 
@@ -570,22 +571,11 @@ class TestIntegrate:
         assert info.value.step_index == 0
         assert len(info.value.trajectory.states) == 1
 
-    def test_store_every_thins_snapshots(self, rng):
-        n = 6
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
-        )
-        cfg = IntegratorConfig("GExpEuler", 0.1, 1.0, store_every=5)
-        traj = integrate(p, cfg)
-        assert len(traj.states) == 3  # t = 0, 0.5, 1.0
-        assert len(traj.diagnostics) == 10
-
     def test_symmetry_preserved_densely(self, rng):
         n = 8
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         traj = integrate(p, IntegratorConfig("GExpEuler", 0.05, 1.0))
         for diag in traj.diagnostics:
@@ -599,8 +589,9 @@ class TestIntegrate:
     @pytest.mark.parametrize("exp_action", ["dense", "krylov"])
     @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
     def test_lowrank_overflow_names_failing_step(self, scheme, exp_action, n, a):
-        p = build_symmetric_problem(
-            a * np.eye(n), np.ones((1, n)), 1e-3 * np.ones((n, 1)), np.ones((n, 1))
+        p = RiccatiProblem(
+            A=a * np.eye(n), C=np.ones((1, n)), B=1e-3 * np.ones((n, 1)), L0=np.ones((n, 1)),
+            symmetric=True,
         )
         cfg = IntegratorConfig(scheme, 20.0, 100.0, exp_action=exp_action)
         with pytest.raises(IntegrationError) as info, np.errstate(all="ignore"):
@@ -639,9 +630,9 @@ class TestIntegrate:
 
         monkeypatch.setattr(integrators, "_linearized_coefficient", spy)
         n = 10
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         traj = integrate(p, IntegratorConfig(scheme, 0.125, 0.375, exp_action=exp_action))
         # One call per step, linearized at the state the step starts from.
@@ -667,9 +658,9 @@ class TestIntegrate:
 
     def test_lowrank_diagnostics_populated(self, rng):
         n = 10
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         cfg = IntegratorConfig("LrExpEuler", 0.1, 0.5, exp_action="krylov")
         traj = integrate(p, cfg)
@@ -699,9 +690,9 @@ class TestIntegrate:
         monkeypatch.setattr(lowrank, "compress", compress_spy)
         monkeypatch.setattr(integrators, "concat_update", concat_spy)
         n = 10
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         traj = integrate(p, IntegratorConfig(scheme, 0.1, 0.5, compression_tol=1e-6))
         assert len(calls) == updates * len(traj.diagnostics)
@@ -763,7 +754,7 @@ class TestExponentialActionRoutes:
         stepper = integrators._SCHEME_STEPS[scheme][0]
         details = {}
         krylov = stepper(problem, state, h, self._config(scheme, "krylov", h=h), details)
-        dense = stepper(problem, state, h, self._config(scheme, "dense", h=h))
+        dense = stepper(problem, state, h, self._config(scheme, "dense", h=h), {})
         assert (details["krylov_basis_cols"][0] > 0) == (step == 0)
         assert rel_err(krylov.reconstruct(), dense.reconstruct()) <= 1e-12
 

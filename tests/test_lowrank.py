@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import expriccati.lowrank as lowrank
-from expriccati.densecore import expm
 from expriccati.errors import ConfigurationError, DimensionError, DomainError, FiniteEscapeError
+from expriccati.integrators import RiccatiProblem
 from expriccati.lowrank import (
     LdlFactor,
     assemble_phi_sum,
@@ -12,7 +13,7 @@ from expriccati.lowrank import (
     concat_update,
 )
 from expriccati.phifun import QuadratureRule
-from expriccati.problems import build_symmetric_problem, problem_from_spec, random_lowrank
+from expriccati.problems import problem_from_spec, random_lowrank
 
 from helpers import random_stable, rel_err
 
@@ -27,7 +28,7 @@ def _symmetric_problem(rng, n, width=3, stable=True):
     c = rng.standard_normal((2, n))
     b = rng.standard_normal((n, width))
     l0 = rng.standard_normal((n, 2))
-    return build_symmetric_problem(a, c, b, l0)
+    return RiccatiProblem(A=a, C=c, B=b, L0=l0, symmetric=True)
 
 
 def _random_state(rng, n, r):
@@ -108,7 +109,7 @@ class TestAssembleRhs:
         a = random_stable(rng, n)
         c = rng.standard_normal((2, n))
         l0 = rng.standard_normal((n, 2))
-        p = build_symmetric_problem(a, c, np.zeros((n, 1)), l0)
+        p = RiccatiProblem(A=a, C=c, B=np.zeros((n, 1)), L0=l0, symmetric=True)
         state = p.initial_factor()
         x = state.reconstruct()
         target = p.C.T @ p.C + a @ x + x @ a.T
@@ -126,7 +127,7 @@ class TestAssembleRhs:
         # cancellation would cost about 1e4 times the bound below.
         n, r = 12, 3
         p = _symmetric_problem(rng, n)
-        p = build_symmetric_problem(1e8 * p.A, p.C, p.B, p.L0)
+        p = RiccatiProblem(A=1e8 * p.A, C=p.C, B=p.B, L0=p.L0, symmetric=True)
         state = _random_state(rng, n, r)
         out = assemble_rhs(p, state)
         x = state.reconstruct()
@@ -203,11 +204,11 @@ class TestAssembleRemainderDiff:
 
     def test_zero_quadratic_generator(self, rng):
         n = 8
-        p = build_symmetric_problem(
-            random_stable(rng, n),
-            rng.standard_normal((2, n)),
-            np.zeros((n, 2)),
-            rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n),
+            C=rng.standard_normal((2, n)),
+            B=np.zeros((n, 2)),
+            L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         out = assemble_remainder_diff(p, _random_state(rng, n, 2), _random_state(rng, n, 3))
         assert np.abs(out.reconstruct()).max() == 0.0
@@ -233,7 +234,7 @@ class TestAssembleRemainderDiff:
 class TestAssemblePhiSum:
     @staticmethod
     def _dense_actions(a):
-        return lambda taus, block: [expm(t * a) @ block for t in taus]
+        return lambda taus, block: [scipy.linalg.expm(t * a) @ block for t in taus]
 
     def test_first_order_weights(self, rng):
         # gamma_j must be h * w_j for the phi_1 stack.  The full core is

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from expriccati.densecore import expm
 from expriccati.errors import DomainError, FiniteEscapeError
 from expriccati.integrators import RiccatiProblem
 from expriccati.oracle import radon_solve, radon_trajectory
-from expriccati.problems import build_symmetric_problem, problem_from_spec
+from expriccati.problems import problem_from_spec
 from expriccati.sylvop import SylvesterOperator
 
 from helpers import kronecker_phi, phi_scalar, random_stable, rel_err
@@ -30,7 +30,7 @@ class TestRadonSolve:
         )
         t = 0.8
         out = radon_solve(p, t, cond_max=1e3)
-        assert rel_err(out, expm(t * p.A) @ p.X0 @ expm(t * p.D)) <= 1e-11
+        assert rel_err(out, scipy.linalg.expm(t * p.A) @ p.X0 @ scipy.linalg.expm(t * p.D)) <= 1e-11
 
     def test_scalar_closed_form(self):
         p = problem_from_spec("tanh")
@@ -38,9 +38,9 @@ class TestRadonSolve:
 
     def test_flow_semigroup(self, rng):
         n = 5
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         s, t = 0.4, 0.35
         direct = radon_solve(p, s + t)
@@ -77,11 +77,12 @@ class TestRadonSolve:
         assert np.linalg.norm(p.rhs(x)) <= 1e-7 * np.linalg.norm(p.Q)
 
     def test_persistent_ill_conditioning_raises(self):
-        # Any matrix has condition >= 1, so an unsatisfiable bound makes
-        # every extraction fail and the halving budget run out.
-        p = problem_from_spec("tanh")
+        # A condition bound of 1 holds only for a multiple of an orthogonal
+        # U; the 4 x 4 extraction never is one, so every extraction fails
+        # and the halving budget runs out.
+        p = problem_from_spec("fdm-sym:k=2")
         with pytest.raises(FiniteEscapeError):
-            radon_solve(p, 1.0, cond_max=0.99)
+            radon_solve(p, 1.0, cond_max=1.0)
 
     @pytest.mark.parametrize("solver", [radon_solve, radon_trajectory])
     def test_nan_condition_bound_rejected(self, solver):
@@ -89,6 +90,13 @@ class TestRadonSolve:
         # any extraction.
         with pytest.raises(DomainError, match="cond_max"):
             solver(problem_from_spec("tanh"), 1.0, cond_max=float("nan"))
+
+    @pytest.mark.parametrize("bound", [0.5, 0.0, -1.0])
+    def test_condition_bound_below_one_rejected(self, bound):
+        # A 1-norm condition number is at least 1: such a bound could never
+        # be met, and would read as a finite escape after 40 halvings.
+        with pytest.raises(DomainError, match="cond_max must be >= 1"):
+            radon_solve(problem_from_spec("fdm-sym:k=3"), 0.3, cond_max=bound)
 
     def test_pole_crossing_is_a_continuation(self):
         # x' = 1 + x^2 has a pole at t = pi/2; the linearized flow itself
@@ -100,9 +108,9 @@ class TestRadonSolve:
 
     def test_trajectory_matches_pointwise_solves(self, rng):
         n = 4
-        p = build_symmetric_problem(
-            random_stable(rng, n), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=random_stable(rng, n), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         times = [0.0, 0.25, 0.5, 1.0]
         sweep = radon_trajectory(p, times)
@@ -121,7 +129,7 @@ class TestKroneckerPhi:
         d = rng.standard_normal((2, 2))
         op = SylvesterOperator(a, d)
         kmat = np.kron(np.eye(2), a) + np.kron(d.T, np.eye(3))
-        assert rel_err(kronecker_phi(0, op, 0.7), expm(0.7 * kmat)) <= 1e-13
+        assert rel_err(kronecker_phi(0, op, 0.7), scipy.linalg.expm(0.7 * kmat)) <= 1e-13
 
     def test_zero_operator_gives_scaled_identity(self):
         op = SylvesterOperator(np.zeros((2, 2)), np.zeros((2, 2)))
@@ -178,13 +186,13 @@ class TestIntegralForm:
         taus = np.sort(nodes)
         states = radon_trajectory(p, taus, cond_max=1e4)
         order = np.argsort(nodes)
-        total = expm(t * p.A) @ p.X0 @ expm(t * p.D)
+        total = scipy.linalg.expm(t * p.A) @ p.X0 @ scipy.linalg.expm(t * p.D)
         for pos, idx in enumerate(order):
             tau = nodes[idx]
             x_tau = states[pos]
             total += weights[idx] * (
-                expm((t - tau) * p.A)
+                scipy.linalg.expm((t - tau) * p.A)
                 @ (p.Q - x_tau @ p.G @ x_tau)
-                @ expm((t - tau) * p.D)
+                @ scipy.linalg.expm((t - tau) * p.D)
             )
         assert rel_err(total, x_t) <= 1e-6

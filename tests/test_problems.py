@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from expriccati.errors import DimensionError, DomainError, MatrixFormatError, UsageError
+from expriccati.integrators import RiccatiProblem
 from expriccati.problems import (
-    Fdm2dSpec,
-    build_symmetric_problem,
     fdm2d_matrix,
     fdm_nonsym,
     fdm_sym,
@@ -89,20 +88,18 @@ class TestFdmMatrix:
         assert np.abs(deviation).max() <= 25.0 + 1e-9
 
     def test_constant_convection_is_antisymmetric(self):
-        spec = Fdm2dSpec(5, fx=lambda x, y: 3.0, fy=lambda x, y: -2.0)
-        a = fdm2d_matrix(spec)
+        a = fdm2d_matrix(5, fx=lambda x, y: 3.0, fy=lambda x, y: -2.0)
         sym_part = (a + a.T) / 2
         assert rel_err(sym_part, fdm_sym(5)) <= 1e-14
 
     def test_zero_grid_rejected(self):
         with pytest.raises(DomainError):
-            fdm2d_matrix(Fdm2dSpec(0))
+            fdm2d_matrix(0)
 
     @pytest.mark.parametrize("fields", FIELDS.values(), ids=FIELDS.keys())
     def test_bitwise_equal_to_the_point_loop(self, fields):
         for k in range(1, 31):
-            spec = Fdm2dSpec(k, *fields)
-            assert np.array_equal(fdm2d_matrix(spec), fdm2d_reference(spec)), k
+            assert np.array_equal(fdm2d_matrix(k, *fields), fdm2d_reference(k, *fields)), k
 
 
 class TestRandomLowrank:
@@ -146,18 +143,18 @@ class TestBuildSymmetricProblem:
     def test_lyapunov_special_case(self):
         n = 5
         rng = np.random.default_rng(1)
-        p = build_symmetric_problem(
-            rng.standard_normal((n, n)), rng.standard_normal((2, n)),
-            np.zeros((n, 1)), rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=rng.standard_normal((n, n)), C=rng.standard_normal((2, n)),
+            B=np.zeros((n, 1)), L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         assert np.array_equal(p.G, np.zeros((n, n)))
 
     def test_zero_width_initial_factor(self):
         n = 4
         rng = np.random.default_rng(2)
-        p = build_symmetric_problem(
-            rng.standard_normal((n, n)), rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)), np.zeros((n, 0)),
+        p = RiccatiProblem(
+            A=rng.standard_normal((n, n)), C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)), L0=np.zeros((n, 0)), symmetric=True,
         )
         assert np.array_equal(p.X0, np.zeros((n, n)))
         assert p.initial_factor().rank == 0
@@ -175,7 +172,8 @@ class TestBuildSymmetricProblem:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            build_symmetric_problem(np.eye(3), np.eye(2), np.zeros((3, 1)), np.zeros((3, 0)))
+            RiccatiProblem(A=np.eye(3), C=np.eye(2), B=np.zeros((3, 1)), L0=np.zeros((3, 0)),
+                           symmetric=True)
 
 
 class TestProblemSpec:

@@ -28,7 +28,6 @@ from expriccati.densecore import SparsePlusThin, compress, expm_actions
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
-from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import SylvesterOperator
 
 from helpers import expm_longdouble, kronecker_phi, random_stable, unvec, vec
@@ -81,11 +80,11 @@ def _spectrum_near_tolerance(rng, r, spread, tol, clustered):
 
 
 def _symmetric_problem(rng, n):
-    return build_symmetric_problem(
-        rng.standard_normal((n, n)),
-        rng.standard_normal((int(rng.integers(1, 4)), n)),
-        rng.standard_normal((n, int(rng.integers(1, 4)))),
-        rng.standard_normal((n, 1)),
+    return RiccatiProblem(
+        A=rng.standard_normal((n, n)),
+        C=rng.standard_normal((int(rng.integers(1, 4)), n)),
+        B=rng.standard_normal((n, int(rng.integers(1, 4)))),
+        L0=rng.standard_normal((n, 1)), symmetric=True,
     )
 
 
@@ -387,5 +386,5 @@ def test_dense_steps_are_exact_without_quadratic_term(m, n, seed, h):
 
     for scheme in ("GExpEuler", "BrExpEuler", "Erow3Dense"):
         stepper = _SCHEME_STEPS[scheme][0]
-        got = stepper(problem, x0, h, IntegratorConfig(scheme, h, h))
+        got = stepper(problem, x0, h, IntegratorConfig(scheme, h, h), {})
         assert _fro(got - flow - source) <= 1e-12 * (_fro(flow) + _fro(source)), scheme

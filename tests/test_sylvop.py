@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from expriccati.densecore import expm
 from expriccati.errors import DimensionError, DomainError
 from expriccati.integrators import RiccatiProblem
 from expriccati.oracle import radon_solve
 from expriccati.phifun import QuadratureRule
-from expriccati.problems import build_symmetric_problem
 from expriccati.sylvop import (
     _AUGMENTED_NORM_LIMIT,
     SylvesterOperator,
@@ -71,7 +70,7 @@ class TestExpAction:
         x = rng.standard_normal((3, 2))
         op = SylvesterOperator(a, d)
         t = 0.7
-        oracle = unvec(expm(t * kron_matrix(a, d)) @ vec(x), 3, 2)
+        oracle = unvec(scipy.linalg.expm(t * kron_matrix(a, d)) @ vec(x), 3, 2)
         assert rel_err(op.exp_action(t, x), oracle) <= 1e-12
 
     def test_semigroup(self, rng):
@@ -90,7 +89,7 @@ class TestPhi1Augmented:
         x = rng.standard_normal((3, 2))
         h = 0.4
         out = phi1_action_augmented(op, h, np.zeros((3, 2)), x)
-        assert rel_err(out, expm(h * a) @ x @ expm(h * d)) <= 1e-12
+        assert rel_err(out, scipy.linalg.expm(h * a) @ x @ scipy.linalg.expm(h * d)) <= 1e-12
 
     def test_scalar_zero_operator(self):
         op = SylvesterOperator([[0.0]], [[0.0]])
@@ -113,7 +112,7 @@ class TestPhi1Augmented:
             h = 0.6
             kmat = kron_matrix(op.A, op.D)
             oracle = unvec(
-                expm(h * kmat) @ vec(x)
+                scipy.linalg.expm(h * kmat) @ vec(x)
                 + h * (kronecker_phi(1, op, h) @ vec(v)),
                 m,
                 n,
@@ -128,7 +127,7 @@ class TestPhi1Augmented:
             v = rng.standard_normal((m, n))
             x = rng.standard_normal((m, n))
             oracle = unvec(
-                expm(h * kron_matrix(op.A, op.D)) @ vec(x)
+                scipy.linalg.expm(h * kron_matrix(op.A, op.D)) @ vec(x)
                 + h * (kronecker_phi(1, op, h) @ vec(v)),
                 m,
                 n,
@@ -216,7 +215,7 @@ class TestTransposedPair:
 
     def test_exp_action_matches_kronecker(self, rng, op):
         x = rng.standard_normal((4, 4))
-        oracle = unvec(expm(0.7 * kron_matrix(op.A, op.D)) @ vec(x), 4, 4)
+        oracle = unvec(scipy.linalg.expm(0.7 * kron_matrix(op.A, op.D)) @ vec(x), 4, 4)
         assert rel_err(op.exp_action(0.7, x), oracle) <= 1e-12
 
     @pytest.mark.parametrize("h", [0.6, 3.0, 30.0])
@@ -224,7 +223,8 @@ class TestTransposedPair:
         v = rng.standard_normal((4, 4))
         x = rng.standard_normal((4, 4))
         oracle = unvec(
-            expm(h * kron_matrix(op.A, op.D)) @ vec(x) + h * (kronecker_phi(1, op, h) @ vec(v)),
+            scipy.linalg.expm(h * kron_matrix(op.A, op.D)) @ vec(x)
+            + h * (kronecker_phi(1, op, h) @ vec(v)),
             4,
             4,
         )
@@ -287,11 +287,11 @@ class TestLinearize:
 
     def test_symmetric_problem_gives_transposed_pair(self, rng):
         n = 5
-        p = build_symmetric_problem(
-            rng.standard_normal((n, n)),
-            rng.standard_normal((2, n)),
-            rng.standard_normal((n, 2)),
-            rng.standard_normal((n, 2)),
+        p = RiccatiProblem(
+            A=rng.standard_normal((n, n)),
+            C=rng.standard_normal((2, n)),
+            B=rng.standard_normal((n, 2)),
+            L0=rng.standard_normal((n, 2)), symmetric=True,
         )
         y = rng.standard_normal((n, n))
         x = y + y.T
@@ -330,11 +330,11 @@ class TestIntegralForm:
         t = 0.8
         x_t = radon_solve(p, t, cond_max=1e3)
         rule = QuadratureRule.gauss_legendre(64)
-        total = expm(t * p.A) @ p.X0 @ expm(t * p.D)
+        total = scipy.linalg.expm(t * p.A) @ p.X0 @ scipy.linalg.expm(t * p.D)
         for s, w in zip(rule.nodes, rule.weights):
             tau = s * t
             x_tau = radon_solve(p, tau, cond_max=1e3)
-            left = expm((t - tau) * p.A)
-            right = expm((t - tau) * p.D)
+            left = scipy.linalg.expm((t - tau) * p.A)
+            right = scipy.linalg.expm((t - tau) * p.D)
             total += t * w * (left @ (p.Q - x_tau @ p.G @ x_tau) @ right)
         assert rel_err(total, x_t) <= 1e-7
