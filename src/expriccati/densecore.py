@@ -156,29 +156,25 @@ def _taylor_parameters(norm):
 
 
 def _chain_cost(m, norm, taus):
-    """(m s, c) of the Taylor chains for [exp(tau M) B for tau in taus].
+    """(m s, c) of the Taylor chain for [exp(tau M) B for tau in taus].
 
-    m s is the product count of the chains, one over the tau >= 0 and one
-    over the tau < 0, each with the (m, s) of ``_taylor_parameters`` for
-    max|tau| ``norm``; c is the model flops of one product column: n^2
-    for a dense matrix, _SPARSE_PRODUCT_COST (nnz(A) + 2 n p) for a
-    SparsePlusThin.  A block of b columns costs m s b c.
+    m s is the product count of the chain, with the (m, s) of
+    ``_taylor_parameters`` for max tau ``norm``; c is the model flops of
+    one product column: n^2 for a dense matrix, _SPARSE_PRODUCT_COST
+    (nnz(A) + 2 n p) for a SparsePlusThin.  A block of b columns costs
+    m s b c.
     """
-    products = 0
-    for negative in (False, True):
-        reach = max((abs(t) for t in taus if (t < 0.0) == negative), default=0.0)
-        degree, s = _taylor_parameters(reach * norm)
-        products += degree * s
+    degree, s = _taylor_parameters(max(taus, default=0.0) * norm)
     if isinstance(m, SparsePlusThin):
-        return products, _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size)
-    return products, m.shape[0] ** 2
+        return degree * s, _SPARSE_PRODUCT_COST * (m.a.nnz + 2 * m.u.size)
+    return degree * s, m.shape[0] ** 2
 
 
 def _taylor_apply(m, mu, norm, taus, b):
-    """[exp(tau (M + mu I)) B for tau in taus], all taus of one sign, with
+    """[exp(tau (M + mu I)) B for tau in taus], all taus >= 0, with
     ``norm`` >= ||M||_1.
 
-    (m, s) come from ``_taylor_parameters(max|tau| norm)`` and cut
+    (m, s) come from ``_taylor_parameters(max tau norm)`` and cut
     [0, max tau] into s intervals of length step.  Each interval writes
     the powers (step M)^k V / k!, k <= m, of its start V once, and every
     tau in it, and its end, is the one product of the rows
@@ -186,10 +182,10 @@ def _taylor_apply(m, mu, norm, taus, b):
     e^((tau - start) mu) is applied per interval, so that e^(tau mu)
     cannot underflow against a growing series.
     """
-    t_end = max(taus, key=abs)
+    t_end = max(taus, default=0.0)
     if t_end == 0.0:
         return [b.copy() for _ in taus]
-    degree, s = _taylor_parameters(abs(t_end) * norm)
+    degree, s = _taylor_parameters(t_end * norm)
     s = max(s, 1)
     step = t_end / s
     taus = np.asarray(taus)
@@ -213,7 +209,7 @@ def _taylor_apply(m, mu, norm, taus, b):
 
 
 def expm_actions(m, taus, b):
-    """[exp(tau M) B for tau in taus], sharing work across the tau values.
+    """[exp(tau M) B for tau in taus >= 0], sharing work across the tau values.
 
     ``m`` is a square matrix or a package-built :class:`SparsePlusThin`,
     which the chain only multiplies with thin blocks.  The Taylor chain
@@ -221,14 +217,14 @@ def expm_actions(m, taus, b):
     shifts M by mu = trace(M) / n where that lowers the 1-norm (for a
     SparsePlusThin, the bound it carries, and mu the mean diagonal of its
     sparse part) and chooses the degree m and the number s of scaling
-    intervals once for max|tau| ||M - mu I||_1, one chain over the
-    tau >= 0 and one over the tau < 0.  Each interval applies the powers
-    of M - mu I to its start once, and every tau in it is one product
-    with them (see ``_taylor_apply``).  When the chain's products would
-    cost more than one dense exponential per tau (see
+    intervals once for max tau ||M - mu I||_1.  Each interval applies the
+    powers of M - mu I to its start once, and every tau in it is one
+    product with them (see ``_taylor_apply``).  When the chain's products
+    would cost more than one dense exponential per tau (see
     ``_DENSE_ROUTE_RATIO``), every tau takes a full ``scipy.linalg.expm``
     instead, of a SparsePlusThin formed densely.  Results come back in
-    the order of ``taus``.
+    the order of ``taus``.  For exp(tau M) with tau < 0, pass -M and
+    |tau|.
     """
     if not isinstance(m, SparsePlusThin):
         m = require_square(as_matrix(m, "matrix"), "matrix")
@@ -237,8 +233,9 @@ def expm_actions(m, taus, b):
     if b.shape[0] != n:
         raise DimensionError(f"block has {b.shape[0]} rows, matrix is {n} square")
     taus = [float(t) for t in taus]
-    if any(not np.isfinite(t) for t in taus):
-        raise DomainError("tau values must be finite")
+    # NaN fails the comparison too.
+    if not all(0.0 <= t < np.inf for t in taus):
+        raise DomainError("tau values must be finite and nonnegative")
     mu, centered, norm = _centered(m)
     products, column = _chain_cost(m, norm, taus)
     floor = _CHAIN_FLOOR if isinstance(m, SparsePlusThin) else _DENSE_CHAIN_FLOOR
@@ -246,16 +243,7 @@ def expm_actions(m, taus, b):
         if isinstance(m, SparsePlusThin):
             m = m.a.toarray() - m.u @ m.bt
         return [scipy.linalg.expm(t * m) @ b for t in taus]
-    chains = ([], [])
-    for i, t in enumerate(taus):
-        chains[t < 0.0].append(i)
-    results = [None] * len(taus)
-    for chain in chains:
-        if chain:
-            values = _taylor_apply(centered, mu, norm, [taus[i] for i in chain], b)
-            for i, value in zip(chain, values):
-                results[i] = value
-    return results
+    return _taylor_apply(centered, mu, norm, taus, b)
 
 
 def _separation(la, mu):

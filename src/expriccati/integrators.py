@@ -296,7 +296,7 @@ class StepDiagnostics:
 
     step: int
     t: float
-    wall_time: float
+    wall_time: float = None
     rank: int = None
     cols_in: int = None
     dropped: int = None
@@ -328,18 +328,18 @@ class Trajectory:
         return state.reconstruct() if isinstance(state, LdlFactor) else state
 
 
-def step_expeuler_general(problem, state, h, cfg, details):
+def step_expeuler_general(problem, state, h, cfg, diag):
     """Rosenbrock-Euler step through the augmented block exponential."""
     operator, remainder = linearize(problem, state)
     return phi1_action_augmented(operator, h, remainder, state)
 
 
-def step_expeuler_backward(problem, state, h, cfg, details):
+def step_expeuler_backward(problem, state, h, cfg, diag):
     """Rosenbrock-Euler step via one Sylvester solve.
 
     Solves S_n(W) = F(X_n) and returns exp(h S_n)(W) + X_n - W.  Raises
-    SolvabilityError when the linearized operator is near singular; the
-    caller may fall back to the general realization.
+    SolvabilityError when the linearized operator is near singular, which
+    :func:`integrate` reports as an IntegrationError with the step index.
     """
     operator, _ = linearize(problem, state)
     w = solve_sylvester(operator.A, operator.D, problem.rhs(state))
@@ -363,7 +363,7 @@ def _linearized_coefficient(problem, state):
     )
 
 
-def _make_exp_actions(a_lin, cfg, details):
+def _make_exp_actions(a_lin, cfg, diag):
     """Provider mapping (taus, block) -> exponential images of the block."""
 
     def actions(taus, block):
@@ -380,47 +380,47 @@ def _make_exp_actions(a_lin, cfg, details):
             pairs = exp_actions_krylov(basis, taus, block)
             cols, worst = basis.size, max((est for _, est in pairs), default=0.0)
             values = [value for value, _ in pairs]
-        details["krylov_residual"] = max(details.get("krylov_residual", 0.0), worst)
-        details["krylov_basis_cols"] = details.get("krylov_basis_cols", ()) + (cols,)
+        diag.krylov_residual = max(diag.krylov_residual or 0.0, worst)
+        diag.krylov_basis_cols = (diag.krylov_basis_cols or ()) + (cols,)
         return values
 
     return actions
 
 
-def _factored_phi_update(problem, state, h, cfg, details):
+def _factored_phi_update(problem, state, h, cfg, diag):
     """update(base, operand, k, coeff) = base + coeff phi_k(h S_n)(operand)
     in LDL^T form, S_n linearized once at ``state`` for every update.
 
     Compresses the operand, stacks its quadrature-node images, concatenates
     them onto ``base`` and recompresses.  The columns that entered the
-    concatenation go to ``details["cols_in"]``, those it dropped (whether
-    before or in the recompression) to ``details["dropped"]``.
+    concatenation add to ``diag.cols_in``, those it dropped (whether
+    before or in the recompression) to ``diag.dropped``.
     """
     tol = cfg.resolve_tol(state.dim)
-    actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, details)
+    actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, diag)
 
     def update(base, operand, k, coeff):
         phi_sum = assemble_phi_sum(actions, h, k, operand.compressed(tol), cfg.rule, coeff=coeff)
         out = concat_update(base, phi_sum, tol)
         cols_in = base.rank + phi_sum.rank
-        details["cols_in"] = details.get("cols_in", 0) + cols_in
-        details["dropped"] = details.get("dropped", 0) + cols_in - out.rank
+        diag.cols_in = (diag.cols_in or 0) + cols_in
+        diag.dropped = (diag.dropped or 0) + cols_in - out.rank
         return out
 
     return update
 
 
-def step_expeuler_lowrank(problem, state, h, cfg, details):
+def step_expeuler_lowrank(problem, state, h, cfg, diag):
     """Low-rank Rosenbrock-Euler step on LDL^T factors.
 
     Assembles the factored right-hand side and adds h phi_1(h S_n) of it
     to the state through the factored phi-update.
     """
-    update = _factored_phi_update(problem, state, h, cfg, details)
+    update = _factored_phi_update(problem, state, h, cfg, diag)
     return update(state, assemble_rhs(problem, state), 1, h)
 
 
-def step_erow3(problem, state, h, cfg, details):
+def step_erow3(problem, state, h, cfg, diag):
     """Third-order step: Euler stage plus the phi_3 remainder correction.
 
     Dispatches on the state kind.  Densely the correction is exact through
@@ -432,7 +432,7 @@ def step_erow3(problem, state, h, cfg, details):
     difference go through one factored phi-update, linearized once.
     """
     if isinstance(state, LdlFactor):
-        update = _factored_phi_update(problem, state, h, cfg, details)
+        update = _factored_phi_update(problem, state, h, cfg, diag)
         stage = update(state, assemble_rhs(problem, state), 1, h)
         return update(stage, assemble_remainder_diff(problem, state, stage), 3, 2.0 * h)
 
@@ -450,8 +450,9 @@ def step_erow3(problem, state, h, cfg, details):
 
 
 # Scheme name -> (stepper, whether the state is an LDL^T factor).  Every
-# stepper takes (problem, state, h, cfg, details); the dense Euler steps
-# ignore the last two.
+# stepper takes (problem, state, h, cfg, diag) and fills the fields of the
+# StepDiagnostics ``diag`` its route records; the dense Euler steps ignore
+# the last two.
 _SCHEME_STEPS = {
     "GExpEuler": (step_expeuler_general, False),
     "BrExpEuler": (step_expeuler_backward, False),
@@ -494,10 +495,10 @@ def integrate(problem, cfg):
 
     for i in range(steps):
         t_next = (i + 1) * cfg.h if i + 1 < steps else cfg.t_end
-        details = {}
+        diag = StepDiagnostics(step=i, t=t_next)
         started = time.perf_counter()
         try:
-            state = stepper(problem, state, cfg.h, cfg, details)
+            state = stepper(problem, state, cfg.h, cfg, diag)
             finite = (
                 state.is_finite() if isinstance(state, LdlFactor) else np.all(np.isfinite(state))
             )
@@ -513,18 +514,8 @@ def integrate(problem, cfg):
                 step_index=i,
                 trajectory=partial,
             ) from exc
-        elapsed = time.perf_counter() - started
-
-        diag = StepDiagnostics(
-            step=i,
-            t=t_next,
-            wall_time=elapsed,
-            rank=state.rank if isinstance(state, LdlFactor) else None,
-            cols_in=details.get("cols_in"),
-            dropped=details.get("dropped"),
-            krylov_residual=details.get("krylov_residual"),
-            krylov_basis_cols=details.get("krylov_basis_cols"),
-        )
+        diag.wall_time = time.perf_counter() - started
+        diag.rank = state.rank if isinstance(state, LdlFactor) else None
         if problem.symmetric:
             _monitor(state, diag)
         diagnostics.append(diag)

@@ -201,7 +201,7 @@ def _residual_estimate(basis, core):
 
 
 def exp_actions_krylov(basis, taus, V):
-    """Evaluate exp(tau A) V for several tau values from one basis.
+    """Evaluate exp(tau A) V for several tau >= 0 from one basis.
 
     The subspace is built once.  The projected exponentials act on the
     thin block basis^T V through ``expm_actions``, whose shifted Taylor

@@ -177,13 +177,13 @@ def assemble_remainder_diff(problem, state, stage):
 def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     """Stack quadrature-node exponential images of a factor.
 
-    Builds Y = [E(tau_0) L, ..., E(tau_p) L] with tau_j = (1 - s_j) h and
-    the diagonal core [gamma_0 d, ..., gamma_p d], gamma_j = coeff w_j
+    Builds Y = [E(tau_0) L, ..., E(tau_p) L] with tau_j = (1 - s_j) h >= 0
+    and the diagonal core [gamma_0 d, ..., gamma_p d], gamma_j = coeff w_j
     s_j^(k-1) / (k-1)!, so that Y diag(gamma_j d) Y^T approximates
     coeff * phi_k(hS)(L diag(d) L^T) under the symmetric pairing (the
     right exponentials are the transposes of the left ones).
 
-    ``exp_actions`` maps (list of tau, block) to the list of
+    ``exp_actions`` maps (list of tau >= 0, block) to the list of
     exp(tau A_lin) block products; it is either a dense exponential
     provider or a block Krylov one, so the same assembly serves both.
     Only k = 1 (gamma_j = coeff w_j) and k = 3 (gamma_j = coeff w_j

@@ -24,9 +24,12 @@ __all__ = ["radon_solve", "radon_trajectory"]
 # Keep ||dt H||_1 at most this large before even attempting a propagator;
 # avoids pointless exponentials that would overflow anyway.
 _NORM_GUARD = 24.0
-# Most times an interval's substep count is doubled before the extraction
-# is declared a finite escape.
+# Most halvings of an interval for the norm guard, and most that
+# conditioning may force beyond those.  Each doubles the work: uncapped,
+# cond_max = 1.0001 took 524 305 extractions on fdm-sym:k=2.  The fdm problems
+# need at most 3 (k = 3-10 at t <= 1 with cond_max 1e2 and 1e4).
 _MAX_HALVINGS = 40
+_MAX_COND_HALVINGS = 8
 
 
 def _flow_matrix(problem):
@@ -92,19 +95,20 @@ class _FlowPropagator:
     def advance(self, x, span):
         if span == 0.0:
             return x
-        while self.depth < _MAX_HALVINGS and (
-            abs(span) * self.h_norm / (1 << self.depth) > _NORM_GUARD
-        ):
-            self.depth += 1
+        guard = 0
+        while guard < _MAX_HALVINGS and abs(span) * self.h_norm / (1 << guard) > _NORM_GUARD:
+            guard += 1
+        self.depth = max(self.depth, guard)
         steps_left = 1 << self.depth
         dt = span / steps_left
         while steps_left > 0:
             nxt = _propagate(self._propagator(dt), x, self.cond_max)
             if nxt is None:
-                if self.depth >= _MAX_HALVINGS:
+                if self.depth - guard >= _MAX_COND_HALVINGS:
                     raise FiniteEscapeError(
-                        f"flow extraction stayed ill-conditioned after "
-                        f"{_MAX_HALVINGS} halvings (finite escape time?)"
+                        f"flow extraction stayed non-finite or above cond_max = "
+                        f"{self.cond_max!r} after {_MAX_COND_HALVINGS} halvings beyond the "
+                        f"norm guard: a finite escape, or a bound too tight for this flow"
                     )
                 self.depth += 1
                 steps_left *= 2
@@ -122,8 +126,10 @@ def radon_solve(problem, t, cond_max=1e4):
     X = V U^{-1}; the interval is split into 2^d equal substeps with d
     raised until the extraction stays well-conditioned (1-norm condition
     of U below ``cond_max``) and finite, restarting from the propagated
-    state after every substep.  Raises FiniteEscapeError when 40 halvings
-    are not enough, the numerical signature of a Riccati blow-up.
+    state after every substep.  Raises FiniteEscapeError when 8 halvings
+    beyond the depth that keeps ||dt H||_1 <= 24 are not enough: the
+    numerical signature of a Riccati blow-up, or of a ``cond_max`` too
+    tight for the flow.
 
     ``cond_max`` trades substep count for accuracy: the extraction loses
     roughly eps * cond(U) per substep.  The default keeps the reference

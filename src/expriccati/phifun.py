@@ -103,7 +103,7 @@ def phi_action_quadrature(k, operator, h, factors, rule):
     ``factors`` is the pair (L, R) of an M x q and an N x q factor of the
     operand, validated once; a dense N goes in as (N, I_N).  Evaluates
     (1/(k-1)!) sum_j w_j s_j^(k-1) exp(tau_j S)(N) with
-    tau_j = (1 - s_j) h: the node images exp(tau_j A) L and
+    tau_j = (1 - s_j) h >= 0, h >= 0: the node images exp(tau_j A) L and
     exp(tau_j D^T) R come from ``expm_actions``, one Taylor chain for all
     nodes (on [L, R] when D = A^T), and are summed in one product.
     k = 0 is refused.

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from expriccati.errors import DomainError
 from expriccati.integrators import IntegratorConfig, RiccatiProblem, integrate
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import (

@@ -55,12 +55,13 @@ class TestExpm:
             self._expm([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_inverse_identity(self):
+        # exp(-A) is the exponential of -A at tau = 1.
         rng = np.random.default_rng(10)
         for _ in range(20):
             n = rng.integers(1, 8)
             a = rng.standard_normal((n, n))
             a *= min(1.0, 10.0 / np.linalg.norm(a, 1))
-            resid = self._expm(a) @ self._expm(a, -1.0) - np.eye(n)
+            resid = self._expm(a) @ self._expm(-a) - np.eye(n)
             assert np.linalg.norm(resid) <= 1e-10
 
     def test_block_diagonal_splits(self):
@@ -83,10 +84,9 @@ class TestExpmActions:
             n = rng.integers(2, 12)
             m = rng.standard_normal((n, n)) * rng.choice([0.2, 2.0, 30.0])
             b = rng.standard_normal((n, rng.integers(1, 4)))
-            sign = rng.choice([-1.0, 1.0])
-            taus = list(sign * rng.uniform(0, 1, size=5))
-            if trial % 3 == 0:
-                taus = list(rng.uniform(-1, 1, size=5))  # mixed-sign fallback
+            # exp(tau M) with tau < 0 is exp(|tau| (-M)).
+            m *= rng.choice([-1.0, 1.0])
+            taus = list(rng.uniform(0, 1, size=5))
             for got, tau in zip(expm_actions(m, taus, b), taus):
                 assert rel_err(got, expm_longdouble(tau * m) @ b) <= 1e-12
 
@@ -100,6 +100,11 @@ class TestExpmActions:
     def test_non_finite_tau_rejected(self):
         with pytest.raises(DomainError):
             expm_actions(np.eye(2), [0.1, np.inf], np.eye(2))
+
+    def test_negative_tau_rejected(self):
+        # exp(tau M) with tau < 0 is asked for as exp(|tau| (-M)).
+        with pytest.raises(DomainError, match="nonnegative"):
+            expm_actions(np.eye(2), [0.1, -0.1], np.eye(2))
 
     def test_row_mismatch_rejected(self):
         with pytest.raises(DimensionError, match="3 rows"):
@@ -141,20 +146,19 @@ class TestExpmActions:
     def test_multiple_of_identity_is_a_scalar_factor(self, structured, monkeypatch, full_exponentials):
         # tau c = -800 underflows e^(tau c) and +30 grows it; the shift
         # leaves nothing for the series, so no product is taken.
-        n, c = 5, 2.0
+        n = 5
         v = np.random.default_rng(20).standard_normal((n, 3))
-        if structured:
-            identity = scipy.sparse.csr_array(scipy.sparse.eye_array(n))
-            m = SparsePlusThin(c * identity, np.zeros((n, 1)), np.zeros((1, n)), c)
-        else:
-            m = c * np.eye(n)
-        taus = [-800.0 / c, 30.0 / c]
         products = self._count_products(monkeypatch)
-        got = expm_actions(m, taus, v)
-        assert products[0] == 0 and full_exponentials == []
-        for value, tau in zip(got, taus):
+        for c, tau in [(-2.0, 400.0), (2.0, 15.0)]:
+            if structured:
+                identity = scipy.sparse.csr_array(scipy.sparse.eye_array(n))
+                m = SparsePlusThin(c * identity, np.zeros((n, 1)), np.zeros((1, n)), abs(c))
+            else:
+                m = c * np.eye(n)
+            value, = expm_actions(m, [tau], v)
             assert np.all(np.isfinite(value))
             assert np.array_equal(value, np.exp(tau * c) * v)
+        assert products[0] == 0 and full_exponentials == []
 
 
 class TestExpmActionRoutes:
@@ -178,12 +182,13 @@ class TestExpmActionRoutes:
         op = self._operator(rng)
         taus = np.array(signs) * np.array([0.3, 0.7, 1.0]) * 60.0 / op.norm1
         v = rng.standard_normal((self.N, 3))
-        got = expm_actions(op, taus, v)
+        # exp(tau M) with tau < 0 is exp(|tau| (-M)): one call per sign.
+        got = expm_actions(op, taus[taus > 0], v)
+        expm_actions(SparsePlusThin(-op.a, -op.u, op.bt, op.norm1), -taus[taus < 0], v)
         assert full_exponentials == []
         dense = op.a.toarray() - op.u @ op.bt
-        for value, tau in zip(got, taus):
-            if tau > 0:
-                assert rel_err(value, scipy.linalg.expm(tau * dense) @ v) <= 1e-12
+        for value, tau in zip(got, taus[taus > 0]):
+            assert rel_err(value, scipy.linalg.expm(tau * dense) @ v) <= 1e-12
 
     def test_dense_matrix_above_limit_takes_one_per_tau(self, full_exponentials):
         rng = np.random.default_rng(17)

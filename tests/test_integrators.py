@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import expriccati
 import expriccati.integrators as integrators
 import expriccati.lowrank as lowrank
 from expriccati.densecore import SparsePlusThin
@@ -15,21 +16,16 @@ from expriccati.errors import (
 from expriccati.integrators import (
     IntegratorConfig,
     RiccatiProblem,
+    StepDiagnostics,
     integrate,
     step_erow3,
     step_expeuler_backward,
     step_expeuler_general,
     step_expeuler_lowrank,
 )
-from expriccati.lowrank import LdlFactor
 from expriccati.oracle import radon_solve
 from expriccati.krylov import _basis_pays, build_basis
-from expriccati.problems import (
-    fdm_sym,
-    problem_from_spec,
-    random_lowrank,
-    scalar_tanh_problem,
-)
+from expriccati.problems import problem_from_spec, scalar_tanh_problem
 from expriccati.sylvop import SylvesterOperator, linearize, phi_action_augmented
 
 from helpers import random_stable, rel_err, rk4_matrix_ode, step_msde_polynomial
@@ -220,12 +216,12 @@ class TestConfigValidation:
 class TestExpEulerGeneral:
     def test_scalar_first_step(self):
         p = _tanh_problem()
-        out = step_expeuler_general(p, np.array([[0.0]]), 0.1, None, {})
+        out = step_expeuler_general(p, np.array([[0.0]]), 0.1, None, None)
         assert out[0, 0] == pytest.approx(0.1, abs=1e-14)
 
     def test_constant_source_linear_problem_is_exact(self):
         p = RiccatiProblem(A=[[-1.0]], D=[[-1.0]], Q=[[1.0]], G=[[0.0]], X0=[[0.0]])
-        out = step_expeuler_general(p, np.array([[0.0]]), 1.0, None, {})
+        out = step_expeuler_general(p, np.array([[0.0]]), 1.0, None, None)
         exact = (1.0 - np.exp(-2.0)) / 2.0  # (1 - e^{-2t})/2 at t = 1
         assert out[0, 0] == pytest.approx(exact, rel=1e-13)
 
@@ -236,7 +232,7 @@ class TestExpEulerGeneral:
             Q=np.zeros((m, n)), G=np.zeros((n, m)), X0=rng.standard_normal((m, n)),
         )
         h = 0.4
-        out = step_expeuler_general(p, p.X0, h, None, {})
+        out = step_expeuler_general(p, p.X0, h, None, None)
         assert rel_err(out, scipy.linalg.expm(h * p.A) @ p.X0 @ scipy.linalg.expm(h * p.D)) <= 1e-12
 
     def test_equivalent_forms(self, rng):
@@ -250,7 +246,7 @@ class TestExpEulerGeneral:
             )
             x = rng.standard_normal((m, n))
             h = 0.2
-            first = step_expeuler_general(p, x, h, None, {})
+            first = step_expeuler_general(p, x, h, None, None)
             operator, _ = linearize(p, x)
             second = x + h * phi_action_augmented(operator, h, 1, p.rhs(x))
             assert rel_err(first, second) <= 1e-11
@@ -259,7 +255,7 @@ class TestExpEulerGeneral:
 class TestExpEulerBackward:
     def test_scalar_hand_computation(self):
         p = RiccatiProblem(A=[[-1.0]], D=[[-1.0]], Q=[[1.0]], G=[[0.0]], X0=[[0.0]])
-        out = step_expeuler_backward(p, np.array([[0.0]]), 1.0, None, {})
+        out = step_expeuler_backward(p, np.array([[0.0]]), 1.0, None, None)
         # W = -0.5, result = e^{-2} (-0.5) + 0 + 0.5
         assert out[0, 0] == pytest.approx(0.5 - 0.5 * np.exp(-2.0), rel=1e-13)
         assert out[0, 0] == pytest.approx(0.432332358, abs=1e-9)
@@ -276,7 +272,7 @@ class TestExpEulerBackward:
 
         xinf = solve_continuous_are(a.T, p.B, p.Q, np.eye(p.B.shape[1]))
         assert np.linalg.norm(p.rhs(xinf)) <= 1e-8 * np.linalg.norm(xinf)
-        out = step_expeuler_backward(p, xinf, 0.5, None, {})
+        out = step_expeuler_backward(p, xinf, 0.5, None, None)
         assert rel_err(out, xinf) <= 1e-9
 
     def test_agrees_with_general_realization(self, rng):
@@ -288,8 +284,8 @@ class TestExpEulerBackward:
                 X0=0.1 * rng.standard_normal((n, n)),
             )
             x = 0.2 * rng.standard_normal((n, n))
-            a_step = step_expeuler_general(p, x, 0.05, None, {})
-            b_step = step_expeuler_backward(p, x, 0.05, None, {})
+            a_step = step_expeuler_general(p, x, 0.05, None, None)
+            b_step = step_expeuler_backward(p, x, 0.05, None, None)
             assert rel_err(b_step, a_step) <= 1e-10
 
 
@@ -313,7 +309,7 @@ class TestExpEulerLowRank:
         )
         cfg = IntegratorConfig("LrExpEuler", 0.1, 1.0)
         state = p.initial_factor()
-        out = step_expeuler_lowrank(p, state, 0.0, cfg, {})
+        out = step_expeuler_lowrank(p, state, 0.0, cfg, StepDiagnostics(step=0, t=0.0))
         assert out is state
 
     def test_matches_dense_realization(self, rng):
@@ -372,7 +368,7 @@ class TestErow3:
     def test_scalar_hand_computation(self):
         p = _tanh_problem()
         cfg = IntegratorConfig("Erow3Dense", 0.1, 1.0)
-        out = step_erow3(p, np.array([[0.0]]), 0.1, cfg, {})
+        out = step_erow3(p, np.array([[0.0]]), 0.1, cfg, None)
         # Stage value 0.1; correction 2h phi_3(0) (-0.01) = -1/3000.
         assert out[0, 0] == pytest.approx(0.1 - 1.0 / 3000.0, abs=1e-12)
 
@@ -385,8 +381,8 @@ class TestErow3:
         )
         cfg = IntegratorConfig("Erow3Dense", 0.2, 1.0)
         x = rng.standard_normal((m, m))
-        euler = step_expeuler_general(p, x, 0.2, None, {})
-        assert rel_err(step_erow3(p, x, 0.2, cfg, {}), euler) <= 1e-13
+        euler = step_expeuler_general(p, x, 0.2, None, None)
+        assert rel_err(step_erow3(p, x, 0.2, cfg, None), euler) <= 1e-13
 
     def test_lowrank_matches_dense(self, rng):
         n = 16
@@ -422,7 +418,7 @@ class TestErow3:
         # The stage takes one 162 x 162 augmented exponential; the phi_3
         # quadrature on the factor pair of its operand takes none.
         p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
-        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), {})
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), None)
         assert full_exponentials == [162]
 
     def test_quadrature_phi3_operand_without_b_takes_a_wide_pair(self, monkeypatch):
@@ -441,7 +437,7 @@ class TestErow3:
         without_b = RiccatiProblem(A=p.A, D=p.D, Q=p.Q, G=p.G, X0=p.X0)
         cfg = IntegratorConfig("Erow3Dense", 0.01, 0.1)
         for problem in (p, without_b):
-            step_erow3(problem, p.X0, 0.01, cfg, {})
+            step_erow3(problem, p.X0, 0.01, cfg, None)
         (thin, phi3), (wide, phi3_wide) = seen
         m, width = p.M, p.B.shape[1]
         assert [f.shape for f in thin] == [(m, width), (m, width)]
@@ -463,7 +459,7 @@ class TestErow3:
             return seen[-1][1]
 
         monkeypatch.setattr(integrators, "phi_action_quadrature", spy)
-        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), {})
+        step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), None)
         [((k, op, h, pair, rule), phi3)] = seen
         assert [f.shape for f in pair] == [(m, m), (n, m)]
         # The node sum with one full exponential per side and node.
@@ -543,12 +539,23 @@ class TestMsdeExactness:
                 X0=rng.standard_normal((m, n)),
             )
             h = 20.0 / (np.linalg.norm(a, 2) + np.linalg.norm(d, 2))
-            out = step_expeuler_general(p, p.X0, h, None, {})
+            out = step_expeuler_general(p, p.X0, h, None, None)
             ref = radon_solve(p, h, cond_max=1e2)
             assert rel_err(out, ref) <= 1e-11
 
 
 class TestIntegrate:
+    def test_top_level_exports_the_stepping_api(self):
+        # Kernels are imported from their modules.
+        assert sorted(expriccati.__all__) == sorted([
+            "RiccatiProblem", "IntegratorConfig", "QuadratureRule", "SCHEMES",
+            "integrate", "Trajectory", "LdlFactor",
+            "problem_from_spec", "load_problem", "radon_solve", "radon_trajectory",
+            "ConfigurationError", "DimensionError", "DomainError", "FiniteEscapeError",
+            "IntegrationError", "MatrixFormatError", "SolvabilityError", "UsageError",
+        ])
+        assert all(hasattr(expriccati, name) for name in expriccati.__all__)
+
     def test_zero_horizon_returns_initial_state(self):
         p = _tanh_problem()
         traj = integrate(p, IntegratorConfig("GExpEuler", 0.1, 0.0))
@@ -752,10 +759,12 @@ class TestExponentialActionRoutes:
         h = self.BASIS_H
         state = integrate(problem, self._config(scheme, "dense", steps=step, h=h)).final
         stepper = integrators._SCHEME_STEPS[scheme][0]
-        details = {}
-        krylov = stepper(problem, state, h, self._config(scheme, "krylov", h=h), details)
-        dense = stepper(problem, state, h, self._config(scheme, "dense", h=h), {})
-        assert (details["krylov_basis_cols"][0] > 0) == (step == 0)
+        diag = StepDiagnostics(step=step, t=(step + 1) * h)
+        krylov = stepper(problem, state, h, self._config(scheme, "krylov", h=h), diag)
+        dense = stepper(
+            problem, state, h, self._config(scheme, "dense", h=h), StepDiagnostics(step, diag.t)
+        )
+        assert (diag.krylov_basis_cols[0] > 0) == (step == 0)
         assert rel_err(krylov.reconstruct(), dense.reconstruct()) <= 1e-12
 
     def test_basis_only_where_it_is_cheaper(self, monkeypatch):

@@ -13,7 +13,7 @@ from expriccati.lowrank import (
     concat_update,
 )
 from expriccati.phifun import QuadratureRule
-from expriccati.problems import problem_from_spec, random_lowrank
+from expriccati.problems import problem_from_spec
 
 from helpers import random_stable, rel_err
 

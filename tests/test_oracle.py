@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -84,6 +86,23 @@ class TestRadonSolve:
         with pytest.raises(FiniteEscapeError):
             radon_solve(p, 1.0, cond_max=1.0)
 
+    def test_tight_condition_bound_fails_fast(self):
+        # Each halving doubles the work: uncapped, this bound took 524 305
+        # extractions.  The cap on halvings beyond the norm guard ends it
+        # after 9 extractions, and the message names the bound.
+        p = problem_from_spec("fdm-sym:k=2")
+        started = time.perf_counter()
+        with pytest.raises(FiniteEscapeError, match="cond_max"):
+            radon_solve(p, 1.0, cond_max=1.0001)
+        assert time.perf_counter() - started < 1.0
+
+    def test_norm_guard_halvings_do_not_count_against_the_cap(self):
+        # t = 50 takes 9 halvings for the norm guard and one more for the
+        # condition bound; only that one counts against the cap of 8.
+        p = problem_from_spec("fdm-sym:k=3")
+        x = radon_solve(p, 50.0)
+        assert np.linalg.norm(p.rhs(x)) <= 1e-7 * np.linalg.norm(p.Q)
+
     @pytest.mark.parametrize("solver", [radon_solve, radon_trajectory])
     def test_nan_condition_bound_rejected(self, solver):
         # Every comparison with NaN is False, so the guard would accept
@@ -94,7 +113,7 @@ class TestRadonSolve:
     @pytest.mark.parametrize("bound", [0.5, 0.0, -1.0])
     def test_condition_bound_below_one_rejected(self, bound):
         # A 1-norm condition number is at least 1: such a bound could never
-        # be met, and would read as a finite escape after 40 halvings.
+        # be met, and would read as a failed extraction after 8 halvings.
         with pytest.raises(DomainError, match="cond_max must be >= 1"):
             radon_solve(problem_from_spec("fdm-sym:k=3"), 0.3, cond_max=bound)
 

@@ -15,7 +15,6 @@ from expriccati.phifun import (
 from expriccati.sylvop import SylvesterOperator
 
 from helpers import (
-    kron_matrix,
     kronecker_phi,
     phi_scalar,
     phi_series,
