@@ -34,6 +34,7 @@ from .errors import (
 from .krylov import _basis_pays, build_basis, exp_actions_krylov
 from .lowrank import (
     LdlFactor,
+    _truncate_operand,
     assemble_phi_sum,
     assemble_remainder_diff,
     assemble_rhs,
@@ -218,11 +219,15 @@ class IntegratorConfig:
     """Scheme selection and step parameters for :func:`integrate`.
 
     ``compression_tol`` of None resolves to dim * machine epsilon at use
-    time.  ``exp_action`` selects how the low-rank steps take the
-    quadrature images exp(tau A_lin) V: "dense" applies A_lin directly
-    (one shifted truncated Taylor series per scaling interval for all
-    node times; one full exponential per node time where that chain
-    would cost more, see ``densecore.expm_actions``);
+    time.  It is the relative tolerance of every compression of the
+    low-rank steps, and it also sets the absolute budget of each phi
+    update's operand: modes whose tail would move the update by at most
+    0.1 tol ||base||_F are dropped before the exponential actions (see
+    ``_factored_phi_update``).  ``exp_action`` selects how the low-rank
+    steps take the quadrature images exp(tau A_lin) V: "dense" applies
+    A_lin directly (one shifted truncated Taylor series per scaling
+    interval for all node times; one full exponential per node time where
+    that chain would cost more, see ``densecore.expm_actions``);
     "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
     built on A_lin in the same form, where that basis and its projected
     actions cost less than the exact action of the "dense" route, in the
@@ -288,10 +293,13 @@ class StepDiagnostics:
     basis: because the basis would cost more (chosen by cost), or because
     ``krylov_m`` blocks would span the whole space (chosen by full span);
     ``krylov_residual`` is the largest residual estimate of those calls
-    (0.0 for exact actions).  ``cols_in`` counts the
+    (0.0 for exact actions); a Krylov step whose operands were all
+    dropped records () and 0.0.  ``cols_in`` counts the
     columns (base plus quadrature stack) that entered a low-rank step's
     recompressions, summed over its updates; ``dropped`` of them did not
     survive, so ``cols_in - dropped`` is the summed width of the results.
+    An update whose operand fell below its budget adds only the base's
+    columns to ``cols_in`` and none to ``dropped``.
     """
 
     step: int
@@ -364,11 +372,16 @@ def _linearized_coefficient(problem, state):
 
 
 def _make_exp_actions(a_lin, cfg, diag):
-    """Provider mapping (taus, block) -> exponential images of the block."""
+    """Provider mapping (taus, block) -> exponential images of the block.
+
+    The Krylov route starts the step's Krylov fields at () and 0.0, so a
+    step whose updates were all dropped records no call rather than None.
+    """
+    if cfg.exp_action == "dense":
+        return lambda taus, block: expm_actions(a_lin, taus, block)
+    diag.krylov_basis_cols, diag.krylov_residual = (), 0.0
 
     def actions(taus, block):
-        if cfg.exp_action == "dense":
-            return expm_actions(a_lin, taus, block)
         n, width = block.shape
         if cfg.krylov_m * width >= n or not _basis_pays(a_lin, block, cfg.krylov_m, taus):
             # The basis would span the whole space, or cost more than the
@@ -380,8 +393,8 @@ def _make_exp_actions(a_lin, cfg, diag):
             pairs = exp_actions_krylov(basis, taus, block)
             cols, worst = basis.size, max((est for _, est in pairs), default=0.0)
             values = [value for value, _ in pairs]
-        diag.krylov_residual = max(diag.krylov_residual or 0.0, worst)
-        diag.krylov_basis_cols = (diag.krylov_basis_cols or ()) + (cols,)
+        diag.krylov_residual = max(diag.krylov_residual, worst)
+        diag.krylov_basis_cols += (cols,)
         return values
 
     return actions
@@ -391,16 +404,24 @@ def _factored_phi_update(problem, state, h, cfg, diag):
     """update(base, operand, k, coeff) = base + coeff phi_k(h S_n)(operand)
     in LDL^T form, S_n linearized once at ``state`` for every update.
 
-    Compresses the operand, stacks its quadrature-node images, concatenates
-    them onto ``base`` and recompresses.  The columns that entered the
-    concatenation add to ``diag.cols_in``, those it dropped (whether
-    before or in the recompression) to ``diag.dropped``.
+    Compresses the operand at ``tol`` relative to its own norm, drops the
+    modes below the absolute budget share tol ||base||_F k! / |coeff|
+    (``lowrank._truncate_operand``, share ``lowrank._PREDROP_SHARE``),
+    stacks the quadrature-node images of the rest, concatenates them onto
+    ``base`` and recompresses at ``tol``.  The operand budget is not
+    charged against the recompression's tolerance: an update may move by
+    share tol ||base||_F beyond the recompression's tol ||result||_F.
+    The columns that entered the concatenation add to ``diag.cols_in``,
+    those it dropped (whether before or in the recompression) to
+    ``diag.dropped``; an update whose operand is dropped whole adds only
+    the base's columns to ``cols_in`` and none to ``dropped``.
     """
     tol = cfg.resolve_tol(state.dim)
     actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, diag)
 
     def update(base, operand, k, coeff):
-        phi_sum = assemble_phi_sum(actions, h, k, operand.compressed(tol), cfg.rule, coeff=coeff)
+        operand = _truncate_operand(operand.compressed(tol), base, k, coeff, tol)
+        phi_sum = assemble_phi_sum(actions, h, k, operand, cfg.rule, coeff=coeff)
         out = concat_update(base, phi_sum, tol)
         cols_in = base.rank + phi_sum.rank
         diag.cols_in = (diag.cols_in or 0) + cols_in

@@ -203,12 +203,42 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     return LdlFactor._trusted(np.hstack(list(images)), np.concatenate([g * d for g in gammas]))
 
 
-# Share of the relative tolerance that concat_update may spend on dropping
-# update columns before the QR.  On the n = 400 Krylov run 0.1 passes 13.4k
-# of 37.1k columns on to the QR (0.01: 18.0k of 35.0k) at the same final
-# error to 5 digits; its steps took 11-25% less time than with 0.01 in six
-# of seven runs (2-core host, one BLAS thread).
+# Share of the relative tolerance that a phi update may spend on update
+# columns dropped before the QR: operand modes (``_truncate_operand``) and
+# stack columns (``concat_update``).  On the n = 400 Krylov run 0.1 passes
+# 13.4k of 37.1k stack columns on to the QR (0.01: 18.0k of 35.0k) at the
+# same final error to 5 digits; its steps took 11-25% less time than with
+# 0.01 in six of seven runs (2-core host, one BLAS thread).  At 1.0 the
+# worst final error of both low-rank schemes on fdm-sym:k=8 over five seeds
+# rose from 1.09e-14 to 1.71e-14, 0.2 digits.
 _PREDROP_SHARE = 0.1
+
+
+def _truncate_operand(operand, base, k, coeff, tol):
+    """The compressed operand of base + coeff phi_k(hS)(operand) without the
+    modes that update cannot resolve against ``base``.
+
+    The node stack's weights sum to coeff / k!, and ||exp(tau A_lin)|| <= 1
+    for a dissipative A_lin, so an operand tail of Frobenius norm e moves
+    the update by at most about |coeff| e / k!.  ``operand`` comes from a
+    compression (orthonormal L, core sorted by decreasing |d|), so the tail
+    norms shrink along the index; the longest suffix with
+    |coeff| e <= share tol ||base||_F k! (share = ``_PREDROP_SHARE``) is
+    dropped, which moves the update by at most share tol ||base||_F.  The
+    budget is absolute: it does not shrink with ||operand||, which tends to
+    0 near a steady state while the base does not.  A fully dropped operand
+    has rank 0, and the update returns the base.  A non-finite budget keeps
+    the operand whole.
+    """
+    budget = _PREDROP_SHARE * tol * base.fnorm() * factorial(k)
+    d = operand._core
+    if not np.isfinite(budget):
+        return operand
+    tail = np.sqrt(np.cumsum(d[::-1] ** 2))[::-1]
+    keep = int(np.count_nonzero(abs(coeff) * tail > budget))
+    if keep == d.size:
+        return operand
+    return LdlFactor._from_compressed(operand.L[:, :keep], d[:keep])
 
 
 def concat_update(state, update, tol):

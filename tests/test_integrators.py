@@ -711,6 +711,59 @@ class TestIntegrate:
         assert sum(c_seen for _, c_seen, _ in calls) < sum(c_in for c_in, _, _ in calls)
 
 
+class TestOperandBudget:
+    """Each phi update truncates its compressed operand against the base's
+    norm (``lowrank._truncate_operand``), not against the operand's own."""
+
+    @pytest.fixture(scope="class")
+    def nonsym(self):
+        problem = problem_from_spec("fdm-nonsym:k=10", seed=20240)
+        return problem, radon_solve(problem, 1.0)
+
+    # The operand keeps a few modes once F(X) has decayed, instead of more
+    # and more of them: Sum cols_in was 57 860 (LrExpEuler) and 62 307
+    # (Erow3LowRank) with the operand truncated relative to ||F||, and is
+    # 17 920 and 21 787 against the base, at the same final error.
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_fewer_update_columns_at_the_same_accuracy(self, nonsym, scheme):
+        problem, reference = nonsym
+        traj = integrate(problem, IntegratorConfig(scheme, 0.01, 1.0))
+        assert sum(d.cols_in for d in traj.diagnostics) <= 30_000
+        assert rel_err(traj.final_dense(), reference) <= 1e-10
+
+    def test_operand_below_the_budget_returns_the_base(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(integrators, "expm_actions", lambda *args: calls.append(args))
+        problem = problem_from_spec("fdm-sym:k=4", seed=20240)
+        state = problem.initial_factor()
+        diag = StepDiagnostics(step=0, t=0.01)
+        update = integrators._factored_phi_update(
+            problem, state, 0.01, IntegratorConfig("LrExpEuler", 0.01, 0.01), diag
+        )
+        operand = lowrank.LdlFactor(state.L, 1e-20 * state._core)
+        assert update(state, operand, 1, 0.01) is state
+        assert calls == []
+        assert (diag.cols_in, diag.dropped) == (state.rank, 0)
+
+    @pytest.mark.parametrize("scheme, updates", [("LrExpEuler", 1), ("Erow3LowRank", 2)])
+    def test_near_steady_krylov_step_records_no_action(self, scheme, updates):
+        # From the algebraic Riccati solution (relative residual 1.3e-12)
+        # every operand lies below its budget at tol 1e-10, so no update
+        # takes an exponential action and the state stays bitwise.
+        g = problem_from_spec("fdm-sym:k=4", seed=20240)
+        x = scipy.linalg.solve_continuous_are(g.A.T, g.B, g.Q, np.eye(g.B.shape[1]))
+        lam, v = np.linalg.eigh((x + x.T) / 2.0)
+        keep = lam > 1e-14 * lam.max()
+        p = RiccatiProblem(A=g.A, C=g.C, B=g.B, L0=v[:, keep], D0=np.diag(lam[keep]),
+                           symmetric=True)
+        cfg = IntegratorConfig(scheme, 0.01, 0.03, compression_tol=1e-10, exp_action="krylov")
+        traj = integrate(p, cfg)
+        assert all(state is traj.states[0] for state in traj.states)
+        for diag in traj.diagnostics:
+            assert diag.krylov_basis_cols == () and diag.krylov_residual == 0.0
+            assert (diag.cols_in, diag.dropped) == (updates * diag.rank, 0)
+
+
 class TestExponentialActionRoutes:
     """fdm-sym:k=14 (n = 196, rank-2 generators) is above the threshold at
     which the low-rank steps keep A_lin as sparse A plus a thin correction.

@@ -1,3 +1,5 @@
+from math import factorial
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -377,3 +379,54 @@ class TestConcatUpdate:
         update.L[0, 1] = bad
         with pytest.raises((FiniteEscapeError, np.linalg.LinAlgError)):
             concat_update(_random_state(rng, 6, 2), update, tol=1e-1)
+
+
+class TestTruncateOperand:
+    """The operand of base + coeff phi_k(hS)(operand) loses the modes whose
+    tail moves the update by at most share tol ||base||_F."""
+
+    # A compression's output: orthonormal columns, core sorted by |d|.  The
+    # tail norms from the last mode up are 0.375, 0.625, 1.18, 2.32, 4.62.
+    CORE = np.array([4.0, -2.0, 1.0, -0.5, 0.375])
+    BASE = LdlFactor(np.eye(7)[:, :2], np.array([3.0, -4.0]))  # ||base||_F = 5
+
+    def _operand(self):
+        return LdlFactor._from_compressed(np.eye(7)[:, :5], self.CORE.copy())
+
+    def _tol(self, tail, k, coeff):
+        """The tolerance whose budget on the operand tail is ``tail``."""
+        return tail * abs(coeff) / (lowrank._PREDROP_SHARE * self.BASE.fnorm() * factorial(k))
+
+    # The second case is Erow3's correction, 2h phi_3 at h = 0.01: its
+    # budget is 3!/(2h) = 300 times share tol ||base||_F.
+    @pytest.mark.parametrize("k, coeff", [(1, 0.01), (3, 0.02)], ids=["phi1-h", "phi3-2h"])
+    @pytest.mark.parametrize("margin, keep", [(1.0 + 1e-9, 3), (1.0 - 1e-9, 4)])
+    def test_drops_exactly_the_tail_within_the_budget(self, k, coeff, margin, keep):
+        tol = self._tol(0.625 * margin, k, coeff)
+        out = lowrank._truncate_operand(self._operand(), self.BASE, k, coeff, tol)
+        assert np.array_equal(out.L, np.eye(7)[:, :keep])
+        assert np.array_equal(out._core, self.CORE[:keep])
+        assert out.fnorm() == np.linalg.norm(self.CORE[:keep])
+
+    def test_phi3_budget_is_scaled_by_factorial_over_coeff(self):
+        # Budget 0.625 for phi_1 with coeff 2h = 0.02; phi_3 with the same
+        # coeff and tol has 3! times that, 3.75, which drops three more modes.
+        tol = self._tol(0.625 * (1.0 + 1e-9), 1, 0.02)
+        assert lowrank._truncate_operand(self._operand(), self.BASE, 1, 0.02, tol).rank == 3
+        assert lowrank._truncate_operand(self._operand(), self.BASE, 3, 0.02, tol).rank == 1
+
+    def test_operand_below_the_budget_is_dropped_whole(self):
+        tol = self._tol(4.7, 1, 0.01)
+        out = lowrank._truncate_operand(self._operand(), self.BASE, 1, 0.01, tol)
+        assert out.rank == 0 and out.dim == 7
+
+    def test_nothing_but_zero_modes_goes_at_zero_tolerance(self):
+        operand = LdlFactor._from_compressed(np.eye(7)[:, :6], np.append(self.CORE, 0.0))
+        out = lowrank._truncate_operand(operand, self.BASE, 1, 0.01, 0.0)
+        assert np.array_equal(out._core, self.CORE)
+
+    def test_non_finite_budget_keeps_the_operand(self):
+        # ||base||_F = 1e150 with tol = 1e200 overflows the budget.
+        base = LdlFactor(np.eye(7)[:, :1], np.array([1e150]))
+        operand = self._operand()
+        assert lowrank._truncate_operand(operand, base, 1, 0.01, 1e200) is operand
