@@ -384,11 +384,13 @@ def compress(l, core, tol):
     return l, np.diag(lam)
 
 
-def _compress_trusted(l, core, tol):
+def _compress_trusted(l, core, tol, floor=0.0):
     """:func:`compress` for package-built factors, without ``check_factor``.
 
     Takes the core as the vector of its diagonal and returns the kept
-    eigenvalues as a vector, the diagonal of C'.
+    eigenvalues as a vector, the diagonal of C'.  A positive ``floor``
+    also drops the longest suffix of the kept modes whose own tail norm
+    is at most ``floor``, an absolute budget, before any mode is formed.
     """
     if tol < 0:
         raise DomainError("compression tolerance must be nonnegative")
@@ -420,6 +422,9 @@ def _compress_trusted(l, core, tol):
     tail = np.sqrt(np.cumsum(lam[::-1] ** 2))[::-1]
     drop = (mags <= tol * mags.max(initial=0.0)) & (tail <= tol * np.linalg.norm(lam))
     keep = lam.size - int(np.count_nonzero(drop))
+    if floor > 0.0:
+        kept_tail = np.sqrt(np.cumsum(lam[:keep][::-1] ** 2))[::-1]
+        keep = int(np.count_nonzero(kept_tail > floor))
     padded = np.zeros((n, keep))
     padded[:k] = u[:, :keep]
     return ormqr("L", "N", qr[:, :k], tau, padded, max(64 * keep, 1))[0], lam[:keep]

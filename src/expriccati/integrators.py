@@ -34,7 +34,7 @@ from .errors import (
 from .krylov import _basis_pays, build_basis, exp_actions_krylov
 from .lowrank import (
     LdlFactor,
-    _truncate_operand,
+    _operand_floor,
     assemble_phi_sum,
     assemble_remainder_diff,
     assemble_rhs,
@@ -223,11 +223,13 @@ class IntegratorConfig:
     low-rank steps, and it also sets the absolute budget of each phi
     update's operand: modes whose tail would move the update by at most
     0.1 tol ||base||_F are dropped before the exponential actions (see
-    ``_factored_phi_update``).  ``exp_action`` selects how the low-rank
-    steps take the quadrature images exp(tau A_lin) V: "dense" applies
-    A_lin directly (one shifted truncated Taylor series per scaling
-    interval for all node times; one full exponential per node time where
-    that chain would cost more, see ``densecore.expm_actions``);
+    ``_factored_phi_update``); Erow3Dense skips a phi_3 correction whose
+    operand lies within the same budget (see ``step_erow3``).
+    ``exp_action`` selects how the low-rank steps take the quadrature
+    images exp(tau A_lin) V: "dense" applies A_lin directly (one shifted
+    truncated Taylor series per scaling interval for all node times; one
+    full exponential per node time where that chain would cost more, see
+    ``densecore.expm_actions``);
     "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
     built on A_lin in the same form, where that basis and its projected
     actions cost less than the exact action of the "dense" route, in the
@@ -299,7 +301,11 @@ class StepDiagnostics:
     recompressions, summed over its updates; ``dropped`` of them did not
     survive, so ``cols_in - dropped`` is the summed width of the results.
     An update whose operand fell below its budget adds only the base's
-    columns to ``cols_in`` and none to ``dropped``.
+    columns to ``cols_in`` and none to ``dropped``.  ``operands_dropped``
+    counts the step's phi updates whose operand fell wholly within that
+    budget and took no exponential action: set by LrExpEuler and both
+    Erow3 realizations (Erow3Dense counts a skipped phi_3 correction, so
+    the two can be compared step by step), None for the dense Euler steps.
     """
 
     step: int
@@ -308,6 +314,7 @@ class StepDiagnostics:
     rank: int = None
     cols_in: int = None
     dropped: int = None
+    operands_dropped: int = None
     fnorm: float = None
     min_eigenvalue: float = None
     symmetry_error: float = None
@@ -404,23 +411,25 @@ def _factored_phi_update(problem, state, h, cfg, diag):
     """update(base, operand, k, coeff) = base + coeff phi_k(h S_n)(operand)
     in LDL^T form, S_n linearized once at ``state`` for every update.
 
-    Compresses the operand at ``tol`` relative to its own norm, drops the
-    modes below the absolute budget share tol ||base||_F k! / |coeff|
-    (``lowrank._truncate_operand``, share ``lowrank._PREDROP_SHARE``),
-    stacks the quadrature-node images of the rest, concatenates them onto
-    ``base`` and recompresses at ``tol``.  The operand budget is not
+    Compresses the operand at ``tol`` relative to its own norm and down to
+    the absolute floor share tol ||base||_F k! / |coeff|
+    (``lowrank._operand_floor``), stacks the quadrature-node images of the
+    rest, concatenates them onto ``base`` and recompresses at ``tol``.  The operand budget is not
     charged against the recompression's tolerance: an update may move by
     share tol ||base||_F beyond the recompression's tol ||result||_F.
     The columns that entered the concatenation add to ``diag.cols_in``,
     those it dropped (whether before or in the recompression) to
     ``diag.dropped``; an update whose operand is dropped whole adds only
-    the base's columns to ``cols_in`` and none to ``dropped``.
+    the base's columns to ``cols_in``, none to ``dropped`` and one to
+    ``diag.operands_dropped``.
     """
     tol = cfg.resolve_tol(state.dim)
     actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, diag)
+    diag.operands_dropped = 0
 
     def update(base, operand, k, coeff):
-        operand = _truncate_operand(operand.compressed(tol), base, k, coeff, tol)
+        operand = operand.compressed(tol, _operand_floor(base.fnorm(), k, coeff, tol))
+        diag.operands_dropped += operand.rank == 0
         phi_sum = assemble_phi_sum(actions, h, k, operand, cfg.rule, coeff=coeff)
         out = concat_update(base, phi_sum, tol)
         cols_in = base.rank + phi_sum.rank
@@ -444,13 +453,18 @@ def step_expeuler_lowrank(problem, state, h, cfg, diag):
 def step_erow3(problem, state, h, cfg, diag):
     """Third-order step: Euler stage plus the phi_3 remainder correction.
 
-    Dispatches on the state kind.  Densely the correction is exact through
-    the augmented block exponential up to M*N = 4096 and a quadrature
-    beyond (``cfg.rule``) on a factor pair (L, R) of -(X - U) G (X - U),
-    U the stage: (-(X - U) B, (X - U)^T B) of width p where the problem
-    has B, else (-(X - U) G, (X - U)^T) of width M.  In low-rank form
-    both the stage and the correction of the factored remainder
-    difference go through one factored phi-update, linearized once.
+    Dispatches on the state kind.  Densely the operand -(X - U) G (X - U),
+    U the stage, is taken as the factor pair (W_L, W_R):
+    (-(X - U) B, (X - U)^T B) of width p where the problem has B, else
+    (-(X - U) G, (X - U)^T) of width M.  The correction shares the budget
+    of the low-rank updates (``lowrank._operand_floor``, k = 3, coeff 2h,
+    base U): where ||W_L W_R^T||_F, exact from the Gram products as
+    sqrt(sum (W_L^T W_L) * (W_R^T W_R)), lies within it, U is returned
+    without a phi_3 evaluation.  Otherwise the correction is exact
+    through the augmented block exponential up to M*N = 4096 and a
+    quadrature beyond (``cfg.rule``) on the pair.  In low-rank form both
+    the stage and the correction of the factored remainder difference go
+    through one factored phi-update, linearized once.
     """
     if isinstance(state, LdlFactor):
         update = _factored_phi_update(problem, state, h, cfg, diag)
@@ -459,14 +473,23 @@ def step_erow3(problem, state, h, cfg, diag):
 
     operator, remainder = linearize(problem, state)
     stage = phi1_action_augmented(operator, h, remainder, state)
-    # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage.
+    # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage;
+    # G = B B^T makes it -W_L W_R^T, W_L = (X - U) B, W_R = (X - U)^T B.
     e = state - stage
-    if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
-        correction = phi_action_augmented(operator, h, 3, -(e @ problem.G) @ e)
+    if problem.B is None:
+        left, right = -(e @ problem.G), e.T
     else:
-        # G = B B^T makes the operand -W_L W_R^T, W_L = (X - U) B, W_R = (X - U)^T B.
-        pair = (-(e @ problem.G), e.T) if problem.B is None else (-(e @ problem.B), e.T @ problem.B)
-        correction = phi_action_quadrature(3, operator, h, pair, cfg.rule)
+        left, right = -(e @ problem.B), e.T @ problem.B
+    norm = np.sqrt(max(float(np.sum((left.T @ left) * (right.T @ right))), 0.0))
+    skip = norm <= _operand_floor(fro(stage), 3, 2.0 * h, cfg.resolve_tol(max(state.shape)))
+    if diag is not None:
+        diag.operands_dropped = int(skip)
+    if skip:
+        return stage
+    if problem.M * problem.N <= _EROW3_AUGMENTED_LIMIT:
+        correction = phi_action_augmented(operator, h, 3, left @ right.T)
+    else:
+        correction = phi_action_quadrature(3, operator, h, (left, right), cfg.rule)
     return stage + 2.0 * h * correction
 
 

@@ -88,8 +88,10 @@ class LdlFactor:
     def is_finite(self):
         return bool(np.all(np.isfinite(self.L)) and np.all(np.isfinite(self._core)))
 
-    def compressed(self, tol):
-        return LdlFactor._from_compressed(*compress(self.L, self._core, tol))
+    def compressed(self, tol, floor=0.0):
+        """The factor compressed at ``tol``, less its modes whose tail lies
+        within the absolute ``floor`` (see ``_compress_trusted``)."""
+        return LdlFactor._from_compressed(*compress(self.L, self._core, tol, floor))
 
     @cached_property
     def _projected_eigenvalues(self):
@@ -204,7 +206,7 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
 
 
 # Share of the relative tolerance that a phi update may spend on update
-# columns dropped before the QR: operand modes (``_truncate_operand``) and
+# columns dropped before the QR: operand modes (``_operand_floor``) and
 # stack columns (``concat_update``).  On the n = 400 Krylov run 0.1 passes
 # 13.4k of 37.1k stack columns on to the QR (0.01: 18.0k of 35.0k) at the
 # same final error to 5 digits; its steps took 11-25% less time than with
@@ -214,31 +216,24 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
 _PREDROP_SHARE = 0.1
 
 
-def _truncate_operand(operand, base, k, coeff, tol):
-    """The compressed operand of base + coeff phi_k(hS)(operand) without the
-    modes that update cannot resolve against ``base``.
+def _operand_floor(base_norm, k, coeff, tol):
+    """Operand norm that base + coeff phi_k(hS)(operand) cannot resolve
+    against a base of Frobenius norm ``base_norm``.
 
     The node stack's weights sum to coeff / k!, and ||exp(tau A_lin)|| <= 1
-    for a dissipative A_lin, so an operand tail of Frobenius norm e moves
-    the update by at most about |coeff| e / k!.  ``operand`` comes from a
-    compression (orthonormal L, core sorted by decreasing |d|), so the tail
-    norms shrink along the index; the longest suffix with
-    |coeff| e <= share tol ||base||_F k! (share = ``_PREDROP_SHARE``) is
-    dropped, which moves the update by at most share tol ||base||_F.  The
-    budget is absolute: it does not shrink with ||operand||, which tends to
-    0 near a steady state while the base does not.  A fully dropped operand
-    has rank 0, and the update returns the base.  A non-finite budget keeps
-    the operand whole.
+    for a dissipative A_lin, so an operand part of Frobenius norm e moves
+    the update by at most about |coeff| e / k!.  Below the floor
+    share tol ``base_norm`` k! / |coeff| (share = ``_PREDROP_SHARE``) that
+    is at most share tol ``base_norm``.  The floor is absolute: it does not
+    shrink with ||operand||, which tends to 0 near a steady state while the
+    base does not.  Both realizations of a scheme take it: the low-rank
+    update compresses its operand down to it (dropping the operand whole
+    when its norm lies below), and Erow3Dense skips a phi_3 correction
+    whose operand lies below it.  A non-finite floor, or a zero coeff,
+    gives 0, which drops nothing.
     """
-    budget = _PREDROP_SHARE * tol * base.fnorm() * factorial(k)
-    d = operand._core
-    if not np.isfinite(budget):
-        return operand
-    tail = np.sqrt(np.cumsum(d[::-1] ** 2))[::-1]
-    keep = int(np.count_nonzero(abs(coeff) * tail > budget))
-    if keep == d.size:
-        return operand
-    return LdlFactor._from_compressed(operand.L[:, :keep], d[:keep])
+    floor = _PREDROP_SHARE * tol * base_norm * factorial(k) / abs(coeff) if coeff else 0.0
+    return floor if np.isfinite(floor) else 0.0
 
 
 def concat_update(state, update, tol):

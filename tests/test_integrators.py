@@ -5,7 +5,7 @@ import scipy.linalg
 import expriccati
 import expriccati.integrators as integrators
 import expriccati.lowrank as lowrank
-from expriccati.densecore import SparsePlusThin
+from expriccati.densecore import SparsePlusThin, fro
 from expriccati.errors import (
     ConfigurationError,
     DimensionError,
@@ -26,7 +26,12 @@ from expriccati.integrators import (
 from expriccati.oracle import radon_solve
 from expriccati.krylov import _basis_pays, build_basis
 from expriccati.problems import problem_from_spec, scalar_tanh_problem
-from expriccati.sylvop import SylvesterOperator, linearize, phi_action_augmented
+from expriccati.sylvop import (
+    SylvesterOperator,
+    linearize,
+    phi1_action_augmented,
+    phi_action_augmented,
+)
 
 from helpers import random_stable, rel_err, rk4_matrix_ode, step_msde_polynomial
 
@@ -683,10 +688,10 @@ class TestIntegrate:
         calls, seen = [], []
         concat, compress = integrators.concat_update, lowrank.compress
 
-        def compress_spy(l, core, tol):
+        def compress_spy(l, core, tol, floor=0.0):
             if seen:
                 seen[-1] = l.shape[1]
-            return compress(l, core, tol)
+            return compress(l, core, tol, floor)
 
         def concat_spy(state, update, tol):
             seen.append(0)
@@ -713,7 +718,7 @@ class TestIntegrate:
 
 class TestOperandBudget:
     """Each phi update truncates its compressed operand against the base's
-    norm (``lowrank._truncate_operand``), not against the operand's own."""
+    norm (``lowrank._operand_floor``), not against the operand's own."""
 
     @pytest.fixture(scope="class")
     def nonsym(self):
@@ -762,6 +767,72 @@ class TestOperandBudget:
         for diag in traj.diagnostics:
             assert diag.krylov_basis_cols == () and diag.krylov_residual == 0.0
             assert (diag.cols_in, diag.dropped) == (updates * diag.rank, 0)
+
+
+class TestDenseCorrectionBudget:
+    """Erow3Dense skips a phi_3 correction whose operand lies within the
+    budget of the low-rank updates (``lowrank._operand_floor``)."""
+
+    @pytest.fixture(scope="class")
+    def sym_runs(self):
+        # fdm-sym:k=8, h = 0.01, t = 1: the correction operand is quadratic
+        # in X - U and falls within its budget from step 27 on.
+        problem = problem_from_spec("fdm-sym:k=8", seed=20240)
+        calls = []
+        original = integrators.phi_action_augmented
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrators, "phi_action_augmented",
+                       lambda *args: calls.append(1) or original(*args))
+            dense = integrate(problem, IntegratorConfig("Erow3Dense", 0.01, 1.0))
+        lowrank_traj = integrate(problem, IntegratorConfig("Erow3LowRank", 0.01, 1.0))
+        return problem, dense, lowrank_traj, len(calls)
+
+    def test_fewer_phi3_evaluations_at_the_same_accuracy(self, sym_runs):
+        # Without the skip every one of the 100 steps takes an augmented
+        # 256 x 256 exponential for its correction.
+        problem, dense, _, augmented_calls = sym_runs
+        assert augmented_calls <= 40
+        assert rel_err(dense.final_dense(), radon_solve(problem, 1.0)) <= 1e-10
+
+    def test_both_realizations_drop_alike(self, sym_runs):
+        _, dense, lowrank_traj, augmented_calls = sym_runs
+        dense_drops = sum(d.operands_dropped for d in dense.diagnostics)
+        assert dense_drops == len(dense.diagnostics) - augmented_calls
+        assert abs(dense_drops - sum(d.operands_dropped for d in lowrank_traj.diagnostics)) <= 2
+
+    @pytest.mark.parametrize("scheme, recorded", [
+        ("GExpEuler", False), ("BrExpEuler", False), ("LrExpEuler", True),
+        ("Erow3Dense", True), ("Erow3LowRank", True),
+    ])
+    def test_which_schemes_record_the_count(self, scheme, recorded):
+        problem = problem_from_spec("fdm-sym:k=4", seed=20240)
+        traj = integrate(problem, IntegratorConfig(scheme, 0.01, 0.02))
+        assert all((d.operands_dropped == 0) if recorded else (d.operands_dropped is None)
+                   for d in traj.diagnostics)
+
+    @pytest.mark.parametrize("spec", ["fdm-sym:k=4", "fdm-nonsym:k=9"],
+                             ids=["augmented", "quadrature"])
+    @pytest.mark.parametrize("margin, skipped", [(1.0 + 1e-9, True), (1.0 - 1e-9, False)],
+                             ids=["below", "above"])
+    def test_operand_at_the_budget(self, monkeypatch, spec, margin, skipped):
+        calls = []
+        for name in ("phi_action_augmented", "phi_action_quadrature"):
+            original = getattr(integrators, name)
+            monkeypatch.setattr(integrators, name,
+                                lambda *args, f=original: calls.append(1) or f(*args))
+        p, h = problem_from_spec(spec, seed=20240), 0.01
+        operator, remainder = linearize(p, p.X0)
+        stage = phi1_action_augmented(operator, h, remainder, p.X0)
+        e = p.X0 - stage
+        # The tolerance whose floor share tol ||U||_F 3! / (2h) is the
+        # operand's norm, times the margin.
+        norm = fro((e @ p.G) @ e)
+        tol = margin * norm * 2.0 * h / (lowrank._PREDROP_SHARE * fro(stage) * 6.0)
+        diag = StepDiagnostics(step=0, t=h)
+        cfg = IntegratorConfig("Erow3Dense", h, h, compression_tol=tol)
+        out = step_erow3(p, p.X0, h, cfg, diag)
+        assert (len(calls), diag.operands_dropped) == ((0, 1) if skipped else (1, 0))
+        assert np.array_equal(out, stage) == skipped
 
 
 class TestExponentialActionRoutes:

@@ -382,8 +382,9 @@ class TestConcatUpdate:
 
 
 class TestTruncateOperand:
-    """The operand of base + coeff phi_k(hS)(operand) loses the modes whose
-    tail moves the update by at most share tol ||base||_F."""
+    """The operand of base + coeff phi_k(hS)(operand), compressed down to
+    ``lowrank._operand_floor``, loses the modes whose tail moves the update
+    by at most share tol ||base||_F."""
 
     # A compression's output: orthonormal columns, core sorted by |d|.  The
     # tail norms from the last mode up are 0.375, 0.625, 1.18, 2.32, 4.62.
@@ -392,6 +393,10 @@ class TestTruncateOperand:
 
     def _operand(self):
         return LdlFactor._from_compressed(np.eye(7)[:, :5], self.CORE.copy())
+
+    @staticmethod
+    def _truncate(operand, base, k, coeff, tol):
+        return operand.compressed(tol, lowrank._operand_floor(base.fnorm(), k, coeff, tol))
 
     def _tol(self, tail, k, coeff):
         """The tolerance whose budget on the operand tail is ``tail``."""
@@ -403,7 +408,7 @@ class TestTruncateOperand:
     @pytest.mark.parametrize("margin, keep", [(1.0 + 1e-9, 3), (1.0 - 1e-9, 4)])
     def test_drops_exactly_the_tail_within_the_budget(self, k, coeff, margin, keep):
         tol = self._tol(0.625 * margin, k, coeff)
-        out = lowrank._truncate_operand(self._operand(), self.BASE, k, coeff, tol)
+        out = self._truncate(self._operand(), self.BASE, k, coeff, tol)
         assert np.array_equal(out.L, np.eye(7)[:, :keep])
         assert np.array_equal(out._core, self.CORE[:keep])
         assert out.fnorm() == np.linalg.norm(self.CORE[:keep])
@@ -412,21 +417,24 @@ class TestTruncateOperand:
         # Budget 0.625 for phi_1 with coeff 2h = 0.02; phi_3 with the same
         # coeff and tol has 3! times that, 3.75, which drops three more modes.
         tol = self._tol(0.625 * (1.0 + 1e-9), 1, 0.02)
-        assert lowrank._truncate_operand(self._operand(), self.BASE, 1, 0.02, tol).rank == 3
-        assert lowrank._truncate_operand(self._operand(), self.BASE, 3, 0.02, tol).rank == 1
+        assert self._truncate(self._operand(), self.BASE, 1, 0.02, tol).rank == 3
+        assert self._truncate(self._operand(), self.BASE, 3, 0.02, tol).rank == 1
 
     def test_operand_below_the_budget_is_dropped_whole(self):
         tol = self._tol(4.7, 1, 0.01)
-        out = lowrank._truncate_operand(self._operand(), self.BASE, 1, 0.01, tol)
+        out = self._truncate(self._operand(), self.BASE, 1, 0.01, tol)
         assert out.rank == 0 and out.dim == 7
 
     def test_nothing_but_zero_modes_goes_at_zero_tolerance(self):
         operand = LdlFactor._from_compressed(np.eye(7)[:, :6], np.append(self.CORE, 0.0))
-        out = lowrank._truncate_operand(operand, self.BASE, 1, 0.01, 0.0)
+        out = self._truncate(operand, self.BASE, 1, 0.01, 0.0)
         assert np.array_equal(out._core, self.CORE)
 
     def test_non_finite_budget_keeps_the_operand(self):
-        # ||base||_F = 1e150 with tol = 1e200 overflows the budget.
+        # ||base||_F = 1e150 with tol = 1e200 overflows the budget, whose
+        # floor is then 0.  (The relative tolerance 1e200 alone would drop
+        # every mode, so the floor is applied at tolerance 0.)
         base = LdlFactor(np.eye(7)[:, :1], np.array([1e150]))
-        operand = self._operand()
-        assert lowrank._truncate_operand(operand, base, 1, 0.01, 1e200) is operand
+        floor = lowrank._operand_floor(base.fnorm(), 1, 0.01, 1e200)
+        assert floor == 0.0
+        assert self._operand().compressed(0.0, floor).rank == 5
