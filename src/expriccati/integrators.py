@@ -16,7 +16,7 @@ nonlinear-remainder difference and exists densely and in low-rank form.
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, ulp
+from math import inf, sqrt, ulp
 from numbers import Integral
 
 import numpy as np
@@ -89,15 +89,51 @@ def _require_match(actual, expected, claim):
         raise ConfigurationError(claim)
 
 
-# Coefficient -> (its generator, the rule that builds it, the rule's form).
+# Coefficient -> (its generator, the rule that builds it, the rule's form,
+# the factors of the rule's product: (L, R) for L R^T, (L,) for L L^T).
 # D = A^T holds for symmetric problems only, the others wherever the
 # generator is attached.
 _COEFFICIENT_RULES = {
-    "D": ("A", lambda p: p.A.T, "A^T"),
-    "Q": ("C", lambda p: p.C.T @ p.C, "C^T C"),
-    "G": ("B", lambda p: p.B @ p.B.T, "B B^T"),
-    "X0": ("L0", lambda p: p.L0 @ p.D0 @ p.L0.T, "L0 D0 L0^T"),
+    "D": ("A", lambda p: p.A.T, "A^T", None),
+    "Q": ("C", lambda p: p.C.T @ p.C, "C^T C", lambda p: (p.C.T,)),
+    "G": ("B", lambda p: p.B @ p.B.T, "B B^T", lambda p: (p.B,)),
+    "X0": ("L0", lambda p: p.L0 @ p.D0 @ p.L0.T, "L0 D0 L0^T", lambda p: (p.L0 @ p.D0, p.L0)),
 }
+
+# A product whose entries are bounded by this is built on first read:
+# half the largest float leaves room for the rounding of the bound and of
+# the product's sums.
+_SAFE_ENTRY_BOUND = np.finfo(float).max / 2.0
+
+
+def _entry_bound(factors):
+    """Bound on every |entry| of the product of ``factors`` (see
+    ``_COEFFICIENT_RULES``): by Cauchy-Schwarz the largest row norm of L
+    times that of R.  inf where a squared row norm overflows."""
+    with np.errstate(over="ignore"):
+        norms = [sqrt(float(np.einsum("ij,ij->i", f, f).max(initial=0.0))) for f in factors]
+    return norms[0] * norms[-1]
+
+
+class _BuiltOnFirstRead:
+    """A coefficient a symmetric problem builds from its generator when it
+    is first read, by the rule of ``_COEFFICIENT_RULES``, and caches.
+
+    A non-data descriptor: ``__post_init__`` leaves the instance
+    attribute of a deferred coefficient unset, so its first read lands
+    here and stores the result on the problem, where later reads find it.
+    Read on the class it is None, the dataclass default.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            return None
+        value = as_matrix(_COEFFICIENT_RULES[self.name][1](problem), self.name)
+        vars(problem)[self.name] = value
+        return value
 
 
 @dataclass
@@ -108,18 +144,23 @@ class RiccatiProblem:
     generators C (Q = C^T C), B (G = B B^T) and L0, D0 (X0 = L0 D0 L0^T,
     D0 defaulting to the identity) may be attached; the low-rank
     integrators require them.  A symmetric problem builds each of D, Q, G
-    and X0 that is left out from its generator, once, checking only that
-    the product is finite; a non-symmetric one needs all four.  What is
-    given is validated on construction: shapes, symmetry (of D0 too, whose
-    symmetric part a symmetric problem keeps), and the consistency of each
-    given coefficient with its generator.
+    and X0 that is left out from its generator when it is first read, and
+    keeps it, so the low-rank integrators, which read only the
+    generators, never form the dense n x n products.  Their finiteness is
+    checked on construction from the generators' row norms (by
+    Cauchy-Schwarz); a product whose bound reaches the overflow range is
+    formed at once and rejected if it is not finite.  A non-symmetric
+    problem needs all four.  What is given is validated on construction:
+    shapes, symmetry (of D0 too, whose symmetric part a symmetric problem
+    keeps), and the consistency of each given coefficient with its
+    generator.
     """
 
     A: np.ndarray
-    D: np.ndarray = None
-    Q: np.ndarray = None
-    G: np.ndarray = None
-    X0: np.ndarray = None
+    D: np.ndarray = _BuiltOnFirstRead()
+    Q: np.ndarray = _BuiltOnFirstRead()
+    G: np.ndarray = _BuiltOnFirstRead()
+    X0: np.ndarray = _BuiltOnFirstRead()
     C: np.ndarray = None
     B: np.ndarray = None
     L0: np.ndarray = None
@@ -152,7 +193,7 @@ class RiccatiProblem:
                 # accepts what passed here.
                 if not np.array_equal(self.D0, self.D0.T):
                     self.D0 = (self.D0 + self.D0.T) / 2.0
-        for name, (generator, rule, form) in _COEFFICIENT_RULES.items():
+        for name, (generator, rule, form, factors) in _COEFFICIENT_RULES.items():
             value = getattr(self, name)
             applies = getattr(self, generator) is not None and (self.symmetric or name != "D")
             if value is not None:
@@ -161,8 +202,11 @@ class RiccatiProblem:
                 if applies:
                     _require_match(value, rule(self), f"{name} must equal {form}")
             elif self.symmetric and applies:
-                # Finite generators can still overflow in the product.
-                setattr(self, name, as_matrix(rule(self), name))
+                if factors is None or _entry_bound(factors(self)) <= _SAFE_ENTRY_BOUND:
+                    delattr(self, name)  # built on first read
+                else:
+                    # Finite generators can still overflow in the product.
+                    setattr(self, name, as_matrix(rule(self), name))
             else:
                 raise ConfigurationError(
                     f"{name} is missing; only a symmetric problem builds it from {generator}"
@@ -174,7 +218,7 @@ class RiccatiProblem:
 
     @property
     def N(self):
-        return self.D.shape[0]
+        return self.M if self.symmetric else self.D.shape[0]
 
     @cached_property
     def _sparse_coefficient(self):

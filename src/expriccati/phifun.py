@@ -5,9 +5,9 @@ The family is phi_0(z) = exp(z) and, for j >= 1,
     phi_j(z) = int_0^1 exp((1-t) z) t^(j-1) / (j-1)! dt,
 
 with the recurrence phi_{j+1}(z) = (phi_j(z) - 1/j!) / z and the values
-phi_j(0) = 1/j!.  Operator-level linear combinations
-sum_j phi_j(hS)(N_j) are evaluated by forward or backward recursions that
-reduce everything to a single phi action plus cheap corrections.
+phi_j(0) = 1/j!.  The quadrature path takes phi_k(hS)(N), k >= 1, on
+a factored operand N = L R^T from the exponential images of its factors
+at the rule's node times.
 """
 
 from dataclasses import dataclass
@@ -16,16 +16,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .densecore import as_matrix, expm_actions, solve_sylvester
+from .densecore import as_matrix, expm_actions
 from .errors import DimensionError, DomainError
-from .sylvop import SylvesterOperator, phi_action_augmented
 
 __all__ = [
     "QuadratureRule",
-    "PhiCombination",
     "phi_action_quadrature",
-    "eval_forward",
-    "eval_backward",
 ]
 
 # Node count of the default Gauss-Legendre rule of the quadrature path.
@@ -70,33 +66,6 @@ class QuadratureRule:
         return cls(0.5 * (x + 1.0), 0.5 * w)
 
 
-@dataclass(frozen=True)
-class PhiCombination:
-    """Operands of the linear combination sum_{j=0..k} phi_j(hS)(N_j)."""
-
-    operands: tuple
-    operator: SylvesterOperator
-    h: float
-
-    def __post_init__(self):
-        if len(self.operands) == 0:
-            raise DomainError("combination needs at least the phi_0 operand")
-        shape = (self.operator.rows, self.operator.cols)
-        coerced = []
-        for idx, op in enumerate(self.operands):
-            mat = as_matrix(op, f"operand {idx}")
-            if mat.shape != shape:
-                raise DimensionError(
-                    f"operand {idx} has shape {mat.shape}, expected {shape}"
-                )
-            coerced.append(mat)
-        object.__setattr__(self, "operands", tuple(coerced))
-
-    @property
-    def order(self):
-        return len(self.operands) - 1
-
-
 def phi_action_quadrature(k, operator, h, factors, rule):
     """Quadrature approximation of phi_k(hS)(N) for k >= 1, N = L R^T.
 
@@ -124,46 +93,3 @@ def phi_action_quadrature(k, operator, h, factors, rule):
         lefts = np.array(expm_actions(operator.A, taus, factors[0]))
         rights = np.array(expm_actions(operator.D.T, taus, factors[1]))
     return np.hstack(coeffs[:, None, None] * lefts) @ np.hstack(rights).T
-
-
-def eval_forward(comb):
-    """Evaluate sum_j phi_j(hS)(N_j) by the forward recursion.
-
-    Builds W_0 = N_0, W_j = hS(W_{j-1}) + N_j and returns
-    phi_k(hS)(W_k) + sum_{j<k} W_j / j!, so only the single trailing
-    phi_k action remains, taken exactly through the augmented block
-    exponential.
-    """
-    op = comb.operator
-    k = comb.order
-    w = comb.operands[0]
-    if k == 0:
-        return op.exp_action(comb.h, w)
-    low = np.zeros_like(w)
-    for j in range(1, k + 1):
-        low = low + w / factorial(j - 1)
-        w = comb.h * op.apply(w) + comb.operands[j]
-    return phi_action_augmented(op, comb.h, k, w) + low
-
-
-def eval_backward(comb):
-    """Evaluate sum_j phi_j(hS)(N_j) by the backward recursion.
-
-    Costs k Sylvester solves with the scaled coefficients (hA, hD) plus a
-    single operator exponential: W_k = (hS)^{-1} N_k,
-    W_j = (hS)^{-1}(N_j + W_{j+1}), and the value is
-    phi_0(hS)(N_0 + W_1) - sum_{j>=1} W_j / (j-1)!.  Requires hS to be
-    invertible (disjoint spectra of hA and -hD).
-    """
-    op = comb.operator
-    k = comb.order
-    if k == 0:
-        return op.exp_action(comb.h, comb.operands[0])
-    ha = comb.h * op.A
-    hd = comb.h * op.D
-    w = solve_sylvester(ha, hd, comb.operands[k])
-    corr = w / factorial(k - 1)
-    for j in range(k - 1, 0, -1):
-        w = solve_sylvester(ha, hd, comb.operands[j] + w)
-        corr = corr + w / factorial(j - 1)
-    return op.exp_action(comb.h, comb.operands[0] + w) - corr

@@ -83,10 +83,9 @@ def linearize(problem, state):
     a pair that shares one exponential and one Schur form.
     """
     x = as_matrix(state, "state")
-    if x.shape != (problem.A.shape[0], problem.D.shape[0]):
+    if x.shape != (problem.M, problem.N):
         raise DimensionError(
-            f"state shape {x.shape} does not match problem "
-            f"({problem.A.shape[0]}, {problem.D.shape[0]})"
+            f"state shape {x.shape} does not match problem ({problem.M}, {problem.N})"
         )
     xg = x @ problem.G
     a_lin = problem.A - xg

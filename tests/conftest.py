@@ -2,6 +2,12 @@ import os
 import sys
 
 import pytest
+
+# One OpenBLAS thread, set before NumPy and SciPy load their pools: on
+# 2 cores two threads made small LAPACK calls up to 60x slower and
+# criterion 1 missed its wall-time bound.  An explicit setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import scipy.linalg
 
 sys.path.insert(0, os.path.dirname(__file__))

@@ -1,18 +1,21 @@
 """Shared fixtures-in-spirit: random instances and the oracles the tests
 check the package against (vectorized phi functions, scalar phi values,
-a long-double exponential, the exact polynomial-source flow, scalar
-references of the benchmark problem generators) plus the writer of saved
-problems."""
+a long-double exponential, the forward and backward recursions for
+sum_j phi_j(hS)(N_j) and the exact polynomial-source flow built on them,
+scalar references of the benchmark problem generators) plus the writer of
+saved problems."""
 
 import os
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 from scipy.linalg import expm as dense_expm
 
 from expriccati import matio
-from expriccati.errors import ConfigurationError, DomainError
-from expriccati.phifun import PhiCombination, eval_backward, eval_forward
+from expriccati.densecore import as_matrix, solve_sylvester
+from expriccati.errors import ConfigurationError, DimensionError, DomainError
+from expriccati.sylvop import SylvesterOperator, phi_action_augmented
 
 
 # Largest M*N for which kronecker_phi forms the vectorized MN x MN matrix
@@ -155,6 +158,76 @@ def kronecker_phi(k, operator, h):
         r0 = i * mn
         block[r0:r0 + mn, r0 + mn:r0 + 2 * mn] = np.eye(mn)
     return dense_expm(block)[:mn, k * mn:]
+
+
+@dataclass(frozen=True)
+class PhiCombination:
+    """Operands of the linear combination sum_{j=0..k} phi_j(hS)(N_j)."""
+
+    operands: tuple
+    operator: SylvesterOperator
+    h: float
+
+    def __post_init__(self):
+        if len(self.operands) == 0:
+            raise DomainError("combination needs at least the phi_0 operand")
+        shape = (self.operator.rows, self.operator.cols)
+        coerced = []
+        for idx, op in enumerate(self.operands):
+            mat = as_matrix(op, f"operand {idx}")
+            if mat.shape != shape:
+                raise DimensionError(
+                    f"operand {idx} has shape {mat.shape}, expected {shape}"
+                )
+            coerced.append(mat)
+        object.__setattr__(self, "operands", tuple(coerced))
+
+    @property
+    def order(self):
+        return len(self.operands) - 1
+
+
+def eval_forward(comb):
+    """Evaluate sum_j phi_j(hS)(N_j) by the forward recursion.
+
+    Builds W_0 = N_0, W_j = hS(W_{j-1}) + N_j and returns
+    phi_k(hS)(W_k) + sum_{j<k} W_j / j!, so only the single trailing
+    phi_k action remains, taken exactly through the augmented block
+    exponential.
+    """
+    op = comb.operator
+    k = comb.order
+    w = comb.operands[0]
+    if k == 0:
+        return op.exp_action(comb.h, w)
+    low = np.zeros_like(w)
+    for j in range(1, k + 1):
+        low = low + w / factorial(j - 1)
+        w = comb.h * op.apply(w) + comb.operands[j]
+    return phi_action_augmented(op, comb.h, k, w) + low
+
+
+def eval_backward(comb):
+    """Evaluate sum_j phi_j(hS)(N_j) by the backward recursion.
+
+    Costs k Sylvester solves with the scaled coefficients (hA, hD) plus a
+    single operator exponential: W_k = (hS)^{-1} N_k,
+    W_j = (hS)^{-1}(N_j + W_{j+1}), and the value is
+    phi_0(hS)(N_0 + W_1) - sum_{j>=1} W_j / (j-1)!.  Requires hS to be
+    invertible (disjoint spectra of hA and -hD).
+    """
+    op = comb.operator
+    k = comb.order
+    if k == 0:
+        return op.exp_action(comb.h, comb.operands[0])
+    ha = comb.h * op.A
+    hd = comb.h * op.D
+    w = solve_sylvester(ha, hd, comb.operands[k])
+    corr = w / factorial(k - 1)
+    for j in range(k - 1, 0, -1):
+        w = solve_sylvester(ha, hd, comb.operands[j] + w)
+        corr = corr + w / factorial(j - 1)
+    return op.exp_action(comb.h, comb.operands[0] + w) - corr
 
 
 def step_msde_polynomial(operator, coeffs, t, recursion="forward"):

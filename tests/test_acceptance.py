@@ -20,11 +20,21 @@ from expriccati.lowrank import (
     assemble_rhs,
 )
 from expriccati.oracle import radon_solve
-from expriccati.phifun import PhiCombination, QuadratureRule, eval_backward, eval_forward
+from expriccati.phifun import QuadratureRule
 from expriccati.problems import problem_from_spec, random_lowrank
 from expriccati.sylvop import SylvesterOperator, phi1_action_augmented
 
-from helpers import dense_phi, kron_matrix, random_stable, rel_err, unvec, vec
+from helpers import (
+    PhiCombination,
+    dense_phi,
+    eval_backward,
+    eval_forward,
+    kron_matrix,
+    random_stable,
+    rel_err,
+    unvec,
+    vec,
+)
 
 SEED = 20240
 

@@ -96,7 +96,8 @@ class TestProblemValidation:
 
 class TestGeneratedCoefficients:
     """A symmetric problem builds the coefficients it is not given from its
-    generators, once, and does not check them against themselves."""
+    generators on first read, once, and does not check them against
+    themselves."""
 
     @staticmethod
     def _generators(rng, n=6):
@@ -141,6 +142,33 @@ class TestGeneratedCoefficients:
         g["C"][0, 0] = 1e200
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="Q contains non-finite"):
             RiccatiProblem(symmetric=True, **g)
+
+    @pytest.mark.parametrize("name, generator", [("G", "B"), ("X0", "L0")])
+    def test_overflowing_product_of_other_generators_rejected(self, rng, name, generator):
+        g = self._generators(rng)
+        g[generator][0, 0] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(
+            DomainError, match=f"{name} contains non-finite"
+        ):
+            RiccatiProblem(symmetric=True, **g)
+
+    def test_finite_product_of_overflowing_row_norms_is_kept(self, rng):
+        # |L0| = 1e160 squares past the float range, so the row-norm bound
+        # is inf; L0 D0 L0^T = 1e120 is finite and formed at construction.
+        g = self._generators(rng)
+        g["L0"] = np.full((6, 1), 1e160)
+        p = RiccatiProblem(symmetric=True, D0=[[1e-200]], **g)
+        assert "X0" in vars(p)
+        assert np.array_equal(p.X0, p.L0 @ p.D0 @ p.L0.T)
+
+    def test_lowrank_run_forms_no_dense_coefficient(self):
+        p = problem_from_spec("fdm-sym:k=20")
+        integrate(p, IntegratorConfig("LrExpEuler", 1e-3, 3e-3, exp_action="krylov"))
+        assert p.N == 400
+        assert not {"D", "Q", "G", "X0"} & set(vars(p))
+        # The first read builds the coefficient and caches it on the problem.
+        assert p.Q is p.Q and "Q" in vars(p)
+        assert np.array_equal(p.Q, p.C.T @ p.C)
 
     def test_nonsymmetric_problem_needs_every_coefficient(self, rng):
         n = 3

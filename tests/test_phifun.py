@@ -5,16 +5,13 @@ import pytest
 
 import expriccati.phifun as phifun
 from expriccati.errors import DimensionError, DomainError
-from expriccati.phifun import (
-    PhiCombination,
-    QuadratureRule,
-    eval_backward,
-    eval_forward,
-    phi_action_quadrature,
-)
+from expriccati.phifun import QuadratureRule, phi_action_quadrature
 from expriccati.sylvop import SylvesterOperator
 
 from helpers import (
+    PhiCombination,
+    eval_backward,
+    eval_forward,
     kronecker_phi,
     phi_scalar,
     phi_series,
