@@ -50,20 +50,18 @@ class SparsePlusThin:
     """The n x n operator A - U B^T: a sparse A plus a thin correction.
 
     ``a`` is a SciPy sparse matrix, ``u`` and ``bt`` are n x p and p x n
-    arrays, and ``norm1`` bounds the 1-norm by ||A||_1 + ||U||_1 ||B^T||_1.
-    ``shift`` is ``sparse_shift(a)``, the shift the Taylor chain takes;
-    operators that share one A pass it in, otherwise the chain computes it
-    on each call.  A product with an n x b block costs about
+    arrays.  ``shift`` is ``sparse_shift(a)``, the shift the Taylor chain
+    takes; operators that share one A pass it in, otherwise the chain
+    computes it on each call.  A product with an n x b block costs about
     b (nnz(A) + 2 n p) flops instead of the b n^2 of the dense matrix.
     The package builds these from validated coefficients, so nothing is
     checked here.
     """
 
-    def __init__(self, a, u, bt, norm1, shift=None):
+    def __init__(self, a, u, bt, shift=None):
         self.a = a
         self.u = u
         self.bt = bt
-        self.norm1 = norm1
         self.shift = shift
 
     @property
@@ -85,24 +83,19 @@ def sparse_shift(a):
 
 
 def _centered(m):
-    """(mu, M - mu I, a bound on ||M - mu I||_1) with mu = trace(M) / n,
-    or (0, M, its bound on ||M||_1) when the shift does not lower it.
+    """(mu, M - mu I, a bound on ||M - mu I||_1) with mu = trace(M) / n.
 
     For a SparsePlusThin mu is the mean diagonal of A, which operators
-    sharing one A share; the thin part keeps its bound.
+    sharing one A share, and the bound is ||A - mu I||_1 + ||U||_1 ||B^T||_1.
     """
     if isinstance(m, SparsePlusThin):
         mu, a_shifted, a_norm = m.shift if m.shift is not None else sparse_shift(m.a)
         bound = a_norm + float(np.linalg.norm(m.u, 1) * np.linalg.norm(m.bt, 1))
-        centered, norm = SparsePlusThin(a_shifted, m.u, m.bt, bound), m.norm1
-    else:
-        n = m.shape[0]
-        mu = float(np.trace(m)) / n if n else 0.0
-        centered = m - mu * np.eye(n)
-        bound, norm = np.linalg.norm(centered, 1), np.linalg.norm(m, 1)
-    if bound < norm:
-        return mu, centered, bound
-    return 0.0, m, norm
+        return mu, SparsePlusThin(a_shifted, m.u, m.bt), bound
+    n = m.shape[0]
+    mu = float(np.trace(m)) / n if n else 0.0
+    centered = m - mu * np.eye(n)
+    return mu, centered, np.linalg.norm(centered, 1)
 
 
 # theta_m of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011), Table
@@ -214,12 +207,12 @@ def expm_actions(m, taus, b):
     ``m`` is a square matrix or a package-built :class:`SparsePlusThin`,
     which the chain only multiplies with thin blocks.  The Taylor chain
     of Al-Mohy & Higham (SIAM J. Sci. Comput. 33(2), 2011, Alg. 3.2)
-    shifts M by mu = trace(M) / n where that lowers the 1-norm (for a
-    SparsePlusThin, the bound it carries, and mu the mean diagonal of its
-    sparse part) and chooses the degree m and the number s of scaling
-    intervals once for max tau ||M - mu I||_1.  Each interval applies the
-    powers of M - mu I to its start once, and every tau in it is one
-    product with them (see ``_taylor_apply``).  When the chain's products
+    shifts M by mu = trace(M) / n (for a SparsePlusThin, the mean
+    diagonal of its sparse part) and chooses the degree m and the number
+    s of scaling intervals once for max tau ||M - mu I||_1 (see
+    ``_centered``).  Each interval applies the powers of M - mu I to its
+    start once, and every tau in it is one product with them (see
+    ``_taylor_apply``).  When the chain's products
     would cost more than one dense exponential per tau (see
     ``_DENSE_ROUTE_RATIO``), every tau takes a full ``scipy.linalg.expm``
     instead, of a SparsePlusThin formed densely.  Results come back in

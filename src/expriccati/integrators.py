@@ -222,9 +222,8 @@ class RiccatiProblem:
 
     @cached_property
     def _sparse_coefficient(self):
-        """(CSR copy of A, ||A||_1, ||B^T||_1, ``sparse_shift`` of A) when
-        the low-rank steps should apply A_lin as a SparsePlusThin operator,
-        else None.
+        """(CSR copy of A, ``sparse_shift`` of A) when the low-rank steps
+        should apply A_lin as a SparsePlusThin operator, else None.
 
         Built on the first low-rank step, not on construction; A and B are
         not expected to change afterwards.
@@ -233,12 +232,7 @@ class RiccatiProblem:
         if _STRUCTURED_COST_RATIO * (np.count_nonzero(self.A) + 2 * n * p) > n * n:
             return None
         a_csr = scipy.sparse.csr_array(self.A)
-        return (
-            a_csr,
-            float(np.linalg.norm(self.A, 1)),
-            float(np.linalg.norm(self.B, np.inf)),
-            sparse_shift(a_csr),
-        )
+        return a_csr, sparse_shift(a_csr)
 
     def rhs(self, x):
         """F(X) = A X + X D + Q - X G X."""
@@ -416,10 +410,8 @@ def _linearized_coefficient(problem, state):
     sparse = problem._sparse_coefficient
     if sparse is None:
         return problem.A - xb @ problem.B.T
-    a_csr, a_norm1, bt_norm1, shift = sparse
-    return SparsePlusThin(
-        a_csr, xb, problem.B.T, a_norm1 + float(np.linalg.norm(xb, 1)) * bt_norm1, shift
-    )
+    a_csr, shift = sparse
+    return SparsePlusThin(a_csr, xb, problem.B.T, shift)
 
 
 def _make_exp_actions(a_lin, cfg, diag):
@@ -458,13 +450,13 @@ def _factored_phi_update(problem, state, h, cfg, diag):
     Compresses the operand at ``tol`` relative to its own norm and down to
     the absolute floor share tol ||base||_F k! / |coeff|
     (``lowrank._operand_floor``), stacks the quadrature-node images of the
-    rest, concatenates them onto ``base`` and recompresses at ``tol``.  The operand budget is not
-    charged against the recompression's tolerance: an update may move by
-    share tol ||base||_F beyond the recompression's tol ||result||_F.
-    The columns that entered the concatenation add to ``diag.cols_in``,
-    those it dropped (whether before or in the recompression) to
-    ``diag.dropped``; an update whose operand is dropped whole adds only
-    the base's columns to ``cols_in``, none to ``dropped`` and one to
+    rest, concatenates them onto ``base`` and recompresses at ``tol``.  The
+    operand budget is not charged against the recompression's tolerance:
+    an update may move by share tol ||base||_F beyond the recompression's
+    tol ||result||_F.  The columns that entered the concatenation add to
+    ``diag.cols_in``, those the recompression dropped to ``diag.dropped``;
+    an update whose operand is dropped whole adds only the base's columns
+    to ``cols_in``, none to ``dropped`` and one to
     ``diag.operands_dropped``.
     """
     tol = cfg.resolve_tol(state.dim)

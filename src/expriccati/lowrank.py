@@ -205,14 +205,14 @@ def assemble_phi_sum(exp_actions, h, k, factor, rule, coeff):
     return LdlFactor._trusted(np.hstack(list(images)), np.concatenate([g * d for g in gammas]))
 
 
-# Share of the relative tolerance that a phi update may spend on update
-# columns dropped before the QR: operand modes (``_operand_floor``) and
-# stack columns (``concat_update``).  On the n = 400 Krylov run 0.1 passes
-# 13.4k of 37.1k stack columns on to the QR (0.01: 18.0k of 35.0k) at the
-# same final error to 5 digits; its steps took 11-25% less time than with
-# 0.01 in six of seven runs (2-core host, one BLAS thread).  At 1.0 the
-# worst final error of both low-rank schemes on fdm-sym:k=8 over five seeds
-# rose from 1.09e-14 to 1.71e-14, 0.2 digits.
+# Share of the relative tolerance that a phi update may spend on its
+# operand before the exponential actions (``_operand_floor``).  0.1 was
+# chosen when a pre-QR drop of stack columns shared it and was not re-tuned
+# when that drop went.  With the operand truncated at 0.1 the compressions
+# of the n = 400 Krylov run took 15.9k instead of 36.9k columns in (seed
+# 20240) at the same final error; at 1.0 the worst final error of both
+# low-rank schemes on fdm-sym:k=8 over five seeds rose from 1.09e-14 to
+# 1.71e-14, 0.2 digits.
 _PREDROP_SHARE = 0.1
 
 
@@ -240,23 +240,9 @@ def concat_update(state, update, tol):
     """Concatenate two factors and re-compress at ``tol``.
 
     Returns X' with ``||X - X'||_F <= tol ||X||_F`` for X = X_b + X_u, the
-    sum of ``state`` (the base, X_b) and ``update`` (X_u = L diag(d) L^T).
-
-    Before the compression, update columns whose contribution is provably
-    negligible are dropped:
-
-    - Column i weighs w_i = |d_i| ||l_i||^2.  Removing a set D of columns
-      changes X by at most E = sum_{i in D} w_i.
-    - nu = max(||X_b||_F - sum_i w_i, ||diag(X)||_2, 0) <= ||X||_F, since
-      ||X_u||_F <= sum_i w_i.  ||X_b||_F is the norm of the base's
-      spectrum, which a compressed base carries.
-    - The smallest-weight columns are dropped while E <= share tol nu
-      (share = ``_PREDROP_SHARE``), and the rest is compressed at
-      tol' = (tol nu - E) / (nu + E).  Then ||X - X'||_F <= E +
-      tol' (||X||_F + E) <= tol ||X||_F, because (tol x - E) / (x + E)
-      grows with x.
-
-    Exact zero columns (w_i = 0) are dropped at any tolerance.
+    sum of ``state`` (the base, X_b) and ``update`` (X_u).  The
+    compression's eigenvalue drop decides which parts of the sum lie
+    within ``tol``.
     """
     if update.dim != state.dim:
         raise DimensionError(
@@ -264,23 +250,7 @@ def concat_update(state, update, tol):
         )
     if update.rank == 0:
         return state
-    sl, sd = state.L, state._core
-    ul, ud = update.L, update._core
-    norms = np.sqrt(np.einsum("ij,ij->j", ul, ul))
-    weights = norms * (np.abs(ud) * norms)
-    x_diag = (sl * sl) @ sd + (ul * ul) @ ud
-    nu = max(state.fnorm() - float(weights.sum()), float(np.linalg.norm(x_diag)), 0.0)
-    order = np.argsort(weights)
-    bound = np.cumsum(weights[order])
-    dropped = 0
-    # A non-finite update is kept whole, so that ``compress`` reports it.
-    if np.isfinite(bound[-1]) and np.isfinite(nu):
-        dropped = int(np.searchsorted(bound, _PREDROP_SHARE * tol * nu, side="right"))
-    if dropped:
-        keep = np.sort(order[dropped:])
-        ul, ud = ul[:, keep], ud[keep]
-        err = float(bound[dropped - 1])
-        if err > 0.0:
-            tol = (tol * nu - err) / (nu + err)
-    big = np.hstack([sl, ul])
-    return LdlFactor._from_compressed(*compress(big, np.concatenate([sd, ud]), tol))
+    big = np.hstack([state.L, update.L])
+    return LdlFactor._from_compressed(
+        *compress(big, np.concatenate([state._core, update._core]), tol)
+    )

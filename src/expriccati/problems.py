@@ -45,15 +45,17 @@ def fdm2d_matrix(k, fx=None, fy=None):
     if k < 1:
         raise DomainError("grid needs at least one interior point per side")
     spacing = 1.0 / (k + 1)
-    fx = fx or (lambda x, y: 0.0)
-    fy = fy or (lambda x, y: 0.0)
     inv_h2 = 1.0 / spacing ** 2
     inv_2h = 1.0 / (2.0 * spacing)
 
-    # Node p = j*k + i sits at ((i + 1) h, (j + 1) h); one field call per node.
-    nodes = [((i + 1) * spacing, (j + 1) * spacing) for j in range(k) for i in range(k)]
-    cx = np.array([fx(x, y) for x, y in nodes], dtype=float) * inv_2h
-    cy = np.array([fy(x, y) for x, y in nodes], dtype=float) * inv_2h
+    def coefficients(field):
+        # Node p = j*k + i sits at ((i + 1) h, (j + 1) h); one field call per node.
+        if field is None:
+            return np.zeros(k * k)
+        values = [field((i + 1) * spacing, (j + 1) * spacing) for j in range(k) for i in range(k)]
+        return np.array(values, dtype=float) * inv_2h
+
+    cx, cy = coefficients(fx), coefficients(fy)
     p = np.arange(k * k)
     j, i = np.divmod(p, k)
     a = np.zeros((p.size, p.size))

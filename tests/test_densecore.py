@@ -130,7 +130,7 @@ class TestExpmActions:
         a = scipy.sparse.csr_array(fdm_sym(10))
         u, b = 0.1 * rng.standard_normal((100, 2)), 0.1 * rng.standard_normal((100, 2))
         norm1 = np.linalg.norm(a.toarray(), 1) + np.linalg.norm(u, 1) * np.linalg.norm(b.T, 1)
-        op = SparsePlusThin(a, u, b.T, norm1)
+        op = SparsePlusThin(a, u, b.T)
         nodes = np.polynomial.legendre.leggauss(7)[0]
         h = 3.5 / norm1
         taus = [(1.0 - 0.5 * (x + 1.0)) * h for x in nodes]
@@ -152,13 +152,28 @@ class TestExpmActions:
         for c, tau in [(-2.0, 400.0), (2.0, 15.0)]:
             if structured:
                 identity = scipy.sparse.csr_array(scipy.sparse.eye_array(n))
-                m = SparsePlusThin(c * identity, np.zeros((n, 1)), np.zeros((1, n)), abs(c))
+                m = SparsePlusThin(c * identity, np.zeros((n, 1)), np.zeros((1, n)))
             else:
                 m = c * np.eye(n)
             value, = expm_actions(m, [tau], v)
             assert np.all(np.isfinite(value))
             assert np.array_equal(value, np.exp(tau * c) * v)
         assert products[0] == 0 and full_exponentials == []
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_shift_taken_where_it_raises_the_norm(self, structured):
+        # The mean-diagonal shift raises ||M||_1 from 50 to 55 here; the
+        # chain shifts anyway, as Al-Mohy & Higham's Alg. 3.2 does, and
+        # stays at roundoff.  n = 2 lies under the dense chain floor.
+        m = np.array([[0.0, 0.0], [50.0, -10.0]])
+        if structured:
+            m = SparsePlusThin(scipy.sparse.csr_array(m), np.zeros((2, 1)), np.zeros((1, 2)))
+        mu, _, bound = densecore._centered(m)
+        assert (mu, bound) == (-5.0, 55.0)
+        taus = [0.1, 0.5, 1.0, 3.0]
+        dense = np.array([[0.0, 0.0], [50.0, -10.0]])
+        for value, tau in zip(expm_actions(m, taus, np.eye(2)), taus):
+            assert rel_err(value, expm_longdouble(tau * dense)) <= 1e-13
 
 
 class TestExpmActionRoutes:
@@ -167,24 +182,25 @@ class TestExpmActionRoutes:
     N = 30
 
     def _operator(self, rng):
-        """Dissipative tridiagonal A minus a rank-2 U B^T."""
+        """Dissipative tridiagonal A minus a rank-2 U B^T, and the bound
+        ||A||_1 + ||U||_1 ||B^T||_1 on its 1-norm."""
         n = self.N
         a = scipy.sparse.diags(
             [np.ones(n - 1), -4.0 - rng.uniform(0.0, 1.0, n), np.ones(n - 1)], [-1, 0, 1]
         )
         u, b = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
         norm1 = np.linalg.norm(a.toarray(), 1) + np.linalg.norm(u, 1) * np.linalg.norm(b.T, 1)
-        return SparsePlusThin(scipy.sparse.csr_array(a), u, b.T, norm1)
+        return SparsePlusThin(scipy.sparse.csr_array(a), u, b.T), norm1
 
     @pytest.mark.parametrize("signs", [(1.0, 1.0, 1.0), (1.0, -1.0, 1.0)])
     def test_structured_operator_takes_no_full_exponential(self, signs, full_exponentials):
         rng = np.random.default_rng(16)
-        op = self._operator(rng)
-        taus = np.array(signs) * np.array([0.3, 0.7, 1.0]) * 60.0 / op.norm1
+        op, norm1 = self._operator(rng)
+        taus = np.array(signs) * np.array([0.3, 0.7, 1.0]) * 60.0 / norm1
         v = rng.standard_normal((self.N, 3))
         # exp(tau M) with tau < 0 is exp(|tau| (-M)): one call per sign.
         got = expm_actions(op, taus[taus > 0], v)
-        expm_actions(SparsePlusThin(-op.a, -op.u, op.bt, op.norm1), -taus[taus < 0], v)
+        expm_actions(SparsePlusThin(-op.a, -op.u, op.bt), -taus[taus < 0], v)
         assert full_exponentials == []
         dense = op.a.toarray() - op.u @ op.bt
         for value, tau in zip(got, taus[taus > 0]):
@@ -192,7 +208,7 @@ class TestExpmActionRoutes:
 
     def test_dense_matrix_above_limit_takes_one_per_tau(self, full_exponentials):
         rng = np.random.default_rng(17)
-        op = self._operator(rng)
+        op, _ = self._operator(rng)
         dense = op.a.toarray() - op.u @ op.bt
         taus = [0.1, 0.5, 1.0]
         span = 20.0 / np.linalg.norm(dense, 1)
@@ -209,9 +225,9 @@ class TestExpmActionRoutes:
 
         monkeypatch.setattr(densecore, "_taylor_apply", no_chain)
         rng = np.random.default_rng(18)
-        op = self._operator(rng)
-        stiff = SparsePlusThin(1e4 * op.a, op.u, op.bt, 1e4 * op.norm1)
-        taus = np.array([0.3, 0.7, 1.0]) * 1e5 / stiff.norm1
+        op, norm1 = self._operator(rng)
+        stiff = SparsePlusThin(1e4 * op.a, op.u, op.bt)
+        taus = np.array([0.3, 0.7, 1.0]) * 1e5 / (1e4 * norm1)
         v = rng.standard_normal((self.N, 3))
         got = expm_actions(stiff, taus, v)
         assert full_exponentials == [self.N] * len(taus)

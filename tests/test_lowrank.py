@@ -312,7 +312,7 @@ class TestConcatUpdate:
     @pytest.mark.parametrize("tol", [1e-1, 1e-4, 1e-8])
     def test_general_update_meets_the_bound(self, rng, tol):
         # A symmetric update core that is not diagonal: a graded spectrum
-        # in a random basis, so that the pre-pass drops columns of the
+        # in a random basis, so that the compression drops modes of the
         # diagonalized update.
         n, r = 14, 6
         state = _random_state(rng, n, 4)
@@ -329,35 +329,28 @@ class TestConcatUpdate:
         with pytest.raises(DimensionError):
             concat_update(_random_state(rng, 5, 2), _random_state(rng, 6, 2), tol=0.0)
 
-    def test_negligible_columns_skip_the_compression(self, rng, monkeypatch):
-        widths = []
-        original = lowrank.compress
-
-        def spy(l, core, tol):
-            widths.append(l.shape[1])
-            return original(l, core, tol)
-
-        monkeypatch.setattr(lowrank, "compress", spy)
+    def test_is_one_compression_of_the_stack(self, rng):
+        # Columns 1 and 3 weigh about 1e-24 of the state and column 0 is
+        # zero: none of them is dropped before the compression.
         state = _random_state(rng, 12, 3)
         update_l = rng.standard_normal((12, 5))
-        # Columns 1 and 3 weigh about 1e-24 of the state; 0 is exactly zero.
         update_l[:, [1, 3]] *= 1e-12
         update_l[:, 0] = 0.0
-        update = LdlFactor(update_l, np.diag([1.0, 2.0, -1.0, 1.0, 0.5]))
-        out = concat_update(state, update, tol=1e-13)
-        assert widths == [3 + 2]
-        target = state.reconstruct() + update.reconstruct()
-        assert np.linalg.norm(out.reconstruct() - target) <= 1e-13 * np.linalg.norm(target)
-        # At tol = 0 only the exact zero column goes.
-        concat_update(state, update, tol=0.0)
-        assert widths == [3 + 2, 3 + 4]
+        update = LdlFactor(update_l, np.array([1.0, 2.0, -1.0, 1.0, 0.5]))
+        for tol in (1e-13, 0.0):
+            out = concat_update(state, update, tol)
+            stack = np.hstack([state.L, update.L]), np.concatenate([state._core, update._core])
+            expected = LdlFactor._from_compressed(*lowrank.compress(*stack, tol))
+            assert np.array_equal(out.L, expected.L)
+            assert np.array_equal(out._core, expected._core)
 
-    # Worst cases of the pre-pass at tol = 1e-2 with the budget b = share tol:
-    # the base diag(1, a) sits near the compression's drop threshold and the
-    # update lies along that mode.  Dropping a diagonal update of weight
-    # 0.8 b must tighten the tolerance of the rest, or the mode a goes too.
-    # Under the core [[0, 1], [1, 0]] each column weighs 0.9 b but carries
-    # both cross terms, 1.8 b: over the budget, so neither may be dropped.
+    # Cases at tol = 1e-2 that break the bound for a column drop of budget
+    # b = share tol ahead of the compression: the base diag(1, a) sits near
+    # the compression's drop threshold and the update lies along that mode.
+    # Dropping a diagonal update of weight 0.8 b without tightening the
+    # tolerance of the rest loses the mode a too.  Under the core
+    # [[0, 1], [1, 0]] each column weighs 0.9 b but carries both cross
+    # terms, 1.8 b: over the budget, so neither may be dropped.
     @pytest.mark.parametrize("general", [False, True], ids=["diagonal-core", "general-core"])
     def test_pre_pass_keeps_the_bound_at_the_threshold(self, general):
         tol = 1e-2
@@ -374,7 +367,7 @@ class TestConcatUpdate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
     def test_non_finite_update_reaches_the_compression(self, rng, bad):
-        # The overflowing column is not pre-dropped: the compression fails.
+        # The overflowing column reaches the compression, which fails.
         update = _random_state(rng, 6, 3)
         update.L[0, 1] = bad
         with pytest.raises((FiniteEscapeError, np.linalg.LinAlgError)):
