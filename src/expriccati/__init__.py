@@ -15,13 +15,13 @@ from .errors import (
 from .integrators import (
     SCHEMES,
     IntegratorConfig,
+    QuadratureRule,
     RiccatiProblem,
     Trajectory,
     integrate,
 )
 from .lowrank import LdlFactor
 from .oracle import radon_solve, radon_trajectory
-from .phifun import QuadratureRule
 from .problems import load_problem, problem_from_spec
 
 __version__ = "0.1.0"

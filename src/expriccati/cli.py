@@ -39,9 +39,10 @@ from .errors import (
     SolvabilityError,
     UsageError,
 )
-from .integrators import EXP_ACTIONS, SCHEMES, IntegratorConfig, integrate
+from .integrators import (
+    EXP_ACTIONS, GAUSS_NODES, SCHEMES, IntegratorConfig, QuadratureRule, integrate,
+)
 from .oracle import radon_solve, radon_trajectory
-from .phifun import GAUSS_NODES, QuadratureRule
 from .problems import problem_from_spec
 
 __all__ = ["ExperimentConfig", "run_table", "run_trajectory", "run_order_study", "main"]
@@ -187,19 +188,18 @@ def run_table(cfg):
     reproduce identical bytes except for the wall-time column.
     """
     _validate(cfg)
+    # Built, and so validated, before the reference is solved.
+    cells = [(s, h) for s in sorted(cfg.schemes) for h in sorted(cfg.h)]
+    configs = [cfg.integrator_config(s, h) for s, h in cells]
     problem = problem_from_spec(cfg.problem, seed=cfg.seed)
     reference = radon_solve(problem, cfg.t_end, cond_max=cfg.oracle_cond)
     ref_norm = max(fro(reference), 1e-300)
     rows = []
-    for scheme in sorted(cfg.schemes):
-        for h in sorted(cfg.h):
-            traj, seconds = _timed(
-                lambda s=scheme, hh=h: integrate(problem, cfg.integrator_config(s, hh)),
-                cfg.repeat,
-            )
-            err = fro(traj.final_dense() - reference) / ref_norm
-            rank = traj.diagnostics[-1].rank if traj.diagnostics else None
-            rows.append([cfg.problem, scheme, _fmt(h), _fmt(err), _fmt(rank), _fmt(seconds)])
+    for (scheme, h), config in zip(cells, configs):
+        traj, seconds = _timed(lambda c=config: integrate(problem, c), cfg.repeat)
+        err = fro(traj.final_dense() - reference) / ref_norm
+        rank = traj.diagnostics[-1].rank if traj.diagnostics else None
+        rows.append([cfg.problem, scheme, _fmt(h), _fmt(err), _fmt(rank), _fmt(seconds)])
     header = ["problem", "scheme", "h", "rel_error", "final_rank", "wall_time_s"]
     return _csv_lines(TABLE_SCHEMA, header, rows)
 
@@ -240,15 +240,13 @@ def run_order_study(cfg):
     # Equal step sizes (ratio 1) would leave the slope fit without a spread.
     if not ratios[0] > 1.0 or any(abs(r - ratios[0]) > 1e-12 * ratios[0] for r in ratios):
         raise UsageError("step sizes must form a geometric progression of distinct values")
+    ladders = {s: [cfg.integrator_config(s, h) for h in hs] for s in sorted(cfg.schemes)}
     problem = problem_from_spec(cfg.problem, seed=cfg.seed)
     reference = radon_solve(problem, cfg.t_end, cond_max=cfg.oracle_cond)
     ref_norm = max(fro(reference), 1e-300)
     rows = []
-    for scheme in sorted(cfg.schemes):
-        errors = []
-        for h in hs:
-            traj = integrate(problem, cfg.integrator_config(scheme, h))
-            errors.append(fro(traj.final_dense() - reference) / ref_norm)
+    for scheme, configs in ladders.items():
+        errors = [fro(integrate(problem, c).final_dense() - reference) / ref_norm for c in configs]
         slope = float(np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0])
         for h, err in zip(hs, errors):
             rows.append([cfg.problem, scheme, _fmt(h), _fmt(err), _fmt(slope)])

@@ -2,7 +2,8 @@
 
 Everything operates on plain 2-D float64 ``numpy`` arrays, except that
 :func:`expm_actions` also takes a :class:`SparsePlusThin` operator.  The
-public functions validate their raw input; values the package builds
+public functions validate their raw input, except :func:`compress`,
+which only ever gets package-built factors; values the package builds
 itself are handed to SciPy and NumPy directly instead of being re-checked
 on every internal call.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "SparsePlusThin",
     "sparse_shift",
     "solve_sylvester",
-    "check_factor",
     "compress",
 ]
 
@@ -314,74 +314,19 @@ def solve_sylvester(a, d, rhs):
     return np.dot(np.dot(u, scale * y), v.T)
 
 
-def check_factor(l, core):
-    """Validate a thin factor L with its symmetric core C, and diagonalize C.
+def compress(l, d, tol, floor=0.0):
+    """Truncate L diag(d) L^T, an n x r factor with a (possibly indefinite)
+    diagonal core held as its vector, to a relative tolerance tol >= 0.
 
-    Both must be finite.  C is either square with as many rows as L has
-    columns and symmetric to 1e-12 relative, or the vector of a diagonal
-    core with one entry per column.  Returns (L', d) with
-    L' diag(d) L'^T = L C L^T as float arrays: a diagonal C comes back as
-    its diagonal with L unchanged, bit for bit, and any other C is
-    diagonalized once, C = V diag(d) V^T and L' = L V.  This is the only
-    place where the package accepts a full core.
-    """
-    l = as_matrix(l, "L")
-    diagonal = np.ndim(core) == 1
-    core = as_matrix(core, "core")
-    core = core[0] if diagonal else require_square(core, "core")
-    if l.shape[1] != core.shape[0]:
-        raise DimensionError(f"factor has {l.shape[1]} columns but core has shape {core.shape}")
-    if diagonal:
-        return l, core
-    asym = float(np.abs(core - core.T).max(initial=0.0))
-    if asym > 1e-12 * max(float(np.abs(core).max(initial=0.0)), 1e-300):
-        raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
-    d = np.diagonal(core).copy()
-    if np.array_equal(core, np.diag(d)):
-        return l, d
-    d, v = np.linalg.eigh(core)
-    return l @ v, d
-
-
-def compress(l, core, tol):
-    """Truncate a product ``L C L^T`` to a relative tolerance.
-
-    Parameters
-    ----------
-    l : array_like
-        n x r factor.
-    core : array_like
-        r x r symmetric core, or the r-vector of a diagonal one; indefinite
-        cores are fine.  ``check_factor`` diagonalizes a full core first,
-        so both forms of a diagonal core give the same result bit for bit.
-    tol : float
-        Nonnegative relative tolerance.  The returned pair (L', C')
-        satisfies ``||L C L^T - L' C' L'^T||_F <= tol * ||L C L^T||_F``.
-
-    Returns
-    -------
-    (ndarray, ndarray)
-        L' with orthonormal columns (r' <= r of them) and a diagonal C'.
-
-    Notes
-    -----
-    Householder QR of L (LAPACK ``geqrf``) followed by a symmetric
-    eigendecomposition of the projected core R C R^T.  Q is never
-    formed: the reflectors are applied to the kept eigenvectors alone
-    (``ormqr``).  Eigenvalues are dropped from the small end while
-    both ``|lambda| <= tol * max|lambda|`` and the norm of the dropped
-    tail stays within the reconstruction budget ``tol * ||lambda||``;
-    exact zero modes are always dropped.
-    """
-    l, lam = _compress_trusted(*check_factor(l, core), tol)
-    return l, np.diag(lam)
-
-
-def _compress_trusted(l, core, tol, floor=0.0):
-    """:func:`compress` for package-built factors, without ``check_factor``.
-
-    Takes the core as the vector of its diagonal and returns the kept
-    eigenvalues as a vector, the diagonal of C'.  A positive ``floor``
+    Returns (L', d'), r' <= r orthonormal columns and the kept
+    eigenvalues, with ||L diag(d) L^T - L' diag(d') L'^T||_F <= tol
+    ||L diag(d) L^T||_F.  The factor is package-built and not re-checked;
+    ``LdlFactor(L, core).compressed(tol)`` validates one from outside.
+    Householder QR of L (``geqrf``), then ``eigh`` of R diag(d) R^T; Q is
+    never formed, the reflectors go to the kept eigenvectors alone
+    (``ormqr``).  Eigenvalues are dropped from the small end while both
+    |lambda| <= tol max|lambda| and the dropped tail's norm stays within
+    tol ||lambda||, so exact zero modes always go.  A positive ``floor``
     also drops the longest suffix of the kept modes whose own tail norm
     is at most ``floor``, an absolute budget, before any mode is formed.
     """
@@ -399,7 +344,7 @@ def _compress_trusted(l, core, tol, floor=0.0):
     geqrf, ormqr = scipy.linalg.get_lapack_funcs(("geqrf", "ormqr"), (l,))
     qr, tau, _, _ = geqrf(l, lwork=64 * width)
     r = np.triu(qr[:k])
-    mid = (r * core) @ r.T
+    mid = (r * d) @ r.T
     mid = (mid + mid.T) / 2.0
     lam, u = np.linalg.eigh(mid)
     if not np.all(np.isfinite(lam)):

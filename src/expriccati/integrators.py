@@ -40,12 +40,13 @@ from .lowrank import (
     assemble_rhs,
     concat_update,
 )
-from .phifun import QuadratureRule, phi_action_quadrature
-from .sylvop import linearize, phi1_action_augmented, phi_action_augmented
+# The kernel keeps its name: ``perfbench/tracing.py`` hooks it here.
+from .sylvop import linearize, phi1_action_augmented, phi_action_augmented, phi_action_quadrature
 
 __all__ = [
     "SCHEMES",
     "RiccatiProblem",
+    "QuadratureRule",
     "IntegratorConfig",
     "StepDiagnostics",
     "Trajectory",
@@ -250,6 +251,44 @@ class RiccatiProblem:
                 "low-rank integration needs a symmetric problem with C, B and L0"
             )
         return LdlFactor(self.L0, self.D0)
+
+
+# Node count of the default Gauss-Legendre rule of the quadrature path.
+GAUSS_NODES = 7
+
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Quadrature nodes in [0, 1] with weights that sum to one (exact for constants)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
+        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if nodes.ndim != 1 or nodes.shape != weights.shape:
+            raise DimensionError("nodes and weights must be 1-D of equal length")
+        if nodes.size == 0:
+            raise DomainError("rule needs at least one node")
+        # Negated comparisons, so NaN nodes or weights fail them too.
+        if not (nodes.min() >= 0.0 and nodes.max() <= 1.0):
+            raise DomainError("nodes must lie in [0, 1]")
+        if not abs(weights.sum() - 1.0) <= 1e-14:
+            raise DomainError(f"weights sum to {weights.sum()!r}, expected 1")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+
+    def __len__(self):
+        return self.nodes.size
+
+    @classmethod
+    def gauss_legendre(cls, count=GAUSS_NODES):
+        """Gauss-Legendre rule mapped from [-1, 1] to [0, 1]."""
+        if not (isinstance(count, Integral) and count >= 1):
+            raise DomainError(f"node count must be a positive integer, got {count!r}")
+        x, w = np.polynomial.legendre.leggauss(count)
+        return cls(0.5 * (x + 1.0), 0.5 * w)
 
 
 @dataclass

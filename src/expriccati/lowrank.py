@@ -16,11 +16,8 @@ from math import factorial
 
 import numpy as np
 
-from .densecore import check_factor
-# Factors built here come from validated pieces, so they are compressed
-# without the public ``compress``'s re-check.  The name stays ``compress``:
 # ``perfbench/tracing.py`` hooks ``expriccati.lowrank.compress``.
-from .densecore import _compress_trusted as compress
+from .densecore import as_matrix, compress, require_square
 from .errors import ConfigurationError, DimensionError, DomainError
 
 __all__ = [
@@ -32,15 +29,40 @@ __all__ = [
 ]
 
 
+def check_factor(l, core):
+    """Validate a thin factor L with its symmetric core C, and diagonalize C.
+
+    Both finite; C is square, one row per column of L and symmetric to
+    1e-12 relative, or the vector of a diagonal core.  Returns float
+    (L', d) with L' diag(d) L'^T = L C L^T: a diagonal C as its diagonal
+    with L bit for bit unchanged, any other C = V diag(d) V^T as (L V, d).
+    This is the only place where the package accepts a full core.
+    """
+    l = as_matrix(l, "L")
+    diagonal = np.ndim(core) == 1
+    core = as_matrix(core, "core")
+    core = core[0] if diagonal else require_square(core, "core")
+    if l.shape[1] != core.shape[0]:
+        raise DimensionError(f"factor has {l.shape[1]} columns but core has shape {core.shape}")
+    if diagonal:
+        return l, core
+    asym = float(np.abs(core - core.T).max(initial=0.0))
+    if asym > 1e-12 * max(float(np.abs(core).max(initial=0.0)), 1e-300):
+        raise DomainError(f"core is not symmetric (max asymmetry {asym:.3e})")
+    d = np.diagonal(core).copy()
+    if np.array_equal(core, np.diag(d)):
+        return l, d
+    d, v = np.linalg.eigh(core)
+    return l @ v, d
+
+
 class LdlFactor:
     """Thin factorization X = L diag(d) L^T with a small diagonal core.
 
     The core is held as the vector d; ``core`` forms the matrix diag(d)
-    on first read.  The constructor takes L with a symmetric core C, as a
-    matrix or as the vector of a diagonal, which ``check_factor``
-    validates and diagonalizes: a diagonal C keeps L as given, any other
-    C = V diag(d) V^T stores L V.  Factors the package assembles from
-    validated ones are built by ``_trusted`` without the re-check.
+    on first read.  The constructor takes L with a symmetric core C, a
+    matrix or the vector of a diagonal, through ``check_factor``; factors
+    the package assembles from validated ones are built by ``_trusted``.
     """
 
     def __init__(self, L, core):
@@ -90,7 +112,7 @@ class LdlFactor:
 
     def compressed(self, tol, floor=0.0):
         """The factor compressed at ``tol``, less its modes whose tail lies
-        within the absolute ``floor`` (see ``_compress_trusted``)."""
+        within the absolute ``floor`` (see ``densecore.compress``)."""
         return LdlFactor._from_compressed(*compress(self.L, self._core, tol, floor))
 
     @cached_property

@@ -140,12 +140,14 @@ def radon_solve(problem, t, cond_max=1e4):
 
 
 def radon_trajectory(problem, times, cond_max=1e4):
-    """Reference states at an increasing sequence of times (starting anywhere).
+    """Reference states at nondecreasing finite times (starting anywhere).
 
     One flow propagator is shared across the whole sweep so equal spacing
     reuses a single cached exponential.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise DomainError("times must be finite")
     if times.size and np.any(np.diff(times) < 0):
         raise DomainError("times must be nondecreasing")
     flow = _FlowPropagator(problem, cond_max)

@@ -118,6 +118,8 @@ def _parse_options(text, spec):
         match = re.fullmatch(r"(\w+)=(\d+)", item)
         if match is None or match.group(1) in options:
             raise UsageError(f"bad or repeated option {item!r} in problem spec {spec!r}")
+        if match.group(1) not in ("k", "rank"):
+            raise UsageError(f"unknown option {item!r} in problem spec {spec!r}; valid: k, rank")
         options[match.group(1)] = int(match.group(2))
     return options
 

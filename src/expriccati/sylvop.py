@@ -4,6 +4,14 @@ The exponential of the operator factorizes into two ordinary matrix
 exponentials, exp(tS)(X) = exp(tA) X exp(tD), which is what makes
 exponential integrators for matrix-valued stiff problems practical: no
 vectorized MN x MN exponential is ever needed.
+
+The phi functions are phi_0(z) = exp(z) and, for j >= 1,
+
+    phi_j(z) = int_0^1 exp((1-t) z) t^(j-1) / (j-1)! dt,
+
+with phi_{j+1}(z) = (phi_j(z) - 1/j!) / z and phi_j(0) = 1/j!.  Their
+operator actions are exact from augmented block exponentials, or a
+quadrature over the exponential images of a factored operand N = L R^T.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +20,7 @@ from math import factorial
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, require_square
+from .densecore import as_matrix, expm_actions, require_square
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -20,6 +28,7 @@ __all__ = [
     "linearize",
     "phi1_action_augmented",
     "phi_action_augmented",
+    "phi_action_quadrature",
 ]
 
 
@@ -192,3 +201,32 @@ def phi_action_augmented(operator, h, k, mat):
         return x / factorial(k)
     integrals, _, _ = _phi_integrals(operator, h, k, x)
     return integrals[k - 1] / h ** k
+
+
+def phi_action_quadrature(k, operator, h, factors, rule):
+    """Quadrature approximation of phi_k(hS)(N) for k >= 1, N = L R^T.
+
+    ``factors`` is the pair (L, R) of an M x q and an N x q factor of the
+    operand, validated once; a dense N goes in as (N, I_N).  Evaluates
+    (1/(k-1)!) sum_j w_j s_j^(k-1) exp(tau_j S)(N) with
+    tau_j = (1 - s_j) h >= 0, h >= 0: the node images exp(tau_j A) L and
+    exp(tau_j D^T) R come from ``expm_actions``, one Taylor chain for all
+    nodes (on [L, R] when D = A^T), and are summed in one product.
+    k = 0 is refused.
+    """
+    if k < 1:
+        raise DomainError("quadrature path needs k >= 1; use exp_action for k = 0")
+    taus = [(1.0 - s) * h for s in rule.nodes]
+    coeffs = rule.weights * rule.nodes ** (k - 1) / factorial(k - 1)
+    factors = [as_matrix(f, "factor") for f in factors]
+    rows, widths = [f.shape[0] for f in factors], {f.shape[1] for f in factors}
+    if rows != [operator.rows, operator.cols] or len(widths) != 1:
+        shapes, target = [f.shape for f in factors], (operator.rows, operator.cols)
+        raise DimensionError(f"factors of shapes {shapes} do not form a {target} operand")
+    if operator.transposed:
+        images = np.array(expm_actions(operator.A, taus, np.hstack(factors)))
+        lefts, rights = np.split(images, [factors[0].shape[1]], axis=2)
+    else:
+        lefts = np.array(expm_actions(operator.A, taus, factors[0]))
+        rights = np.array(expm_actions(operator.D.T, taus, factors[1]))
+    return np.hstack(coeffs[:, None, None] * lefts) @ np.hstack(rights).T

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from expriccati import QuadratureRule
 from expriccati.integrators import IntegratorConfig, RiccatiProblem, integrate
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import (
@@ -20,7 +21,6 @@ from expriccati.lowrank import (
     assemble_rhs,
 )
 from expriccati.oracle import radon_solve
-from expriccati.phifun import QuadratureRule
 from expriccati.problems import problem_from_spec, random_lowrank
 from expriccati.sylvop import SylvesterOperator, phi1_action_augmented
 

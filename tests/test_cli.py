@@ -259,6 +259,21 @@ class TestMain:
         assert code == 2
         assert "cond_max must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, steps", [("table", "0.1"), ("order", "0.1,0.05,0.025")])
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-1"])
+    def test_bad_final_time_exit_code(self, capsys, command, steps, t_end):
+        # The configurations reject the time before the reference is solved.
+        code = main([command, "--problem", "fdm-sym:k=3", "--scheme", "GExpEuler",
+                     "--h", steps, "--t-end", t_end])
+        assert code == 2
+        assert "final time must be nonnegative and finite" in capsys.readouterr().err
+
+    def test_unknown_spec_option_exit_code(self, capsys):
+        code = main(["table", "--problem", "fdm-sym:k=3,rnak=5", "--scheme", "GExpEuler",
+                     "--h", "0.1"])
+        assert code == 2
+        assert "rnak" in capsys.readouterr().err
+
     def test_unknown_problem_exit_code(self, capsys):
         code = main(["table", "--problem", "marsh:k=2", "--scheme", "GExpEuler", "--h", "0.1"])
         assert code == 2

@@ -6,11 +6,11 @@ import pytest
 from expriccati import densecore
 from expriccati.densecore import (
     SparsePlusThin,
-    compress,
     expm_actions,
     solve_sylvester,
 )
 from expriccati.errors import DimensionError, DomainError, FiniteEscapeError, SolvabilityError
+from expriccati.lowrank import LdlFactor
 from expriccati.problems import fdm_sym
 
 from helpers import (
@@ -23,6 +23,11 @@ from helpers import (
     unvec,
     vec,
 )
+
+
+def compress(l, core, tol):
+    factor = LdlFactor(l, core).compressed(tol)
+    return factor.L, factor.core
 
 
 class TestExpm:
@@ -439,7 +444,7 @@ class TestCompress:
     @pytest.mark.parametrize("case", ["tall", "wide", "rank-deficient", "indefinite", "keep-0"])
     def test_matches_q_forming_reference(self, case):
         l, d, tol = self._factor(case)
-        out, lam = densecore._compress_trusted(l, d, tol)
+        out, lam = densecore.compress(l, d, tol)
         ref, ref_lam = compress_forming_q(l, d, tol)
         assert out.shape == ref.shape and lam.shape == ref_lam.shape
         assert lam.size == {"tall": 12, "wide": 8, "rank-deficient": 4, "indefinite": 6}.get(case, 0)
@@ -454,7 +459,7 @@ class TestCompress:
         calls = []
         monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args))
         for case in ("tall", "wide", "keep-0"):
-            densecore._compress_trusted(*self._factor(case))
+            densecore.compress(*self._factor(case))
         assert calls == []
 
     def test_zero_width_passthrough(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from expriccati import QuadratureRule
 import expriccati.lowrank as lowrank
 from expriccati.errors import ConfigurationError, DimensionError, DomainError, FiniteEscapeError
 from expriccati.integrators import RiccatiProblem
@@ -14,7 +15,6 @@ from expriccati.lowrank import (
     assemble_rhs,
     concat_update,
 )
-from expriccati.phifun import QuadratureRule
 from expriccati.problems import problem_from_spec
 
 from helpers import random_stable, rel_err

@@ -141,6 +141,19 @@ class TestRadonSolve:
         with pytest.raises(DomainError):
             radon_trajectory(p, [0.5, 0.2])
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # Not a finite escape: no flow is propagated to a non-finite time.
+        p = problem_from_spec("fdm-sym:k=3")
+        with pytest.raises(DomainError, match="finite"):
+            radon_solve(p, t)
+        with pytest.raises(DomainError, match="finite"):
+            radon_trajectory(p, [0.0, t])
+
+    def test_negative_time_allowed(self):
+        x = radon_solve(problem_from_spec("tanh"), -0.5)
+        assert x[0, 0] == pytest.approx(np.tanh(-0.5), rel=1e-10)
+
 
 class TestKroneckerPhi:
     def test_k0_is_exponential_of_kron_sum(self, rng):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-import expriccati.phifun as phifun
+import expriccati.sylvop as sylvop
+from expriccati import QuadratureRule
 from expriccati.errors import DimensionError, DomainError
-from expriccati.phifun import QuadratureRule, phi_action_quadrature
-from expriccati.sylvop import SylvesterOperator
+from expriccati.sylvop import SylvesterOperator, phi_action_quadrature
 
 from helpers import (
     PhiCombination,
@@ -136,13 +136,13 @@ class TestPhiActionQuadrature:
     @pytest.mark.parametrize("transposed, chains", [(True, 1), (False, 2)])
     def test_exponentials_per_node(self, monkeypatch, transposed, chains):
         calls = []
-        original = phifun.expm_actions
+        original = sylvop.expm_actions
 
         def spy(m, taus, b):
             calls.append(len(taus))
             return original(m, taus, b)
 
-        monkeypatch.setattr(phifun, "expm_actions", spy)
+        monkeypatch.setattr(sylvop, "expm_actions", spy)
         rng = np.random.default_rng(33)
         a, d = (random_stable(rng, 4, margin=0.5, scale=0.3) for _ in range(2))
         op = SylvesterOperator(a, a.T if transposed else d)

@@ -208,6 +208,12 @@ class TestProblemSpec:
         with pytest.raises(UsageError, match="repeated"):
             problem_from_spec("fdm-nonsym:k=3,rank=1,rank=2")
 
+    @pytest.mark.parametrize("spec", ["fdm-sym:k=3,rnak=5", "fdm-nonsym:k=3,seed=1"])
+    def test_unknown_option_rejected(self, spec):
+        # A misspelt rank would otherwise build the default rank 2.
+        with pytest.raises(UsageError, match=r"unknown option .*valid: k, rank"):
+            problem_from_spec(spec)
+
 
 class TestLoadSave:
     def test_roundtrip_bitwise(self, tmp_path):

@@ -24,13 +24,18 @@ import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expriccati.densecore import SparsePlusThin, compress, expm_actions
+from expriccati.densecore import SparsePlusThin, expm_actions
 from expriccati.integrators import _SCHEME_STEPS, IntegratorConfig, RiccatiProblem
 from expriccati.krylov import build_basis, exp_actions_krylov
 from expriccati.lowrank import LdlFactor, assemble_remainder_diff, assemble_rhs, concat_update
 from expriccati.sylvop import SylvesterOperator
 
 from helpers import expm_longdouble, kronecker_phi, random_stable, unvec, vec
+
+
+def compress(l, core, tol):
+    factor = LdlFactor(l, core).compressed(tol)
+    return factor.L, factor.core
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from expriccati import QuadratureRule
 from expriccati.errors import DimensionError, DomainError
 from expriccati.integrators import RiccatiProblem
 from expriccati.oracle import radon_solve
-from expriccati.phifun import QuadratureRule
 from expriccati.sylvop import (
     _AUGMENTED_NORM_LIMIT,
     SylvesterOperator,
