@@ -6,11 +6,13 @@ exponential Rosenbrock-Euler step
     X_{n+1} = exp(h S_n)(X_n) + h phi_1(h S_n)(Q + X_n G X_n)
             = X_n + h phi_1(h S_n)(F(X_n))
 
-comes as ``GExpEuler`` (augmented block exponential), ``BrExpEuler``
-(one Sylvester solve plus one operator exponential) and ``LrExpEuler``
-(LDL^T factors with quadrature).  The third-order two-stage scheme
-``Erow3`` perturbs the Euler stage by 2h phi_3(h S_n) applied to the
-nonlinear-remainder difference and exists densely and in low-rank form.
+comes as ``GExpEuler`` (the first form, with the phi_1 integral from a
+Taylor series of S_n at a halved step and M- and N-sized exponentials),
+``BrExpEuler`` (one Sylvester solve plus one operator exponential) and
+``LrExpEuler`` (LDL^T factors with quadrature).  The third-order
+two-stage scheme ``Erow3`` perturbs the Euler stage by 2h phi_3(h S_n)
+applied to the nonlinear-remainder difference and exists densely and in
+low-rank form.
 """
 
 import time
@@ -421,7 +423,7 @@ class Trajectory:
 
 
 def step_expeuler_general(problem, state, h, cfg, diag):
-    """Rosenbrock-Euler step through the augmented block exponential."""
+    """Rosenbrock-Euler step exp(hS)(X) + h phi_1(hS)(Q + XGX), dense."""
     operator, remainder = linearize(problem, state)
     return phi1_action_augmented(operator, h, remainder, state)
 

@@ -1,9 +1,14 @@
 import csv
+import ctypes
+import glob
+import importlib.util
+import os
 import re
 
 import numpy as np
 import pytest
 
+from expriccati import cli
 from expriccati.cli import (
     ExperimentConfig,
     load_config_file,
@@ -314,6 +319,49 @@ class TestMain:
              "--repeat", "3"]
         )
         assert code == 0
+
+
+class TestBlasThreadCap:
+    """``main`` caps NumPy's and SciPy's OpenBLAS pools unless the variable is set."""
+
+    @pytest.fixture
+    def pools(self):
+        # The thread getter of each bundled pool, all set to 2 first and
+        # restored afterwards.
+        found = []
+        for package, setter in cli._OPENBLAS_POOLS:
+            root = os.path.dirname(os.path.dirname(importlib.util.find_spec(package).origin))
+            for path in glob.glob(os.path.join(root, f"{package}.libs", "*openblas*")):
+                lib = ctypes.CDLL(path)
+                set_threads = getattr(lib, setter)
+                get_threads = getattr(lib, setter.replace("_set_", "_get_"))
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                found.append((set_threads, get_threads))
+        if not found:
+            pytest.skip("neither NumPy nor SciPy bundles an OpenBLAS here")
+        before = [get() for _, get in found]
+        for set_threads, _ in found:
+            set_threads(2)
+        yield [get for _, get in found]
+        for (set_threads, _), n in zip(found, before):
+            set_threads(n)
+
+    def test_unset_variable_caps_both_pools(self, pools, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["show-config"]) == 0
+        assert [get() for get in pools] == [1] * len(pools)
+
+    def test_variable_overrides_the_cap(self, pools, monkeypatch, capsys):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert main(["show-config"]) == 0
+        assert [get() for get in pools] == [2] * len(pools)
+
+    def test_missing_setter_is_left_alone(self, pools, monkeypatch, capsys):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.setattr(cli, "_OPENBLAS_POOLS", (("numpy", "no_such_setter"),))
+        assert main(["show-config"]) == 0
+        assert [get() for get in pools] == [2] * len(pools)
 
 
 class TestMisSizedProblemFiles:

@@ -448,11 +448,12 @@ class TestErow3:
         assert rel_err(traj.final_dense(), radon_solve(p, 0.1)) <= 1e-7
 
     def test_quadrature_phi3_takes_no_node_exponential(self, full_exponentials):
-        # The stage takes one 162 x 162 augmented exponential; the phi_3
-        # quadrature on the factor pair of its operand takes none.
+        # The stage takes one 81 x 81 exponential, exp(tA) of the transposed
+        # pair; the phi_3 quadrature on the factor pair of its operand takes
+        # none.
         p = problem_from_spec("fdm-nonsym:k=9", seed=20240)
         step_erow3(p, p.X0, 0.01, IntegratorConfig("Erow3Dense", 0.01, 0.1), None)
-        assert full_exponentials == [162]
+        assert full_exponentials == [81]
 
     def test_quadrature_phi3_operand_without_b_takes_a_wide_pair(self, monkeypatch):
         # The same coefficients as a non-symmetric problem without B: the

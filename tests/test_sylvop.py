@@ -8,6 +8,7 @@ from expriccati.integrators import RiccatiProblem
 from expriccati.oracle import radon_solve
 from expriccati.sylvop import (
     _AUGMENTED_NORM_LIMIT,
+    _SERIES_NORM_LIMIT,
     SylvesterOperator,
     linearize,
     phi1_action_augmented,
@@ -135,6 +136,77 @@ class TestPhi1Augmented:
             assert rel_err(phi1_action_augmented(op, h, v, x), oracle) <= 1e-11
 
 
+def _stiff_pair(rng):
+    # Diagonals from -1 to -3000 under upper triangles of entries up to a
+    # few hundred: |h| (||A||_1 + ||D||_1) is about 2e5 at h = 30.
+    a = -np.diag([1.0, 10.0, 100.0, 1000.0]) + np.triu(50.0 * rng.standard_normal((4, 4)), 1)
+    d = -np.diag([2.0, 300.0, 3000.0]) + np.triu(200.0 * rng.standard_normal((3, 3)), 1)
+    return SylvesterOperator(a, d)
+
+
+def _transposed_pair(rng):
+    a = random_stable(rng, 4, margin=0.5)
+    return SylvesterOperator(a, a.T)
+
+
+_SERIES_PAIRS = {
+    "transposed": _transposed_pair,
+    "general": lambda rng: _stable_pair(rng, 4, 4),
+    "rectangular": lambda rng: _stable_pair(rng, 5, 3),
+}
+
+
+class TestPhi1Series:
+    """The affine update from the operator's Taylor series at a halved step."""
+
+    @staticmethod
+    def _check(op, h, rng):
+        v = rng.standard_normal((op.rows, op.cols))
+        x = rng.standard_normal((op.rows, op.cols))
+        out = phi1_action_augmented(op, h, v, x)
+        oracle = unvec(
+            scipy.linalg.expm(h * kron_matrix(op.A, op.D)) @ vec(x)
+            + h * (kronecker_phi(1, op, h) @ vec(v)),
+            op.rows,
+            op.cols,
+        )
+        assert rel_err(out, oracle) <= 1e-11
+        block = op.exp_action(h, x) + h * phi_action_augmented(op, h, 1, v)
+        assert rel_err(out, block) <= 1e-13
+
+    @pytest.mark.parametrize("h", [-0.5, 0.0, 1e-3, 0.6, 30.0])
+    @pytest.mark.parametrize("pair", sorted(_SERIES_PAIRS))
+    def test_matches_kronecker_and_block_route(self, rng, pair, h):
+        self._check(_SERIES_PAIRS[pair](rng), h, rng)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.6, 30.0])
+    def test_stiff_non_normal_pair(self, rng, h):
+        self._check(_stiff_pair(rng), h, rng)
+
+    @pytest.mark.parametrize("h", [1e-3, 0.6, 30.0])
+    def test_exponentials_at_the_coefficient_sizes_only(self, rng, full_exponentials, h):
+        # M = 5, N = 3: never an (M + N) x (M + N) block, whatever the
+        # number of doublings.
+        op = _stable_pair(rng, 5, 3)
+        phi1_action_augmented(op, h, rng.standard_normal((5, 3)), rng.standard_normal((5, 3)))
+        assert full_exponentials == [5, 3]
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf, 1e308])
+@pytest.mark.parametrize("kernel", ["exp_action", "phi1", "phi3"])
+def test_non_finite_step_scale_rejected(rng, kernel, h):
+    # 1e308 (||A||_1 + ||D||_1) overflows, so its count of halvings would.
+    op = SylvesterOperator(random_stable(rng, 3), random_stable(rng, 2))
+    x = rng.standard_normal((3, 2))
+    calls = {
+        "exp_action": lambda: op.exp_action(h, x),
+        "phi1": lambda: phi1_action_augmented(op, h, x, x),
+        "phi3": lambda: phi_action_augmented(op, h, 3, x),
+    }
+    with pytest.raises(DomainError, match="not finite"):
+        calls[kernel]()
+
+
 class TestPhiActionAugmented:
     def test_k0_is_exponential(self, rng):
         op = SylvesterOperator(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
@@ -182,8 +254,7 @@ class TestTransposedPair:
 
     @pytest.fixture
     def op(self, rng):
-        a = random_stable(rng, 4, margin=0.5)
-        return SylvesterOperator(a, a.T)
+        return _transposed_pair(rng)
 
     @pytest.mark.parametrize("transposed, calls", [(True, 1), (False, 2)])
     def test_exponentials_per_exp_action(self, rng, full_exponentials, transposed, calls):
@@ -199,18 +270,19 @@ class TestTransposedPair:
     def test_exponentials_per_augmented_action(
         self, rng, full_exponentials, transposed, h, doubled, k
     ):
-        # The block exponential's top-left block is exp(tA); only a general
-        # pair takes one more, exp(tD), and the doublings take none.
+        # The phi_1 series takes exp(tA) at size M; the block exponential's
+        # top-left block is exp(tA).  Only a general pair takes one more,
+        # exp(tD), and the doublings take none.
         a = rng.standard_normal((4, 4))
         op = SylvesterOperator(a, a.T if transposed else rng.standard_normal((4, 4)))
         z = h * (np.linalg.norm(op.A, 1) + np.linalg.norm(op.D, 1))
-        assert (z > _AUGMENTED_NORM_LIMIT) == doubled
+        assert (z > (_SERIES_NORM_LIMIT if k is None else _AUGMENTED_NORM_LIMIT)) == doubled
         x = rng.standard_normal((4, 4))
         if k is None:
             phi1_action_augmented(op, h, rng.standard_normal((4, 4)), x)
         else:
             phi_action_augmented(op, h, k, x)
-        size = 4 + (k or 1) * 4
+        size = 4 if k is None else 4 + k * 4
         assert full_exponentials == ([size] if transposed else [size, 4])
 
     def test_exp_action_matches_kronecker(self, rng, op):
