@@ -270,7 +270,16 @@ def _check_separation(sep, a, d):
         )
 
 
-def solve_sylvester(a, d, rhs):
+def _schur_forms(a, d):
+    """(R, U, S, V): real Schur forms A = U R U^T and D^T = V S V^T, one
+    form for both when D^T equals A, after the separation check passed."""
+    r, u = scipy.linalg.schur(a, output="real")
+    s, v = (r, u) if np.array_equal(d.T, a) else scipy.linalg.schur(d.T, output="real")
+    _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
+    return r, u, s, v
+
+
+def solve_sylvester(a, d, rhs, memo=None):
     """Solve the Sylvester equation ``A W + W D = RHS``.
 
     Reduces A and D^T to real Schur form and back-substitutes with LAPACK
@@ -286,6 +295,10 @@ def solve_sylvester(a, d, rhs):
         must be disjoint for unique solvability.
     rhs : array_like
         M x N right-hand side.
+    memo : dict, optional
+        Kept with the coefficients (``SylvesterOperator.memo``): it holds
+        their Schur forms once they passed the separation check, and a
+        later solve with the same coefficients and dict reuses them.
 
     Raises
     ------
@@ -303,9 +316,12 @@ def solve_sylvester(a, d, rhs):
     if rhs.size == 0:
         return np.zeros(rhs.shape)
 
-    r, u = scipy.linalg.schur(a, output="real")
-    s, v = (r, u) if np.array_equal(d.T, a) else scipy.linalg.schur(d.T, output="real")
-    _check_separation(_separation(_schur_eigenvalues(r), _schur_eigenvalues(s)), a, d)
+    forms = None if memo is None else memo.get("schur")
+    if forms is None:
+        forms = _schur_forms(a, d)
+        if memo is not None:
+            memo["schur"] = forms
+    r, u, s, v = forms
     f = np.dot(np.dot(u.T, rhs), v)
     trsyl, = scipy.linalg.get_lapack_funcs(("trsyl",), (r, s, f))
     y, scale, info = trsyl(r, s, f, tranb="C")

@@ -385,6 +385,10 @@ class StepDiagnostics:
     budget and took no exponential action: set by LrExpEuler and both
     Erow3 realizations (Erow3Dense counts a skipped phi_3 correction, so
     the two can be compared step by step), None for the dense Euler steps.
+    ``operator_reused`` is True when a dense step reused the linearized
+    operator of an earlier step, with its factorizations, because its
+    own lay within unit roundoff of it (see ``sylvop.linearize``), False
+    when it factorized afresh, and None on low-rank steps.
     """
 
     step: int
@@ -399,6 +403,7 @@ class StepDiagnostics:
     symmetry_error: float = None
     krylov_residual: float = None
     krylov_basis_cols: tuple = None
+    operator_reused: bool = None
 
 
 @dataclass
@@ -422,21 +427,35 @@ class Trajectory:
         return state.reconstruct() if isinstance(state, LdlFactor) else state
 
 
-def step_expeuler_general(problem, state, h, cfg, diag):
+def _linearize(problem, state, diag, memo):
+    """``linearize`` at ``state``, handing it the operator the run
+    linearized last, which ``memo`` (a dict that lives for one
+    :func:`integrate` call) keeps; records in ``diag`` whether it was
+    reused."""
+    previous = None if memo is None else memo.get("operator")
+    operator, remainder = linearize(problem, state, previous)
+    if memo is not None:
+        memo["operator"] = operator
+    if diag is not None:
+        diag.operator_reused = operator is previous
+    return operator, remainder
+
+
+def step_expeuler_general(problem, state, h, cfg, diag, memo=None):
     """Rosenbrock-Euler step exp(hS)(X) + h phi_1(hS)(Q + XGX), dense."""
-    operator, remainder = linearize(problem, state)
+    operator, remainder = _linearize(problem, state, diag, memo)
     return phi1_action_augmented(operator, h, remainder, state)
 
 
-def step_expeuler_backward(problem, state, h, cfg, diag):
+def step_expeuler_backward(problem, state, h, cfg, diag, memo=None):
     """Rosenbrock-Euler step via one Sylvester solve.
 
     Solves S_n(W) = F(X_n) and returns exp(h S_n)(W) + X_n - W.  Raises
     SolvabilityError when the linearized operator is near singular, which
     :func:`integrate` reports as an IntegrationError with the step index.
     """
-    operator, _ = linearize(problem, state)
-    w = solve_sylvester(operator.A, operator.D, problem.rhs(state))
+    operator, _ = _linearize(problem, state, diag, memo)
+    w = solve_sylvester(operator.A, operator.D, problem.rhs(state), operator.memo)
     return operator.exp_action(h, w) + state - w
 
 
@@ -517,7 +536,7 @@ def _factored_phi_update(problem, state, h, cfg, diag):
     return update
 
 
-def step_expeuler_lowrank(problem, state, h, cfg, diag):
+def step_expeuler_lowrank(problem, state, h, cfg, diag, memo=None):
     """Low-rank Rosenbrock-Euler step on LDL^T factors.
 
     Assembles the factored right-hand side and adds h phi_1(h S_n) of it
@@ -527,7 +546,7 @@ def step_expeuler_lowrank(problem, state, h, cfg, diag):
     return update(state, assemble_rhs(problem, state), 1, h)
 
 
-def step_erow3(problem, state, h, cfg, diag):
+def step_erow3(problem, state, h, cfg, diag, memo=None):
     """Third-order step: Euler stage plus the phi_3 remainder correction.
 
     Dispatches on the state kind.  Densely the operand -(X - U) G (X - U),
@@ -548,7 +567,7 @@ def step_erow3(problem, state, h, cfg, diag):
         stage = update(state, assemble_rhs(problem, state), 1, h)
         return update(stage, assemble_remainder_diff(problem, state, stage), 3, 2.0 * h)
 
-    operator, remainder = linearize(problem, state)
+    operator, remainder = _linearize(problem, state, diag, memo)
     stage = phi1_action_augmented(operator, h, remainder, state)
     # X G U + U G X - U G U - X G X = -(X - U) G (X - U), U the stage;
     # G = B B^T makes it -W_L W_R^T, W_L = (X - U) B, W_R = (X - U)^T B.
@@ -571,9 +590,10 @@ def step_erow3(problem, state, h, cfg, diag):
 
 
 # Scheme name -> (stepper, whether the state is an LDL^T factor).  Every
-# stepper takes (problem, state, h, cfg, diag) and fills the fields of the
-# StepDiagnostics ``diag`` its route records; the dense Euler steps ignore
-# the last two.
+# stepper takes (problem, state, h, cfg, diag, memo), fills the fields of
+# the StepDiagnostics ``diag`` its route records and keeps the dense
+# route's linearized operator in ``memo``, a dict of one integrate call;
+# the dense Euler steps ignore cfg, the low-rank Euler step memo.
 _SCHEME_STEPS = {
     "GExpEuler": (step_expeuler_general, False),
     "BrExpEuler": (step_expeuler_backward, False),
@@ -604,10 +624,14 @@ def integrate(problem, cfg):
     IntegrationError carrying the partial trajectory and the zero-based
     index of the step that failed.  Step operands are built from
     validated input, so a DomainError inside a step means a value became
-    non-finite; it fails the step too.
+    non-finite; it fails the step too.  A dense scheme reuses the
+    linearized operator of an earlier step of this call, with its
+    factorizations, while the new one lies within unit roundoff of it;
+    nothing is kept across calls.
     """
     stepper, factored = _SCHEME_STEPS[cfg.scheme]
     state = problem.initial_factor() if factored else problem.X0.copy()
+    memo = {}
 
     steps = cfg.step_count
     times = [0.0]
@@ -619,7 +643,7 @@ def integrate(problem, cfg):
         diag = StepDiagnostics(step=i, t=t_next)
         started = time.perf_counter()
         try:
-            state = stepper(problem, state, cfg.h, cfg, diag)
+            state = stepper(problem, state, cfg.h, cfg, diag, memo)
             finite = (
                 state.is_finite() if isinstance(state, LdlFactor) else np.all(np.isfinite(state))
             )

@@ -15,6 +15,9 @@ Taylor series of S itself at a halved step, so it needs only M- and
 N-sized exponentials.  The higher actions are exact from augmented block
 exponentials, or a quadrature over the exponential images of a factored
 operand N = L R^T.
+
+``linearize`` hands back the previous operator, with the factorizations
+it memoizes, while the new coefficients are unchanged to roundoff.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +26,7 @@ from math import factorial, ldexp
 import numpy as np
 import scipy.linalg
 
-from .densecore import as_matrix, expm_actions, require_square
+from .densecore import as_matrix, expm_actions, fro, require_square
 from .errors import DimensionError, DomainError
 
 __all__ = [
@@ -34,17 +37,26 @@ __all__ = [
     "phi_action_quadrature",
 ]
 
+# Unit roundoff of float64.  A coefficient within it of a factorized one,
+# in the Frobenius norm, is taken to be that coefficient (see linearize).
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 
 @dataclass(frozen=True)
 class SylvesterOperator:
     """Pair of square coefficients acting on M x N matrices as AX + XD.
 
     A pair with D = A^T (``transposed``, checked once) shares one expm.
+    ``memo`` holds what the kernels computed from the coefficients alone:
+    the Schur forms of ``solve_sylvester``, and for the last step each
+    was asked for, exp(tA) and exp(tD) of ``exp_action`` and the squared
+    exponentials of ``phi1_action_augmented``.
     """
 
     A: np.ndarray
     D: np.ndarray
     transposed: bool = field(init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", require_square(as_matrix(self.A, "A"), "A"))
@@ -58,6 +70,22 @@ class SylvesterOperator:
     @property
     def cols(self):
         return self.D.shape[0]
+
+    def within_roundoff(self, a, d):
+        """Whether A_new = ``a`` and D_new = ``d`` lie within unit roundoff
+        u of the coefficients: same shapes and ||A_new - A||_F <= u ||A||_F,
+        likewise for D."""
+        return all(
+            new.shape == old.shape and fro(new - old) <= _UNIT_ROUNDOFF * fro(old)
+            for new, old in ((a, self.A), (d, self.D))
+        )
+
+    def _memoized(self, kind, step, build):
+        """build(), kept in ``memo`` under ``kind`` until asked for another step."""
+        cached = self.memo.get(kind)
+        if cached is None or cached[0] != step:
+            cached = self.memo[kind] = (step, build())
+        return cached[1]
 
     def _check_operand(self, x, name="operand"):
         x = as_matrix(x, name)
@@ -87,24 +115,38 @@ class SylvesterOperator:
         """exp(tA) X exp(tD), the exact operator exponential applied to X.
 
         The coefficients were validated on construction, so the
-        exponentials come straight from SciPy; exp(tD) = exp(tA)^T for a
-        transposed pair.  A step that ``_scale`` rejects raises DomainError.
+        exponentials come straight from SciPy, once per step t (``memo``);
+        exp(tD) = exp(tA)^T for a transposed pair.  A step that ``_scale``
+        rejects raises DomainError.
         """
         x = self._check_operand(x)
         if t == 0.0:
             return x.copy()
         self._scale(t)
-        left = scipy.linalg.expm(t * self.A)
-        right = left.T if self.transposed else scipy.linalg.expm(t * self.D)
+
+        def exponentials():
+            left = scipy.linalg.expm(t * self.A)
+            return left, left.T if self.transposed else scipy.linalg.expm(t * self.D)
+
+        left, right = self._memoized("exp", t, exponentials)
         return left @ x @ right
 
 
-def linearize(problem, state):
+def linearize(problem, state, previous=None):
     """Linearize X' = AX + XD + Q - XGX at ``state``.
 
     Returns (SylvesterOperator of A - XG and D - GX, remainder Q + XGX).
     A symmetric problem gets D_lin = A_lin^T (exact at a symmetric state),
     a pair that shares one exponential and one Schur form.
+
+    ``previous``, an operator linearized earlier in the same run, is
+    returned in place of a new one, with its memoized factorizations,
+    while A_lin and D_lin lie within unit roundoff of its coefficients
+    (``SylvesterOperator.within_roundoff``).  A_lin is itself the rounded
+    value of A - XG, so a coefficient within u of it is no further off
+    than another rounding would be.  The comparison is against the
+    coefficients that were factorized, not the last step's, so the
+    difference cannot drift.
     """
     x = as_matrix(state, "state")
     if x.shape != (problem.M, problem.N):
@@ -114,7 +156,10 @@ def linearize(problem, state):
     xg = x @ problem.G
     a_lin = problem.A - xg
     d_lin = a_lin.T if problem.symmetric else problem.D - problem.G @ x
-    return SylvesterOperator(a_lin, d_lin), problem.Q + xg @ x
+    remainder = problem.Q + xg @ x
+    if previous is not None and previous.within_roundoff(a_lin, d_lin):
+        return previous, remainder
+    return SylvesterOperator(a_lin, d_lin), remainder
 
 
 # Above this value of |h| (||A||_1 + ||D||_1) the base block exponential
@@ -139,10 +184,22 @@ def _halvings(operator, h, limit):
     return s, ldexp(h, -s), ldexp(z, -s)
 
 
-def _doubled(operator, t, doublings, integrals, left, right):
-    """Carry [t^j phi_j(tS)(N) for j = 1..k], exp(tA) and exp(tD) from t to 2^s t.
+def _squarings(operator, doublings, left, right):
+    """[(exp(2^i tA), exp(2^i tD)) for i = 0..s] from the pair at i = 0,
+    squared s times (for a transposed pair the transpose of the left)."""
+    powers = [(left, right)]
+    for _ in range(doublings):
+        left = left @ left
+        right = left.T if operator.transposed else right @ right
+        powers.append((left, right))
+    return powers
 
-    Each doubling uses the semigroup identity
+
+def _doubled(t, integrals, powers):
+    """Carry [t^j phi_j(tS)(N) for j = 1..k] from t to 2^s t.
+
+    ``powers`` is ``_squarings`` of exp(tA), exp(tD).  Each doubling uses
+    the semigroup identity
 
         I_j(2t) = exp(tS)(I_j(t)) + sum_i t^(j-1-i)/(j-1-i)! I_{i+1}(t),
 
@@ -150,7 +207,7 @@ def _doubled(operator, t, doublings, integrals, left, right):
     intermediates, unlike a one-shot exponential at the full step).
     """
     k = len(integrals)
-    for _ in range(doublings):
+    for left, right in powers[:-1]:
         doubled = []
         for j in range(1, k + 1):
             value = left @ integrals[j - 1] @ right
@@ -158,10 +215,8 @@ def _doubled(operator, t, doublings, integrals, left, right):
                 value = value + (t ** (j - 1 - i) / factorial(j - 1 - i)) * integrals[i]
             doubled.append(value)
         integrals = doubled
-        left = left @ left
-        right = left.T if operator.transposed else right @ right
         t *= 2.0
-    return integrals, left, right
+    return integrals
 
 
 def _phi_integrals(operator, h, k, mat):
@@ -194,7 +249,7 @@ def _phi_integrals(operator, h, k, mat):
         (scale * t ** j) * (e[:m, m + (j - 1) * n:m + j * n] @ right)
         for j in range(1, k + 1)
     ]
-    return _doubled(operator, t, doublings, integrals, left, right)[0]
+    return _doubled(t, integrals, _squarings(operator, doublings, left, right))
 
 
 def _phi1_series(operator, t, z, mat):
@@ -226,18 +281,22 @@ def phi1_action_augmented(operator, h, inhom, state):
     exp(tA) (with exp(tD) for a general pair) comes from SciPy.  The s
     doublings of ``_doubled`` carry both to h, as they carry the block
     route of ``phi_action_augmented``; no (M+N) x (M+N) block is formed.
-    The name stays that of the block route it replaced, which
-    ``perfbench/tracing.py`` hooks.
+    The exponentials and their squarings depend on h and the coefficients
+    alone and are taken once per step h (``memo``).  The name stays that
+    of the block route it replaced, which ``perfbench/tracing.py`` hooks.
     """
     v = operator._check_operand(inhom, "inhomogeneity")
     x = operator._check_operand(state, "state")
     doublings, t, z = _halvings(operator, h, _SERIES_NORM_LIMIT)
-    left = scipy.linalg.expm(t * operator.A)
-    right = left.T if operator.transposed else scipy.linalg.expm(t * operator.D)
-    integrals, left, right = _doubled(
-        operator, t, doublings, [_phi1_series(operator, t, z, v)], left, right
-    )
-    return left @ x @ right + integrals[0]
+
+    def powers():
+        left = scipy.linalg.expm(t * operator.A)
+        right = left.T if operator.transposed else scipy.linalg.expm(t * operator.D)
+        return _squarings(operator, doublings, left, right)
+
+    squared = operator._memoized("phi1", h, powers)
+    left, right = squared[-1]
+    return left @ x @ right + _doubled(t, [_phi1_series(operator, t, z, v)], squared)[0]
 
 
 def phi_action_augmented(operator, h, k, mat):

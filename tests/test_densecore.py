@@ -317,6 +317,31 @@ class TestSolveSylvester:
         solve_sylvester(a, d, rng.standard_normal((6, 6)))
         assert len(calls) == forms
 
+    @pytest.mark.parametrize("transposed, forms", [(True, 1), (False, 2)])
+    def test_memo_keeps_the_schur_forms(self, monkeypatch, transposed, forms):
+        calls = []
+        original = scipy.linalg.schur
+
+        def spy(a, *args, **kwargs):
+            calls.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy)
+        rng = np.random.default_rng(19)
+        a = random_stable(rng, 6, margin=0.5)
+        d = a.T if transposed else random_stable(rng, 6, margin=0.5)
+        memo = {}
+        for _ in range(3):
+            f = rng.standard_normal((6, 6))
+            assert np.array_equal(solve_sylvester(a, d, f, memo), solve_sylvester(a, d, f))
+        assert len(calls) == forms + 3 * forms
+
+    def test_memo_stays_empty_when_the_check_fails(self):
+        memo = {}
+        with pytest.raises(SolvabilityError):
+            solve_sylvester(np.eye(2), -np.eye(2), np.ones((2, 2)), memo)
+        assert memo == {}
+
     def test_transposed_pair_matches_vectorized_solve(self):
         rng = np.random.default_rng(18)
         a = random_stable(rng, 5, margin=0.5)

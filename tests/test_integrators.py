@@ -967,3 +967,65 @@ class TestExponentialActionRoutes:
         assert all(d.krylov_residual == 0.0 for d in full_space)
         if scheme == "LrExpEuler":
             assert len(full_space) == self.STEPS - 1
+
+
+class TestOperatorReuse:
+    """A dense run reuses the linearized operator, and its factorizations,
+    while the new coefficients lie within unit roundoff of it."""
+
+    DENSE = ("GExpEuler", "BrExpEuler", "Erow3Dense")
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        # Past step 20 of 100 the state is at its steady state to roundoff.
+        return problem_from_spec("fdm-nonsym:k=6", seed=20240)
+
+    @pytest.fixture(scope="class")
+    def reference(self, problem):
+        return radon_solve(problem, 1.0)
+
+    @pytest.mark.parametrize("scheme", DENSE)
+    def test_steady_state_reuses_factorizations(
+        self, scheme, problem, reference, full_exponentials, monkeypatch
+    ):
+        schur_forms = []
+        original = scipy.linalg.schur
+
+        def spy(a, *args, **kwargs):
+            schur_forms.append(a.shape)
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", spy)
+        traj = integrate(problem, IntegratorConfig(scheme, 0.01, 1.0))
+        steps = len(traj.diagnostics)
+        reused = [d.operator_reused for d in traj.diagnostics]
+        assert reused[0] is False and all(isinstance(r, bool) for r in reused)
+        assert sum(reused) >= 0.75 * steps
+        assert len(full_exponentials) < steps and len(schur_forms) < steps
+        # Criterion 3's bound, unchanged.
+        assert rel_err(traj.final_dense(), reference) <= 1e-10
+
+    @pytest.mark.parametrize("scheme", DENSE)
+    def test_repeated_runs_are_bitwise_equal(self, scheme, problem):
+        cfg = IntegratorConfig(scheme, 0.01, 0.3)
+        first, second = integrate(problem, cfg), integrate(problem, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(first.states, second.states))
+        for a, b in zip(first.diagnostics, second.diagnostics):
+            a.wall_time = b.wall_time = None
+            assert a == b
+
+    @pytest.mark.parametrize("scheme", DENSE)
+    def test_next_run_factorizes_at_step_zero(self, scheme, problem):
+        cfg = IntegratorConfig(scheme, 0.01, 0.3)
+        assert integrate(problem, cfg).diagnostics[-1].operator_reused
+        other = problem_from_spec("fdm-nonsym:k=6", seed=7)
+        traj = integrate(other, cfg)
+        assert traj.diagnostics[0].operator_reused is False
+        fresh = integrate(problem_from_spec("fdm-nonsym:k=6", seed=7), cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.states, fresh.states))
+
+    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
+    def test_lowrank_steps_record_none(self, scheme):
+        problem = problem_from_spec("fdm-sym:k=4", seed=20240)
+        traj = integrate(problem, IntegratorConfig(scheme, 0.1, 0.3))
+        assert all(d.operator_reused is None for d in traj.diagnostics)

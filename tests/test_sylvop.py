@@ -389,6 +389,82 @@ class TestLinearize:
         assert rel_err(lhs, rhs) <= 1e-12
 
 
+class TestReuseWithinRoundoff:
+    """linearize hands back the previous operator while A - XG and D - GX
+    lie within unit roundoff u of its coefficients in the Frobenius norm."""
+
+    U = 2.0 ** -53
+
+    @staticmethod
+    def _problem(a, d, rng):
+        m, n = a.shape[0], d.shape[0]
+        return RiccatiProblem(
+            A=a, D=d, Q=rng.standard_normal((m, n)), G=rng.standard_normal((n, m)),
+            X0=np.zeros((m, n)),
+        )
+
+    @pytest.fixture
+    def pair(self, rng):
+        # At the zero state A - XG and D - GX are A and D bitwise, and an
+        # entry that is zero in both takes a perturbation exactly.
+        a, d = rng.standard_normal((4, 4)), rng.standard_normal((3, 3))
+        a[0, -1] = d[0, -1] = 0.0
+        return a, d
+
+    def _linearized(self, a, d, rng, previous=None):
+        p = self._problem(a, d, rng)
+        return linearize(p, np.zeros((p.M, p.N)), previous)[0]
+
+    @pytest.mark.parametrize("coefficient", [0, 1])
+    @pytest.mark.parametrize("share, reused", [(0.0, True), (0.25, True), (4.0, False)])
+    def test_perturbation_against_unit_roundoff(self, rng, pair, coefficient, share, reused):
+        previous = self._linearized(*pair, rng)
+        perturbed = [c.copy() for c in pair]
+        target = perturbed[coefficient]
+        target[0, -1] = share * self.U * np.linalg.norm(pair[coefficient])
+        assert previous.within_roundoff(*perturbed) == reused
+        assert (self._linearized(*perturbed, rng, previous) is previous) == reused
+
+    def test_other_shape_never_reused(self, rng, pair):
+        a, d = pair
+        previous = self._linearized(a, d, rng)
+        assert self._linearized(a, d[:2, :2], rng, previous) is not previous
+        assert self._linearized(a[:3, :3], d, rng, previous) is not previous
+        assert not previous.within_roundoff(a[:3, :3], d)
+
+    def test_reused_operator_keeps_its_factorizations(self, rng, pair, full_exponentials):
+        previous = self._linearized(*pair, rng)
+        x = rng.standard_normal((4, 3))
+        first = previous.exp_action(0.3, x)
+        again = self._linearized(*pair, rng, previous)
+        assert np.array_equal(again.exp_action(0.3, x), first)
+        assert full_exponentials == [4, 3]
+
+
+class TestMemoizedExponentials:
+    """The kernels take the exponentials of an operator once per step."""
+
+    def test_exp_action(self, rng, full_exponentials):
+        op = _stable_pair(rng, 4, 3)
+        x = rng.standard_normal((4, 3))
+        first = op.exp_action(0.7, x)
+        assert np.array_equal(op.exp_action(0.7, x), first)
+        assert full_exponentials == [4, 3]
+        op.exp_action(0.2, x)
+        assert full_exponentials == [4, 3, 4, 3]
+
+    @pytest.mark.parametrize("h", [0.1, 30.0])
+    def test_phi1_series_matches_a_fresh_operator(self, rng, full_exponentials, h):
+        op = _stable_pair(rng, 5, 3)
+        v, x = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        first = phi1_action_augmented(op, h, v, x)
+        y = rng.standard_normal((5, 3))
+        again = phi1_action_augmented(op, h, y, x)
+        assert full_exponentials == [5, 3]
+        assert np.array_equal(first, phi1_action_augmented(SylvesterOperator(op.A, op.D), h, v, x))
+        assert np.array_equal(again, phi1_action_augmented(SylvesterOperator(op.A, op.D), h, y, x))
+
+
 class TestIntegralForm:
     def test_reference_solution_satisfies_integral_equation(self, rng):
         m = n = 4
