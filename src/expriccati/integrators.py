@@ -43,7 +43,13 @@ from .lowrank import (
     concat_update,
 )
 # The kernel keeps its name: ``perfbench/tracing.py`` hooks it here.
-from .sylvop import linearize, phi1_action_augmented, phi_action_augmented, phi_action_quadrature
+from .sylvop import (
+    _reused_or_new,
+    linearize,
+    phi1_action_augmented,
+    phi_action_augmented,
+    phi_action_quadrature,
+)
 
 __all__ = [
     "SCHEMES",
@@ -308,7 +314,9 @@ class IntegratorConfig:
     images exp(tau A_lin) V: "dense" applies A_lin directly (one shifted
     truncated Taylor series per scaling interval for all node times; one
     full exponential per node time where that chain would cost more, see
-    ``densecore.expm_actions``);
+    ``densecore.expm_actions``; on a step that reused its linearized
+    operator, one stacked product with exp(tau A_lin) at the node times,
+    taken once, see ``_make_exp_actions``);
     "krylov" projects onto a block Krylov basis of ``krylov_m`` blocks,
     built on A_lin in the same form, where that basis and its projected
     actions cost less than the exact action of the "dense" route, in the
@@ -385,10 +393,12 @@ class StepDiagnostics:
     budget and took no exponential action: set by LrExpEuler and both
     Erow3 realizations (Erow3Dense counts a skipped phi_3 correction, so
     the two can be compared step by step), None for the dense Euler steps.
-    ``operator_reused`` is True when a dense step reused the linearized
-    operator of an earlier step, with its factorizations, because its
-    own lay within unit roundoff of it (see ``sylvop.linearize``), False
-    when it factorized afresh, and None on low-rank steps.
+    ``operator_reused`` is True when a step reused the linearized
+    operator of an earlier step, because its own lay within unit roundoff
+    of it (see ``sylvop.linearize``): a dense step with its
+    factorizations, a low-rank step with its exponentials at the node
+    times.  It is False when the step linearized afresh, and None on a
+    low-rank step whose A_lin is a SparsePlusThin, which is never reused.
     """
 
     step: int
@@ -428,12 +438,28 @@ class Trajectory:
 
 
 def _linearize(problem, state, diag, memo):
-    """``linearize`` at ``state``, handing it the operator the run
-    linearized last, which ``memo`` (a dict that lives for one
-    :func:`integrate` call) keeps; records in ``diag`` whether it was
-    reused."""
+    """(operator, remainder) of the step at ``state``.
+
+    A dense state goes through ``linearize`` (remainder Q + XGX).  A
+    factored state gets A_lin = A - (X B) B^T and no remainder: a
+    SparsePlusThin where A is sparse enough (``_STRUCTURED_COST_RATIO``),
+    else the transposed SylvesterOperator(A_lin, A_lin^T).  Every
+    SylvesterOperator is the one the run linearized last, kept in
+    ``memo`` (a dict of one :func:`integrate` call), while the new
+    coefficients lie within unit roundoff of it; ``diag`` records whether
+    it was reused, None for a SparsePlusThin, which is never kept.
+    """
     previous = None if memo is None else memo.get("operator")
-    operator, remainder = linearize(problem, state, previous)
+    if isinstance(state, LdlFactor):
+        xb = state.apply(problem.B)
+        sparse = problem._sparse_coefficient
+        if sparse is not None:
+            a_csr, shift = sparse
+            return SparsePlusThin(a_csr, xb, problem.B.T, shift), None
+        a_lin = problem.A - xb @ problem.B.T
+        operator, remainder = _reused_or_new(a_lin, a_lin.T, previous), None
+    else:
+        operator, remainder = linearize(problem, state, previous)
     if memo is not None:
         memo["operator"] = operator
     if diag is not None:
@@ -459,29 +485,30 @@ def step_expeuler_backward(problem, state, h, cfg, diag, memo=None):
     return operator.exp_action(h, w) + state - w
 
 
-def _linearized_coefficient(problem, state):
-    """A - X G for a factored symmetric state, using the thin generator of G.
-
-    A SparsePlusThin operator A - (X B) B^T where the problem's A is
-    sparse enough for that to pay off (``_STRUCTURED_COST_RATIO``), else
-    the dense matrix.
-    """
-    xb = state.apply(problem.B)
-    sparse = problem._sparse_coefficient
-    if sparse is None:
-        return problem.A - xb @ problem.B.T
-    a_csr, shift = sparse
-    return SparsePlusThin(a_csr, xb, problem.B.T, shift)
-
-
-def _make_exp_actions(a_lin, cfg, diag):
+def _make_exp_actions(coefficient, cfg, diag):
     """Provider mapping (taus, block) -> exponential images of the block.
 
-    The Krylov route starts the step's Krylov fields at () and 0.0, so a
-    step whose updates were all dropped records no call rather than None.
+    ``coefficient`` is a factored state's A_lin from ``_linearize``.  The
+    exact action goes through ``expm_actions``, except on a step that
+    reused its SylvesterOperator: there it is one stacked product with
+    exp(tau A_lin) at the node times, built on the identity at the first
+    such step and kept in the operator's memo.  The Krylov route decides
+    on a basis as before and takes the same exact action where it builds
+    none; it starts the step's Krylov fields at () and 0.0, so a step
+    whose updates were all dropped records no call rather than None.
     """
+    a_lin = coefficient if isinstance(coefficient, SparsePlusThin) else coefficient.A
+
+    def exact(taus, block):
+        if not diag.operator_reused:
+            return expm_actions(a_lin, taus, block)
+        stacked = coefficient._memoized(
+            "nodes", tuple(taus), lambda: np.vstack(expm_actions(a_lin, taus, np.eye(len(a_lin))))
+        )
+        return list((stacked @ block).reshape(len(taus), *block.shape))
+
     if cfg.exp_action == "dense":
-        return lambda taus, block: expm_actions(a_lin, taus, block)
+        return exact
     diag.krylov_basis_cols, diag.krylov_residual = (), 0.0
 
     def actions(taus, block):
@@ -490,7 +517,7 @@ def _make_exp_actions(a_lin, cfg, diag):
             # The basis would span the whole space, or cost more than the
             # exact action: act exactly instead.
             cols, worst = 0, 0.0
-            values = expm_actions(a_lin, taus, block)
+            values = exact(taus, block)
         else:
             basis = build_basis(a_lin, block, cfg.krylov_m)
             pairs = exp_actions_krylov(basis, taus, block)
@@ -503,9 +530,10 @@ def _make_exp_actions(a_lin, cfg, diag):
     return actions
 
 
-def _factored_phi_update(problem, state, h, cfg, diag):
+def _factored_phi_update(problem, state, h, cfg, diag, memo=None):
     """update(base, operand, k, coeff) = base + coeff phi_k(h S_n)(operand)
-    in LDL^T form, S_n linearized once at ``state`` for every update.
+    in LDL^T form, S_n linearized once at ``state`` for every update
+    (``_linearize``, with the run's ``memo``).
 
     Compresses the operand at ``tol`` relative to its own norm and down to
     the absolute floor share tol ||base||_F k! / |coeff|
@@ -520,7 +548,7 @@ def _factored_phi_update(problem, state, h, cfg, diag):
     ``diag.operands_dropped``.
     """
     tol = cfg.resolve_tol(state.dim)
-    actions = _make_exp_actions(_linearized_coefficient(problem, state), cfg, diag)
+    actions = _make_exp_actions(_linearize(problem, state, diag, memo)[0], cfg, diag)
     diag.operands_dropped = 0
 
     def update(base, operand, k, coeff):
@@ -542,7 +570,7 @@ def step_expeuler_lowrank(problem, state, h, cfg, diag, memo=None):
     Assembles the factored right-hand side and adds h phi_1(h S_n) of it
     to the state through the factored phi-update.
     """
-    update = _factored_phi_update(problem, state, h, cfg, diag)
+    update = _factored_phi_update(problem, state, h, cfg, diag, memo)
     return update(state, assemble_rhs(problem, state), 1, h)
 
 
@@ -563,7 +591,7 @@ def step_erow3(problem, state, h, cfg, diag, memo=None):
     through one factored phi-update, linearized once.
     """
     if isinstance(state, LdlFactor):
-        update = _factored_phi_update(problem, state, h, cfg, diag)
+        update = _factored_phi_update(problem, state, h, cfg, diag, memo)
         stage = update(state, assemble_rhs(problem, state), 1, h)
         return update(stage, assemble_remainder_diff(problem, state, stage), 3, 2.0 * h)
 
@@ -591,9 +619,9 @@ def step_erow3(problem, state, h, cfg, diag, memo=None):
 
 # Scheme name -> (stepper, whether the state is an LDL^T factor).  Every
 # stepper takes (problem, state, h, cfg, diag, memo), fills the fields of
-# the StepDiagnostics ``diag`` its route records and keeps the dense
-# route's linearized operator in ``memo``, a dict of one integrate call;
-# the dense Euler steps ignore cfg, the low-rank Euler step memo.
+# the StepDiagnostics ``diag`` its route records and keeps its linearized
+# operator in ``memo``, a dict of one integrate call (``_linearize``; a
+# SparsePlusThin A_lin is not kept); the dense Euler steps ignore cfg.
 _SCHEME_STEPS = {
     "GExpEuler": (step_expeuler_general, False),
     "BrExpEuler": (step_expeuler_backward, False),
@@ -624,10 +652,11 @@ def integrate(problem, cfg):
     IntegrationError carrying the partial trajectory and the zero-based
     index of the step that failed.  Step operands are built from
     validated input, so a DomainError inside a step means a value became
-    non-finite; it fails the step too.  A dense scheme reuses the
-    linearized operator of an earlier step of this call, with its
-    factorizations, while the new one lies within unit roundoff of it;
-    nothing is kept across calls.
+    non-finite; it fails the step too.  Every scheme reuses the
+    linearized operator of an earlier step of this call while the new one
+    lies within unit roundoff of it (``_linearize``): a dense scheme with
+    its factorizations, a low-rank one on a dense A_lin with its
+    exponentials at the node times.  Nothing is kept across calls.
     """
     stepper, factored = _SCHEME_STEPS[cfg.scheme]
     state = problem.initial_factor() if factored else problem.X0.copy()

@@ -17,7 +17,8 @@ exponentials, or a quadrature over the exponential images of a factored
 operand N = L R^T.
 
 ``linearize`` hands back the previous operator, with the factorizations
-it memoizes, while the new coefficients are unchanged to roundoff.
+it memoizes, while the new coefficients are unchanged to roundoff; the
+low-rank steps apply the same rule to a dense A_lin.
 """
 
 from dataclasses import dataclass, field
@@ -50,7 +51,8 @@ class SylvesterOperator:
     ``memo`` holds what the kernels computed from the coefficients alone:
     the Schur forms of ``solve_sylvester``, and for the last step each
     was asked for, exp(tA) and exp(tD) of ``exp_action`` and the squared
-    exponentials of ``phi1_action_augmented``.
+    exponentials of ``phi1_action_augmented``; the low-rank steps keep
+    exp(tau A) at their last node times there.
     """
 
     A: np.ndarray
@@ -81,7 +83,8 @@ class SylvesterOperator:
         )
 
     def _memoized(self, kind, step, build):
-        """build(), kept in ``memo`` under ``kind`` until asked for another step."""
+        """build(), kept in ``memo`` under ``kind`` until asked for another
+        ``step`` (a step size, or a tuple of node times)."""
         cached = self.memo.get(kind)
         if cached is None or cached[0] != step:
             cached = self.memo[kind] = (step, build())
@@ -156,10 +159,16 @@ def linearize(problem, state, previous=None):
     xg = x @ problem.G
     a_lin = problem.A - xg
     d_lin = a_lin.T if problem.symmetric else problem.D - problem.G @ x
-    remainder = problem.Q + xg @ x
+    return _reused_or_new(a_lin, d_lin, previous), problem.Q + xg @ x
+
+
+def _reused_or_new(a_lin, d_lin, previous):
+    """``previous`` while A_lin and D_lin lie within unit roundoff of its
+    coefficients, else SylvesterOperator(A_lin, D_lin): the reuse rule of
+    ``linearize``, which the low-rank steps share for a dense A_lin."""
     if previous is not None and previous.within_roundoff(a_lin, d_lin):
-        return previous, remainder
-    return SylvesterOperator(a_lin, d_lin), remainder
+        return previous
+    return SylvesterOperator(a_lin, d_lin)
 
 
 # Above this value of |h| (||A||_1 + ||D||_1) the base block exponential

@@ -663,13 +663,13 @@ class TestIntegrate:
     @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
     def test_one_linearization_per_lowrank_step(self, scheme, exp_action, rng, monkeypatch):
         calls = []
-        original = integrators._linearized_coefficient
+        original = integrators._linearize
 
-        def spy(problem, state):
+        def spy(problem, state, diag, memo):
             calls.append(state)
-            return original(problem, state)
+            return original(problem, state, diag, memo)
 
-        monkeypatch.setattr(integrators, "_linearized_coefficient", spy)
+        monkeypatch.setattr(integrators, "_linearize", spy)
         n = 10
         p = RiccatiProblem(
             A=random_stable(rng, n), C=rng.standard_normal((2, n)),
@@ -890,12 +890,12 @@ class TestExponentialActionRoutes:
     @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
     def test_structured_and_dense_coefficients_agree(self, scheme, exp_action, monkeypatch):
         problem, structured = self._run(scheme, exp_action)
-        coefficient = integrators._linearized_coefficient(problem, problem.initial_factor())
+        coefficient, _ = integrators._linearize(problem, problem.initial_factor(), None, None)
         assert isinstance(coefficient, SparsePlusThin)
         monkeypatch.setattr(integrators, "_STRUCTURED_COST_RATIO", float("inf"))
         problem, dense = self._run(scheme, exp_action)
-        coefficient = integrators._linearized_coefficient(problem, problem.initial_factor())
-        assert isinstance(coefficient, np.ndarray)
+        coefficient, _ = integrators._linearize(problem, problem.initial_factor(), None, None)
+        assert isinstance(coefficient, SylvesterOperator) and coefficient.transposed
         assert rel_err(structured.final_dense(), dense.final_dense()) <= 1e-12
 
     @pytest.mark.parametrize(
@@ -970,10 +970,13 @@ class TestExponentialActionRoutes:
 
 
 class TestOperatorReuse:
-    """A dense run reuses the linearized operator, and its factorizations,
-    while the new coefficients lie within unit roundoff of it."""
+    """A run reuses the linearized operator, and what was computed from it,
+    while the new coefficients lie within unit roundoff of it: the dense
+    schemes its factorizations, the low-rank schemes on a dense A_lin the
+    exponentials at the node times."""
 
     DENSE = ("GExpEuler", "BrExpEuler", "Erow3Dense")
+    LOWRANK = ("LrExpEuler", "Erow3LowRank")
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -983,6 +986,18 @@ class TestOperatorReuse:
     @pytest.fixture(scope="class")
     def reference(self, problem):
         return radon_solve(problem, 1.0)
+
+    @staticmethod
+    def _check_reuse(traj):
+        steps = len(traj.diagnostics)
+        reused = [d.operator_reused for d in traj.diagnostics]
+        assert reused[0] is False and all(isinstance(r, bool) for r in reused)
+        assert sum(reused) >= 0.75 * steps
+        return steps
+
+    @staticmethod
+    def _arrays(state):
+        return (state.L, state._core) if isinstance(state, lowrank.LdlFactor) else (state,)
 
     @pytest.mark.parametrize("scheme", DENSE)
     def test_steady_state_reuses_factorizations(
@@ -997,24 +1012,68 @@ class TestOperatorReuse:
 
         monkeypatch.setattr(scipy.linalg, "schur", spy)
         traj = integrate(problem, IntegratorConfig(scheme, 0.01, 1.0))
-        steps = len(traj.diagnostics)
-        reused = [d.operator_reused for d in traj.diagnostics]
-        assert reused[0] is False and all(isinstance(r, bool) for r in reused)
-        assert sum(reused) >= 0.75 * steps
+        steps = self._check_reuse(traj)
         assert len(full_exponentials) < steps and len(schur_forms) < steps
         # Criterion 3's bound, unchanged.
         assert rel_err(traj.final_dense(), reference) <= 1e-10
 
-    @pytest.mark.parametrize("scheme", DENSE)
+    @pytest.mark.parametrize("scheme", LOWRANK)
+    def test_steady_state_reuses_node_exponentials(
+        self, scheme, problem, reference, monkeypatch
+    ):
+        # Without the reuse every step takes at least one expm_actions call.
+        calls = []
+        original = integrators.expm_actions
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(integrators, "expm_actions", spy)
+        traj = integrate(problem, IntegratorConfig(scheme, 0.01, 1.0))
+        steps = self._check_reuse(traj)
+        assert len(calls) < steps
+        # Criterion 3's bound, unchanged.
+        assert rel_err(traj.final_dense(), reference) <= 1e-10
+
+    def test_reused_step_applies_the_node_exponentials(self, monkeypatch):
+        problem = problem_from_spec("fdm-sym:k=4", seed=20240)
+        state = problem.initial_factor()
+        operator, _ = integrators._linearize(problem, state, None, None)
+        block = lowrank.assemble_rhs(problem, state).L
+        taus = [0.01 * (1.0 - s) for s in integrators.QuadratureRule.gauss_legendre().nodes]
+        expected = integrators.expm_actions(operator.A, taus, block)
+        calls = []
+        original = integrators.expm_actions
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(integrators, "expm_actions", spy)
+        cfg = IntegratorConfig("LrExpEuler", 0.01, 0.01)
+        for step in (1, 2):
+            diag = StepDiagnostics(step=step, t=0.01 * step, operator_reused=True)
+            images = integrators._make_exp_actions(operator, cfg, diag)(taus, block)
+            assert all(rel_err(a, b) <= 1e-13 for a, b in zip(images, expected))
+        # One build, on the identity, for both steps.
+        assert len(calls) == 1 and np.array_equal(calls[0][2], np.eye(problem.M))
+
+    @pytest.mark.parametrize("scheme", DENSE + LOWRANK)
     def test_repeated_runs_are_bitwise_equal(self, scheme, problem):
         cfg = IntegratorConfig(scheme, 0.01, 0.3)
         first, second = integrate(problem, cfg), integrate(problem, cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(first.states, second.states))
+        assert first.diagnostics[-1].operator_reused
+        assert all(
+            np.array_equal(a, b)
+            for x, y in zip(first.states, second.states)
+            for a, b in zip(self._arrays(x), self._arrays(y))
+        )
         for a, b in zip(first.diagnostics, second.diagnostics):
             a.wall_time = b.wall_time = None
             assert a == b
 
-    @pytest.mark.parametrize("scheme", DENSE)
+    @pytest.mark.parametrize("scheme", DENSE + LOWRANK)
     def test_next_run_factorizes_at_step_zero(self, scheme, problem):
         cfg = IntegratorConfig(scheme, 0.01, 0.3)
         assert integrate(problem, cfg).diagnostics[-1].operator_reused
@@ -1022,10 +1081,33 @@ class TestOperatorReuse:
         traj = integrate(other, cfg)
         assert traj.diagnostics[0].operator_reused is False
         fresh = integrate(problem_from_spec("fdm-nonsym:k=6", seed=7), cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(traj.states, fresh.states))
+        assert all(
+            np.array_equal(a, b)
+            for x, y in zip(traj.states, fresh.states)
+            for a, b in zip(self._arrays(x), self._arrays(y))
+        )
 
-    @pytest.mark.parametrize("scheme", ["LrExpEuler", "Erow3LowRank"])
-    def test_lowrank_steps_record_none(self, scheme):
+    @pytest.mark.parametrize("scheme", LOWRANK)
+    def test_dense_coefficient_lowrank_steps_record_bools(self, scheme):
         problem = problem_from_spec("fdm-sym:k=4", seed=20240)
         traj = integrate(problem, IntegratorConfig(scheme, 0.1, 0.3))
+        reused = [d.operator_reused for d in traj.diagnostics]
+        assert reused[0] is False and all(isinstance(r, bool) for r in reused)
+
+    @pytest.mark.parametrize("scheme", LOWRANK)
+    def test_lowrank_steps_record_none(self, scheme, monkeypatch):
+        # n = 196: A_lin is a SparsePlusThin, never compared and never kept.
+        built = []
+        original = SylvesterOperator.__post_init__
+
+        def spy(operator):
+            built.append(operator)
+            original(operator)
+
+        monkeypatch.setattr(SylvesterOperator, "__post_init__", spy)
+        problem = problem_from_spec("fdm-sym:k=14", seed=20240)
+        coefficient, _ = integrators._linearize(problem, problem.initial_factor(), None, None)
+        assert isinstance(coefficient, SparsePlusThin)
+        traj = integrate(problem, IntegratorConfig(scheme, 0.01, 0.03))
         assert all(d.operator_reused is None for d in traj.diagnostics)
+        assert built == []

@@ -179,7 +179,7 @@ class TestStiffOperator:
     def step0(self):
         problem = problem_from_spec("fdm-sym:k=14", seed=20240)
         state = problem.initial_factor()
-        a_lin = integrators._linearized_coefficient(problem, state)
+        a_lin, _ = integrators._linearize(problem, state, None, None)
         v = assemble_rhs(problem, state).compressed(state.dim * np.finfo(float).eps).L
         return a_lin, a_lin.a.toarray() - a_lin.u @ a_lin.bt, v
 
