@@ -368,7 +368,6 @@ def compress(l, d, tol, floor=0.0):
         raise FiniteEscapeError("compressed factor has non-finite eigenvalues")
     order = np.argsort(-np.abs(lam))
     lam = lam[order]
-    u = u[:, order]
 
     # |lam| decreases and the tail norm of the dropped modes shrinks along
     # the index, so both conditions hold on a suffix, which is dropped.
@@ -380,5 +379,5 @@ def compress(l, d, tol, floor=0.0):
         kept_tail = np.sqrt(np.cumsum(lam[:keep][::-1] ** 2))[::-1]
         keep = int(np.count_nonzero(kept_tail > floor))
     padded = np.zeros((n, keep))
-    padded[:k] = u[:, :keep]
+    padded[:k] = u[:, order[:keep]]
     return ormqr("L", "N", qr[:, :k], tau, padded, max(64 * keep, 1))[0], lam[:keep]

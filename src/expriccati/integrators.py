@@ -124,6 +124,12 @@ def _entry_bound(factors):
     return norms[0] * norms[-1]
 
 
+def _symmetric_part(value):
+    """``value`` if it is bitwise symmetric, else (value + value^T) / 2,
+    which is."""
+    return value if np.array_equal(value, value.T) else (value + value.T) / 2.0
+
+
 class _BuiltOnFirstRead:
     """A coefficient a symmetric problem builds from its generator when it
     is first read, by the rule of ``_COEFFICIENT_RULES``, and caches.
@@ -160,9 +166,9 @@ class RiccatiProblem:
     Cauchy-Schwarz); a product whose bound reaches the overflow range is
     formed at once and rejected if it is not finite.  A non-symmetric
     problem needs all four.  What is given is validated on construction:
-    shapes, symmetry (of D0 too, whose symmetric part a symmetric problem
-    keeps), and the consistency of each given coefficient with its
-    generator.
+    shapes, symmetry (of D0 too), and the consistency of each given
+    coefficient with its generator.  A symmetric problem keeps the exact
+    symmetric part of a given D0 and Q.
     """
 
     A: np.ndarray
@@ -198,16 +204,18 @@ class RiccatiProblem:
                 self.D0 = np.eye(r)
             elif self.symmetric:
                 _require_match(self.D0, self.D0.T, "symmetric problems need symmetric D0")
-                # Keep the symmetric part, so that the factor's stricter check
-                # accepts what passed here.
-                if not np.array_equal(self.D0, self.D0.T):
-                    self.D0 = (self.D0 + self.D0.T) / 2.0
+                # The factor's stricter check accepts the symmetric part.
+                self.D0 = _symmetric_part(self.D0)
         for name, (generator, rule, form, factors) in _COEFFICIENT_RULES.items():
             value = getattr(self, name)
             applies = getattr(self, generator) is not None and (self.symmetric or name != "D")
             if value is not None:
                 if self.symmetric and name != "D":
                     _require_match(value, value.T, f"symmetric problems need symmetric {name}")
+                    if name == "Q":
+                        # The linearized remainder Q + (XB)(XB)^T is then
+                        # bitwise symmetric (see sylvop.linearize).
+                        value = self.Q = _symmetric_part(value)
                 if applies:
                     _require_match(value, rule(self), f"{name} must equal {form}")
             elif self.symmetric and applies:
@@ -244,9 +252,11 @@ class RiccatiProblem:
         return a_csr, sparse_shift(a_csr)
 
     def rhs(self, x):
-        """F(X) = A X + X D + Q - X G X."""
+        """F(X) = A X + X D + Q - X G X, with X G X = (X B)(X^T B)^T where
+        B is attached (three n x n x p products in place of two n^3)."""
         x = as_matrix(x, "state")
-        return self.A @ x + x @ self.D + self.Q - x @ (self.G @ x)
+        quadratic = x @ (self.G @ x) if self.B is None else (x @ self.B) @ (x.T @ self.B).T
+        return self.A @ x + x @ self.D + self.Q - quadratic
 
     @property
     def has_lowrank_generators(self):

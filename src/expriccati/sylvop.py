@@ -140,7 +140,12 @@ def linearize(problem, state, previous=None):
 
     Returns (SylvesterOperator of A - XG and D - GX, remainder Q + XGX).
     A symmetric problem gets D_lin = A_lin^T (exact at a symmetric state),
-    a pair that shares one exponential and one Schur form.
+    a pair that shares one exponential and one Schur form.  With B
+    attached it takes XG as (XB)B^T and the remainder as Q + (XB)(XB)^T,
+    three n x n x p products in place of two n^3 ones; that remainder is
+    bitwise symmetric, since Q is (``RiccatiProblem`` keeps the exact
+    symmetric part of a given Q), so the phi_1 series takes one product
+    per term on it (``_phi1_series``).
 
     ``previous``, an operator linearized earlier in the same run, is
     returned in place of a new one, with its memoized factorizations,
@@ -156,6 +161,10 @@ def linearize(problem, state, previous=None):
         raise DimensionError(
             f"state shape {x.shape} does not match problem ({problem.M}, {problem.N})"
         )
+    if problem.symmetric and problem.B is not None:
+        xb = x @ problem.B
+        a_lin = problem.A - xb @ problem.B.T
+        return _reused_or_new(a_lin, a_lin.T, previous), problem.Q + xb @ xb.T
     xg = x @ problem.G
     a_lin = problem.A - xg
     d_lin = a_lin.T if problem.symmetric else problem.D - problem.G @ x
@@ -267,13 +276,21 @@ def _phi1_series(operator, t, z, mat):
     Term k is bounded by z^k/(k+1)! times the first, t N, and the sum
     stops before the first term whose bound falls below the unit
     roundoff.  The terms after the first add up to at most 0.72 of it, so
-    nothing cancels.
+    nothing cancels.  A transposed pair on a bitwise symmetric N keeps
+    every term symmetric: S(T) = P + P^T with P = AT, one product per
+    term instead of two, and the sum is bitwise symmetric.  Any other
+    operand takes S(T) = AT + TD.
     """
+    symmetric = operator.transposed and np.array_equal(mat, mat.T)
     term = t * mat
     total = term.copy()
     k, bound = 1, z / 2.0
     while bound > 2.0 ** -53:
-        term = (t / (k + 1)) * (operator.A @ term + term @ operator.D)
+        if symmetric:
+            half = operator.A @ term
+            term = (t / (k + 1)) * (half + half.T)
+        else:
+            term = (t / (k + 1)) * (operator.A @ term + term @ operator.D)
         total += term
         k += 1
         bound *= z / (k + 1)
@@ -286,9 +303,10 @@ def phi1_action_augmented(operator, h, inhom, state):
     At t = h / 2^s, with s the fewest halvings that bring
     |t| (||A||_1 + ||D||_1) to the series limit, the integral
     I(t) = t phi_1(tS)(V) = int_0^t exp(sA) V exp(sD) ds is the Taylor
-    series of S itself (``_phi1_series``, two products per term), and
-    exp(tA) (with exp(tD) for a general pair) comes from SciPy.  The s
-    doublings of ``_doubled`` carry both to h, as they carry the block
+    series of S itself (``_phi1_series``, two products per term, one for
+    a transposed pair on a symmetric V), and exp(tA) (with exp(tD) for a
+    general pair) comes from SciPy.  The s doublings of ``_doubled``
+    carry both to h, as they carry the block
     route of ``phi_action_augmented``; no (M+N) x (M+N) block is formed.
     The exponentials and their squarings depend on h and the coefficients
     alone and are taken once per step h (``memo``).  The name stays that

@@ -93,6 +93,32 @@ class TestProblemValidation:
         expected = p.A @ x + x @ p.D + p.Q - x @ p.G @ x
         assert rel_err(p.rhs(x), expected) <= 1e-15
 
+    @pytest.mark.parametrize("spec", ["fdm-sym:k=8", "fdm-nonsym:k=10"])
+    def test_rhs_through_b_matches_g_form(self, rng, spec):
+        # With B attached, XGX is (XB)(X^T B)^T, which holds for any X.
+        p = problem_from_spec(spec, seed=20240)
+        later = integrate(p, IntegratorConfig("GExpEuler", 0.01, 0.03)).final
+        for x in (later, rng.standard_normal(p.X0.shape)):
+            expected = p.A @ x + x @ p.D + p.Q - x @ (p.G @ x)
+            assert rel_err(p.rhs(x), expected) <= 1e-13
+
+    def test_nearly_symmetric_q_kept_bitwise_symmetric(self, rng):
+        # Q is 1e-13 off symmetric: a symmetric problem keeps its exact
+        # symmetric part, and a bitwise symmetric Q as it is.
+        n = 5
+        a, y = random_stable(rng, n), rng.standard_normal((n, n))
+        q = y @ y.T
+        q_off = q.copy()
+        q_off[0, 1] += 1e-13 * np.linalg.norm(q)
+        p = RiccatiProblem(A=a, D=a.T, Q=q_off, G=np.eye(n), X0=np.zeros((n, n)),
+                           symmetric=True)
+        assert not np.array_equal(q_off, q_off.T)
+        assert np.array_equal(p.Q, p.Q.T)
+        assert rel_err(p.Q, q_off) <= 1e-13
+        kept = RiccatiProblem(A=a, D=a.T, Q=q, G=np.eye(n), X0=np.zeros((n, n)),
+                              symmetric=True)
+        assert kept.Q is q
+
 
 class TestGeneratedCoefficients:
     """A symmetric problem builds the coefficients it is not given from its

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from expriccati import QuadratureRule
+from expriccati import QuadratureRule, sylvop
 from expriccati.errors import DimensionError, DomainError
-from expriccati.integrators import RiccatiProblem
+from expriccati.integrators import IntegratorConfig, RiccatiProblem, integrate
 from expriccati.oracle import radon_solve
+from expriccati.problems import problem_from_spec
 from expriccati.sylvop import (
     _AUGMENTED_NORM_LIMIT,
     _SERIES_NORM_LIMIT,
     SylvesterOperator,
+    _halvings,
+    _phi1_series,
     linearize,
     phi1_action_augmented,
     phi_action_augmented,
@@ -387,6 +390,102 @@ class TestLinearize:
         lhs = remainder_at(y) - remainder_at(x)
         rhs = x @ p.G @ y + y @ p.G @ x - y @ p.G @ y - x @ p.G @ x
         assert rel_err(lhs, rhs) <= 1e-12
+
+
+def _fdm_states(spec):
+    """The problem and two of its states: X0, and the GExpEuler state
+    after three steps of 0.01, which is not bitwise symmetric."""
+    p = problem_from_spec(spec, seed=20240)
+    later = integrate(p, IntegratorConfig("GExpEuler", 0.01, 0.03)).final
+    assert not np.array_equal(later, later.T)
+    return p, (p.X0, later)
+
+
+def _two_product_series(operator, t, z, mat):
+    # The series with S(T) = AT + TD on every operand.
+    term = t * mat
+    total = term.copy()
+    k, bound = 1, z / 2.0
+    while bound > 2.0 ** -53:
+        term = (t / (k + 1)) * (operator.A @ term + term @ operator.D)
+        total += term
+        k += 1
+        bound *= z / (k + 1)
+    return total
+
+
+class TestSymmetricLinearization:
+    """A symmetric problem with B takes A_lin = A - (XB)B^T and the
+    remainder Q + (XB)(XB)^T, bitwise symmetric."""
+
+    @pytest.mark.parametrize("spec", ["fdm-sym:k=8", "fdm-nonsym:k=10"])
+    def test_remainder_is_bitwise_symmetric(self, spec):
+        p, states = _fdm_states(spec)
+        for x in states:
+            op, remainder = linearize(p, x)
+            assert op.transposed
+            assert np.array_equal(remainder, remainder.T)
+            assert rel_err(remainder, p.Q + x @ p.G @ x) <= 1e-13
+
+    @pytest.mark.parametrize("spec", ["fdm-sym:k=8", "fdm-nonsym:k=10"])
+    def test_coefficient_within_roundoff_of_a_minus_xg(self, spec):
+        p, states = _fdm_states(spec)
+        for x in states:
+            op, _ = linearize(p, x)
+            assert np.linalg.norm(op.A - (p.A - x @ p.G)) <= 1e-15 * np.linalg.norm(p.A)
+
+
+class TestSymmetricSeries:
+    """A transposed pair on a bitwise symmetric operand sums the phi_1
+    series with one product per term; every other operand keeps the two."""
+
+    @staticmethod
+    def _transposed_symmetric(rng, n=6):
+        a = random_stable(rng, n, margin=0.5)
+        y = rng.standard_normal((n, n))
+        return SylvesterOperator(a, a.T), y + y.T
+
+    def test_sum_is_bitwise_symmetric(self, rng):
+        op, v = self._transposed_symmetric(rng)
+        _, t, z = _halvings(op, 0.3, _SERIES_NORM_LIMIT)
+        total = _phi1_series(op, t, z, v)
+        assert np.array_equal(total, total.T)
+        assert rel_err(total, _two_product_series(op, t, z, v)) <= 1e-15
+
+    @pytest.mark.parametrize("h", [-0.5, 0.3, 30.0])
+    def test_random_pair_matches_two_product_series(self, rng, monkeypatch, h):
+        op, v = self._transposed_symmetric(rng)
+        x = rng.standard_normal(v.shape)
+        out = phi1_action_augmented(op, h, v, x)
+        monkeypatch.setattr(sylvop, "_phi1_series", _two_product_series)
+        reference = phi1_action_augmented(SylvesterOperator(op.A, op.D), h, v, x)
+        assert rel_err(out, reference) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec, h, halvings",
+        [("fdm-sym:k=8", 0.01, 6), ("fdm-nonsym:k=10", 0.01, 7), ("fdm-sym:k=6", 1.0, 11)],
+    )
+    def test_fdm_stage_matches_two_product_series(self, monkeypatch, spec, h, halvings):
+        p = problem_from_spec(spec, seed=20240)
+        op, remainder = linearize(p, p.X0)
+        assert _halvings(op, h, _SERIES_NORM_LIMIT)[0] == halvings
+        out = phi1_action_augmented(op, h, remainder, p.X0)
+        monkeypatch.setattr(sylvop, "_phi1_series", _two_product_series)
+        reference = phi1_action_augmented(SylvesterOperator(op.A, op.D), h, remainder, p.X0)
+        assert rel_err(out, reference) <= 1e-14
+
+    @pytest.mark.parametrize("pair", ["nonsymmetric operand", "general", "rectangular"])
+    def test_other_operands_keep_the_two_product_series(self, rng, pair):
+        if pair == "nonsymmetric operand":
+            op, v = self._transposed_symmetric(rng)
+            v[0, 1] += 1e-3
+        else:
+            op = _SERIES_PAIRS[pair](rng)
+            y = rng.standard_normal((op.rows, op.cols))
+            # A symmetric operand of a general square pair stays on the two products.
+            v = y + y.T if op.rows == op.cols else y
+        _, t, z = _halvings(op, 0.3, _SERIES_NORM_LIMIT)
+        assert np.array_equal(_phi1_series(op, t, z, v), _two_product_series(op, t, z, v))
 
 
 class TestReuseWithinRoundoff:
