@@ -103,7 +103,9 @@ class ExperimentConfig:
     krylov_m: int = _setting(IntegratorConfig.krylov_m, int)
     exp_action: str = _setting(IntegratorConfig.exp_action, str, choices=EXP_ACTIONS)
     seed: int = _setting(20240, int)
-    oracle_cond: float = _setting(1e4, float, help="condition bound of the reference (>= 1)")
+    oracle_cond: float = _setting(
+        1e4, float, help="bound on the condition estimate of every LU in the reference (>= 1)"
+    )
     repeat: int = _setting(1, int, help="timing repetitions (median reported)")
     out: str = _setting(None, _optional(str), help="output directory (default: stdout)")
 

@@ -28,10 +28,11 @@ class SolvabilityError(ArithmeticError):
 
 
 class FiniteEscapeError(ArithmeticError):
-    """The reference flow stayed ill-conditioned at the smallest substep.
+    """A reference flow-map solve exceeded its condition bound or met a non-finite value.
 
     For Riccati flows this is the numerical signature of a finite escape
-    time (blow-up of the solution before the requested time).
+    time (blow-up of the solution near a time the reference passes
+    through), or of a bound too tight for the flow.
     """
 
 

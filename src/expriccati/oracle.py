@@ -2,16 +2,30 @@
 
 The Riccati flow linearizes exactly: with
 
-    [U; V]' = [[-D, G], [Q, A]] [U; V],   U(0) = I,  V(0) = X0,
+    [U; V]' = H [U; V],   H = [[-D, G], [Q, A]],   U(0) = I,  V(0) = X0,
 
-the solution is X(t) = V(t) U(t)^{-1} as long as U stays invertible.
-Propagating the block system with a cached matrix exponential over equal
-substeps, and renormalizing U to the identity after every substep,
-yields a reference of near machine accuracy that is independent of the
-integrators under test.
+the solution is X(t) = V(t) U(t)^{-1}.  Over an interval tau the flow map
+X -> (Phi21 + Phi22 X)(Phi11 + Phi12 X)^{-1}, Phi = exp(tau H), is held as
+
+    M(X) = P + Psi X (I + Gamma X)^{-1} Lam,
+
+read off one exponential at tau = t / 2^s, with s the fewest halvings
+that give |tau| ||H||_1 <= 1.  Then s doublings M <- M o M, each with
+one LU of an N x N matrix (the structure-preserving doubling of Chu, Fan
+& Lin, Linear Algebra Appl. 396, 2005), give the map at t: the cost
+grows with log(|t| ||H||_1), and no state is extracted on the way.  The
+map stays regular where X(t) has a pole, so a pole is passed and the
+result is its meromorphic continuation, unless one of the solves
+degenerates.
+
+``cond_max`` bounds the LAPACK ``gecon`` 1-norm condition estimate of
+every matrix factored: Phi11, each I + Gamma P of the doublings, and the
+final I + Gamma X0.  Beyond it, or on a non-finite value, the call raises
+FiniteEscapeError: a finite escape near a doubling level or the end, or a
+bound too tight for this flow.
 """
 
-import warnings
+import math
 
 import numpy as np
 import scipy.linalg
@@ -21,120 +35,71 @@ from .errors import DomainError, FiniteEscapeError
 
 __all__ = ["radon_solve", "radon_trajectory"]
 
-# Keep ||dt H||_1 at most this large before even attempting a propagator;
-# avoids pointless exponentials that would overflow anyway.
-_NORM_GUARD = 24.0
-# Most halvings of an interval for the norm guard, and most that
-# conditioning may force beyond those.  Each doubles the work: uncapped,
-# cond_max = 1.0001 took 524 305 extractions on fdm-sym:k=2.  The fdm problems
-# need at most 3 (k = 3-10 at t <= 1 with cond_max 1e2 and 1e4).
-_MAX_HALVINGS = 40
-_MAX_COND_HALVINGS = 8
+
+def _inverse(a, cond_max):
+    """``a^{-1}`` from one LU whose condition estimate is at most ``cond_max``."""
+    anorm = np.linalg.norm(a, 1)
+    getrf, getri, getri_lwork, gecon = scipy.linalg.get_lapack_funcs(
+        ("getrf", "getri", "getri_lwork", "gecon"), (a,)
+    )
+    lu, piv, info = getrf(a)
+    rcond = gecon(lu, anorm, norm="1")[0] if info == 0 and np.isfinite(anorm) else 0.0
+    if not rcond * cond_max >= 1.0:  # also refuses a NaN estimate
+        raise FiniteEscapeError(
+            f"a flow-map solve had a condition estimate above cond_max = {cond_max!r} "
+            f"or a non-finite value: a finite escape, or a bound too tight for this flow"
+        )
+    # getri and a product took half the time of getrs's triangular solves
+    # at N = 400 with 2N right-hand sides (one OpenBLAS thread)
+    return getri(lu, piv, lwork=int(getri_lwork(a.shape[0])[0]))[0]
 
 
-def _flow_matrix(problem):
-    return np.block([[-problem.D, problem.G], [problem.Q, problem.A]])
+def _flow_map(h_matrix, n, span, cond_max):
+    """(P, Psi, Gamma, Lam) of the flow map over ``span``; ``n`` is the size of D."""
+    # the fewest halvings s with |span| ||H||_1 <= 2^s
+    mantissa, exponent = math.frexp(abs(span) * np.linalg.norm(h_matrix, 1))
+    halvings = max(0, exponent - (mantissa == 0.5))
+    phi = scipy.linalg.expm(math.ldexp(span, -halvings) * h_matrix)
+    lam = _inverse(phi[:n, :n], cond_max)
+    gamma = lam @ phi[:n, n:]
+    p = phi[n:, :n] @ lam
+    psi = phi[n:, n:] - phi[n:, :n] @ gamma
+    for _ in range(halvings):
+        # M <- M o M: every update is a product with W^{-1}, W = I + Gamma P
+        w_inv = _inverse(np.eye(n) + gamma @ p, cond_max)
+        lam_w, psi_p_w = lam @ w_inv, psi @ (p @ w_inv)
+        p, psi, gamma, lam = (
+            p + psi_p_w @ lam,
+            (psi - psi_p_w @ gamma) @ psi,
+            gamma + (lam_w @ gamma) @ psi,
+            lam_w @ lam,
+        )
+    return p, psi, gamma, lam
 
 
-def _condition_estimate(lu, anorm):
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond, _ = gecon(lu, anorm, norm="1")
-    return np.inf if rcond == 0.0 else 1.0 / rcond
-
-
-def _propagate(block, x, cond_max):
-    """One substep: apply the propagator block and extract the new state.
-
-    Returns None when the extraction is too ill-conditioned (or produced
-    non-finite values), signalling the caller to refine the substep.
-    """
-    n = x.shape[1]
-    u = block[:n, :n] + block[:n, n:] @ x
-    v = block[n:, :n] + block[n:, n:] @ x
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # exactly-singular U is a refine signal
-        try:
-            lu, piv = scipy.linalg.lu_factor(u, check_finite=False)
-        except (scipy.linalg.LinAlgError, ValueError):
-            return None
-    if not np.all(np.isfinite(lu)):
-        return None
-    if _condition_estimate(lu, np.linalg.norm(u, 1)) > cond_max:
-        return None
-    # X_next = V U^{-1}, via U^T applied from the left to V^T.
-    return scipy.linalg.lu_solve((lu, piv), v.T, trans=1, check_finite=False).T
-
-
-class _FlowPropagator:
-    """Adaptive equal-substep propagation of the linearized flow.
-
-    The substep count per requested interval is a power of two; it only
-    grows, and the propagator exponential is cached per substep size, so
-    repeated intervals of the same length cost matrix products only.
-    """
-
-    def __init__(self, problem, cond_max):
-        # A 1-norm condition number is at least 1, so a lower bound could
-        # never be met; NaN fails every comparison and would be no guard.
-        if not cond_max >= 1.0:
-            raise DomainError(f"cond_max must be >= 1, got {cond_max!r}")
-        self.h_matrix = _flow_matrix(problem)
-        self.h_norm = np.linalg.norm(self.h_matrix, 1)
-        self.cond_max = cond_max
-        self.depth = 0
-        self._cache = {}
-
-    def _propagator(self, dt):
-        if dt not in self._cache:
-            self._cache.clear()  # only the current substep size is ever reused
-            self._cache[dt] = scipy.linalg.expm(dt * self.h_matrix)
-        return self._cache[dt]
-
-    def advance(self, x, span):
-        if span == 0.0:
-            return x
-        guard = 0
-        while guard < _MAX_HALVINGS and abs(span) * self.h_norm / (1 << guard) > _NORM_GUARD:
-            guard += 1
-        self.depth = max(self.depth, guard)
-        steps_left = 1 << self.depth
-        dt = span / steps_left
-        while steps_left > 0:
-            nxt = _propagate(self._propagator(dt), x, self.cond_max)
-            if nxt is None:
-                if self.depth - guard >= _MAX_COND_HALVINGS:
-                    raise FiniteEscapeError(
-                        f"flow extraction stayed non-finite or above cond_max = "
-                        f"{self.cond_max!r} after {_MAX_COND_HALVINGS} halvings beyond the "
-                        f"norm guard: a finite escape, or a bound too tight for this flow"
-                    )
-                self.depth += 1
-                steps_left *= 2
-                dt /= 2.0
-                continue
-            x = nxt
-            steps_left -= 1
-        return x
+def _apply(flow_map, x, cond_max):
+    p, psi, gamma, lam = flow_map
+    out = p + psi @ (x @ (_inverse(np.eye(x.shape[1]) + gamma @ x, cond_max) @ lam))
+    if not np.all(np.isfinite(out)):
+        raise FiniteEscapeError("the flow map overflowed: a finite escape")
+    return out
 
 
 def radon_solve(problem, t, cond_max=1e4):
-    """Reference solution of the Riccati flow at time ``t``.
+    """Reference solution of the Riccati flow at time ``t`` (negative allowed).
 
-    Propagates the linear block system from [I; X0] and extracts
-    X = V U^{-1}; the interval is split into 2^d equal substeps with d
-    raised until the extraction stays well-conditioned (1-norm condition
-    of U below ``cond_max``) and finite, restarting from the propagated
-    state after every substep.  Raises FiniteEscapeError when 8 halvings
-    beyond the depth that keeps ||dt H||_1 <= 24 are not enough: the
-    numerical signature of a Riccati blow-up, or of a ``cond_max`` too
-    tight for the flow.
+    One exponential of H = [[-D, G], [Q, A]] at t / 2^s, |t / 2^s| ||H||_1
+    <= 1, and s doublings of the flow map it gives, applied to X0 (see the
+    module docstring).  A pole of X before ``t`` is passed, giving the
+    meromorphic continuation, unless a solve degenerates.
 
-    ``cond_max`` trades substep count for accuracy: the extraction loses
-    roughly eps * cond(U) per substep.  The default keeps the reference
-    around 1e-11 relative accuracy on stable problems.  A bound below 1
-    (or NaN) is refused: no extraction could meet it.
+    ``cond_max`` bounds the 1-norm condition estimate of every LU the
+    call factors: Phi11 = exp(t / 2^s H)[:N, :N], I + Gamma P at each
+    doubling and the final I + Gamma X0.  A solve beyond it, or a
+    non-finite value, raises FiniteEscapeError: the numerical signature
+    of a Riccati blow-up, or of a bound too tight for the flow.  No
+    refinement is tried.  A bound below 1 (or NaN) is refused: no
+    factorization could meet it.
     """
     return radon_trajectory(problem, [t], cond_max)[0]
 
@@ -142,20 +107,31 @@ def radon_solve(problem, t, cond_max=1e4):
 def radon_trajectory(problem, times, cond_max=1e4):
     """Reference states at nondecreasing finite times (starting anywhere).
 
-    One flow propagator is shared across the whole sweep so equal spacing
-    reuses a single cached exponential.
+    Each state is the previous one carried by the flow map over the
+    interval between them; one map is built per distinct interval length
+    of the call, so an equally spaced sweep costs one exponential.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise DomainError("times must be finite")
     if times.size and np.any(np.diff(times) < 0):
         raise DomainError("times must be nondecreasing")
-    flow = _FlowPropagator(problem, cond_max)
+    # A 1-norm condition number is at least 1, so a lower bound could
+    # never be met; NaN fails every comparison and would be no guard.
+    if not cond_max >= 1.0:
+        raise DomainError(f"cond_max must be >= 1, got {cond_max!r}")
+    h_matrix = np.block([[-problem.D, problem.G], [problem.Q, problem.A]])
+    n = problem.D.shape[0]
+    maps = {}
     out = []
     x = as_matrix(problem.X0, "X0").copy()
     current = 0.0
     for t in times:
-        x = flow.advance(x, t - current)
+        span = t - current
+        if span != 0.0:
+            if span not in maps:
+                maps[span] = _flow_map(h_matrix, n, span, cond_max)
+            x = _apply(maps[span], x, cond_max)
         current = t
         out.append(x)
     return out

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 
 from expriccati.errors import DomainError, FiniteEscapeError
@@ -153,6 +154,54 @@ class TestRadonSolve:
     def test_negative_time_allowed(self):
         x = radon_solve(problem_from_spec("tanh"), -0.5)
         assert x[0, 0] == pytest.approx(np.tanh(-0.5), rel=1e-10)
+
+
+class TestGeneralFlow:
+    @pytest.mark.parametrize("t", [0.3, 1.0, -0.2])
+    def test_nonsymmetric_rectangular_matches_ode_solver(self, t):
+        # M = 4, N = 3 with every coefficient nonzero and no structure:
+        # the vectorized ODE X' = Q + AX + XD - XGX integrated to
+        # near-roundoff tolerance is the independent reference.
+        rng = np.random.default_rng(33)
+        m, n = 4, 3
+        a, d = rng.standard_normal((m, m)), rng.standard_normal((n, n))
+        q, g = rng.standard_normal((m, n)), 0.5 * rng.standard_normal((n, m))
+        x0 = 0.3 * rng.standard_normal((m, n))
+        p = RiccatiProblem(A=a, D=d, Q=q, G=g, X0=x0)
+
+        def vector_field(_, y):
+            x = y.reshape(m, n)
+            return (q + a @ x + x @ d - x @ g @ x).ravel()
+
+        sol = scipy.integrate.solve_ivp(
+            vector_field, (0.0, t), x0.ravel(), method="DOP853", rtol=1e-13, atol=1e-13
+        )
+        assert sol.success
+        assert rel_err(radon_solve(p, t), sol.y[:, -1].reshape(m, n)) <= 1e-9
+
+    def test_scalar_pole_next_to_an_intermediate_time(self):
+        # x' = 1 + x^2 from 0 is tan t; reaching t = 3 passes the pole at
+        # pi/2 and intermediate times such as 1.5 where tan is about 14.
+        p = RiccatiProblem(A=[[0.0]], D=[[0.0]], Q=[[1.0]], G=[[-1.0]], X0=[[0.0]])
+        assert radon_solve(p, 3.0)[0, 0] == pytest.approx(np.tan(3.0), rel=1e-10)
+
+    def test_time_beyond_the_largest_power_of_two(self):
+        # |t| ||H||_1 = 1e308 takes 1024 halvings, and 2^1024 overflows a
+        # double: the doublings still reach the steady state tanh = 1.
+        p = problem_from_spec("tanh")
+        assert radon_solve(p, 1e308)[0, 0] == pytest.approx(1.0, rel=1e-14)
+        assert radon_solve(p, -1e308)[0, 0] == pytest.approx(-1.0, rel=1e-14)
+
+    def test_trajectory_takes_one_exponential_per_interval_length(self, full_exponentials):
+        # The CLI's float grid (i + 1) * 0.01 has several distinct interval
+        # lengths that recur out of order; each must be built only once.
+        p = problem_from_spec("fdm-sym:k=8", seed=2)
+        times = [(i + 1) * 0.01 for i in range(100)]
+        states = radon_trajectory(p, times)
+        lengths = set(np.diff([0.0] + times))
+        assert len(lengths) > 1
+        assert len(full_exponentials) <= len(lengths)
+        assert rel_err(states[-1], radon_solve(p, 1.0)) <= 1e-12
 
 
 class TestKroneckerPhi:
